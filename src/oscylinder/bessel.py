@@ -156,14 +156,14 @@ def _asym_values_scaled(z: complex):
     return k0s, k1s, i0s, i1s
 
 
-def _k_unscaled_factor(z: complex) -> complex:
+def _k_unscaling(z: complex) -> complex:
     if z.real > _EXP_UNDERFLOW:
         raise OverflowError(
             f"unscaled K underflows for Re z = {z.real:g}; request scaled=True")
     return cmath.exp(-z)
 
 
-def _i_unscaled_factor(z: complex) -> complex:
+def _i_unscaling(z: complex) -> complex:
     if z.real > _EXP_OVERFLOW:
         raise OverflowError(
             f"unscaled I overflows for Re z = {z.real:g}; request scaled=True")
@@ -178,7 +178,7 @@ def bessel_k0(z: complex, scaled: bool = False) -> complex:
         k0 = _series_values(z)[2]
         return k0 * cmath.exp(z) if scaled else k0
     k0s = _asym_values_scaled(z)[0]
-    return k0s if scaled else k0s * _k_unscaled_factor(z)
+    return k0s if scaled else k0s * _k_unscaling(z)
 
 
 def bessel_k1(z: complex, scaled: bool = False) -> complex:
@@ -189,7 +189,7 @@ def bessel_k1(z: complex, scaled: bool = False) -> complex:
         k1 = _series_values(z)[3]
         return k1 * cmath.exp(z) if scaled else k1
     k1s = _asym_values_scaled(z)[1]
-    return k1s if scaled else k1s * _k_unscaled_factor(z)
+    return k1s if scaled else k1s * _k_unscaling(z)
 
 
 def bessel_i0(z: complex, scaled: bool = False) -> complex:
@@ -200,7 +200,7 @@ def bessel_i0(z: complex, scaled: bool = False) -> complex:
         i0 = _series_values(z)[0]
         return i0 * cmath.exp(-z) if scaled else i0
     i0s = _asym_values_scaled(z)[2]
-    return i0s * _i_unscaled_factor(z) if not scaled else i0s
+    return i0s * _i_unscaling(z) if not scaled else i0s
 
 
 def bessel_i1(z: complex, scaled: bool = False) -> complex:
@@ -211,7 +211,7 @@ def bessel_i1(z: complex, scaled: bool = False) -> complex:
         i1 = _series_values(z)[1]
         return i1 * cmath.exp(-z) if scaled else i1
     i1s = _asym_values_scaled(z)[3]
-    return i1s * _i_unscaled_factor(z) if not scaled else i1s
+    return i1s * _i_unscaling(z) if not scaled else i1s
 
 
 def bessel_k1_minus_pole(z: complex) -> complex:

@@ -1,39 +1,47 @@
 """Closed-form time-harmonic creeping flow past a circular cylinder.
 
 A cylinder of radius a sits in fluid whose velocity far away oscillates
-as v0 e^{-i omega t} along x.  With beta = sqrt(omega/nu0) and
-j- = (1-i)/sqrt(2), the phasor fields for r >= a are
+as v0 e^{-i omega t} along x.  With beta = sqrt(omega/nu0),
+j- = (1-i)/sqrt(2) and f(r) = 2 j+ K1(j- beta r)/K0(j- beta a), every
+phasor field for r >= a is an angle factor times a radial bracket in
+rho = r/a times the phase:
 
-    v_r     = v0 cos(theta) e^{-i omega t} [ 1 - a^2/r^2 + f(r)/(beta r)
-                                             - a f(a)/(beta r^2) ]
-    v_theta = v0 sin(theta) e^{-i omega t} [ -1 - a^2/r^2
-                                             + 2 K0(j- beta r)/K0(j- beta a)
-                                             + f(r)/(beta r) - a f(a)/(beta r^2) ]
-    p       = i v0 rho0 omega cos(theta) e^{-i omega t} [ r + a^2/r
-                                             + a f(a)/(beta r) ]
+    v_r     = v0 cos(theta) e^{-i omega t} B_r(rho)
+    v_theta = v0 sin(theta) e^{-i omega t} B_theta(rho)
+    p       = i v0 rho0 omega a cos(theta) e^{-i omega t} P(rho)
 
-with f(r) = 2 j+ K1(j- beta r)/K0(j- beta a).  Physical fields are the
-real parts.
+    B_r     =  1 + b G(rho)/rho - c (1 + g1)/rho^2
+    B_theta = -1 + b (2 K0(j- ba rho)/K0(j- ba) + G(rho)/rho)
+                 - c (1 + g1)/rho^2
+    P       = rho + c (1 + g1)/rho
 
-Internally everything is nondimensionalized by v0 and a; with
-rho = r/a and ba = beta a, the square brackets become functions of rho
-and ba only.  They are arranged so that at rho = 1 the no-slip zeros
-come out exactly (the evaluations of the r-dependent and a-dependent
-terms share the same floats and cancel bitwise).
+where ba = beta a, G(rho) = f(a rho)/ba and g1 = f(a)/ba.  b and c weigh
+the B mode (the K1 term) and the C mode (the dipole) of the general
+solution; both are 1 for the physical solution, which then has no slip
+at rho = 1.  Physical fields are the real parts.
+
+Each Scenario builds one coefficient set (_Coefficients) on first use:
+ba with the beta factor applied, b, c, and g1 with the f_a factor
+applied, plus the Bessel values at the surface.  _radial(s, rho) returns
+B_r, B_theta, their rho-derivatives and P from that set.  Velocity,
+pressure, stress, traction and force are all angle x _radial x phase
+products, so a Perturbation reaches every one of them the same way.
 
 Two evaluation branches keep the brackets well-conditioned:
 
-* ba < 1: K1(z) carries a 1/z pole that makes f(r)/(beta r) and
-  a f(a)/(beta r^2) blow up like 1/(ba)^2 individually while their
-  difference stays O(1).  The pole is split off analytically
-  (bessel_k1_minus_pole) and cancelled in exact arithmetic, leaving
-  only the regular remainder W(rho) in the brackets.
-* ba >= 1: no pole problem, but K decays like e^{-beta r/sqrt(2)}, so
+* ba < 1: K1(z) carries a 1/z pole, so G(rho) = q/rho + W(rho) with
+  q = 2i/(ba^2 K0(j- ba)) ~ 1/ba^2 and W regular (bessel_k1_minus_pole).
+  The q/rho^2 parts of b G/rho and c g1/rho^2 merge into one wall term
+  of weight c f_a - b, exactly zero unperturbed, so only W is evaluated
+  at each radius.
+* ba >= 1: no pole (q = 0), but K decays like e^{-beta r/sqrt(2)}, so
   ratios are formed from scaled Bessel values with an explicit
   e^{-j- ba (rho-1)} factor that can underflow harmlessly.
 
 The pole-subtracted form develops its own cancellation once ba is
 large, hence the branch switch at ba = 1 where both forms are healthy.
+At rho = 1 the no-slip zeros come out bitwise: the rho-dependent and
+a-dependent terms share the same floats and cancel exactly.
 """
 
 from __future__ import annotations
@@ -125,29 +133,60 @@ class FlowState:
     p: complex       # [Pa]
 
 
-class _Kernel:
-    """Scenario-level cache of Bessel data at the surface argument za."""
+class _Coefficients:
+    """One scenario's coefficient set, with its perturbation folded in.
 
-    __slots__ = ("small", "za", "k0_za", "w1", "q", "k0s_za", "k1s_za", "g1")
+    ba is the Bessel-argument scale (beta factor applied), b and c the B-
+    and C-mode weights, g1 = f(a)/ba (f_a factor applied).  k0_za is
+    K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
+    splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r is the
+    regular part at rho = 1, and pole = i ba^2 q is the pole part of
+    i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
+    term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
+    """
 
-    def __init__(self, ba: float):
+    __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
+                 "g1", "excess")
+
+    def __init__(self, s: Scenario):
+        weight = dict.fromkeys(PERTURBABLE, 1.0)
+        if s.perturbation is not None:
+            weight[s.perturbation.coefficient] = s.perturbation.factor
+        ba = self.ba = s.ba * weight["beta"]
+        self.b, self.c = weight["B"], weight["C"]
         self.za = J_MINUS * ba
         self.small = ba < SMALL_BA
+        try:
+            self.k0_za = bessel_k0(self.za, scaled=not self.small)
+            if self.small:
+                self.q = 2j / (ba * ba * self.k0_za)
+                self.pole = -(2.0 / self.k0_za)
+            else:
+                self.q = self.pole = 0j
+            self.g1r = self.terms(1.0)[0]
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"the solution cannot be evaluated at "
+                             f"beta a = {ba:g}: {exc}") from None
+        g1 = self.q + self.g1r
+        fa = weight["f_a"]
+        self.g1 = g1 * fa
+        if not cmath.isfinite(self.g1):
+            raise ValueError(f"f(a)/(beta a) = {self.g1} is not finite at "
+                             f"beta a = {ba:g}")
+        self.excess = self.c * ((fa - 1.0) * g1) + (self.c - self.b) * self.q
+
+    def terms(self, rho: float) -> tuple[complex, complex]:
+        """Regular part of G(rho) and K0(j- ba rho)/K0(j- ba), underflow-safe."""
+        ba = self.ba
+        z = J_MINUS * (ba * rho)
         if self.small:
-            self.k0_za = bessel_k0(self.za)
-            self.k0s_za = None
-            self.k1s_za = None
-            self.w1 = _w_small(ba, self.k0_za, 1.0)
-            # pole part of G(rho) is q/rho with q = 2i/(ba^2 K0(za))
-            self.q = 2j / (ba * ba * self.k0_za)
-            self.g1 = self.q + self.w1
-        else:
-            self.k0_za = None
-            self.w1 = None
-            self.q = None
-            self.k0s_za = bessel_k0(self.za, scaled=True)
-            self.k1s_za = bessel_k1(self.za, scaled=True)
-            self.g1 = _g_direct(ba, self.k0s_za, 1.0)
+            gr = 2.0 * J_PLUS * bessel_k1_minus_pole(z) / (ba * self.k0_za)
+            if abs(z) <= SERIES_RADIUS:
+                return gr, bessel_k0(z) / self.k0_za
+            return gr, bessel_k0(z, scaled=True) * cmath.exp(-z) / self.k0_za
+        decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
+        gr = 2.0 * J_PLUS * bessel_k1(z, scaled=True) * decay / (ba * self.k0_za)
+        return gr, bessel_k0(z, scaled=True) * decay / self.k0_za
 
 
 @dataclass(frozen=True)
@@ -193,126 +232,41 @@ class Scenario:
     def frequency(self) -> float:
         return self.omega / (2.0 * math.pi)
 
-    # --- perturbation plumbing -------------------------------------------
-
-    @property
-    def ba_eff(self) -> float:
-        """beta*a as used in field evaluation (beta perturbation applied)."""
-        if self.perturbation is not None and self.perturbation.coefficient == "beta":
-            return self.ba * self.perturbation.factor
-        return self.ba
-
-    @property
-    def _fa_factor(self) -> float:
-        if self.perturbation is not None and self.perturbation.coefficient == "f_a":
-            return self.perturbation.factor
-        return 1.0
-
     @cached_property
-    def _kernel(self) -> _Kernel:
-        return _Kernel(self.ba_eff)
-
-    @property
-    def g1_eff(self) -> complex:
-        """f(a)/(beta a) as used in the solution, perturbations included."""
-        return self._kernel.g1 * self._fa_factor
+    def _coefficients(self) -> _Coefficients:
+        return _Coefficients(self)
 
 
 # ----------------------------------------------------------------------
 # bracket evaluation
 # ----------------------------------------------------------------------
 
-def _w_small(ba: float, k0_za: complex, rho: float) -> complex:
-    """Regular part W(rho) of G(rho) after the K1 pole is split off (ba < 1)."""
-    z = J_MINUS * (ba * rho)
-    return 2.0 * J_PLUS * bessel_k1_minus_pole(z) / (ba * k0_za)
+def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
+                                              complex, complex]:
+    """(B_r, B_theta, dB_r/drho, dB_theta/drho, P) at rho = r/a.
 
-
-def _g_direct(ba: float, k0s_za: complex, rho: float) -> complex:
-    """G(rho) = f(a rho)/(ba) by scaled-Bessel ratio (ba >= 1)."""
-    z = J_MINUS * (ba * rho)
-    decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
-    return 2.0 * J_PLUS * bessel_k1(z, scaled=True) * decay / (ba * k0s_za)
-
-
-def _k0_ratio(s: Scenario, rho: float) -> complex:
-    """K0(j- beta a rho) / K0(j- beta a), underflow-safe on both branches."""
-    k = s._kernel
-    ba = s.ba_eff
-    z = J_MINUS * (ba * rho)
-    if k.small:
-        if abs(z) <= SERIES_RADIUS:
-            return bessel_k0(z) / k.k0_za
-        return bessel_k0(z, scaled=True) * cmath.exp(-z) / k.k0_za
-    decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
-    return bessel_k0(z, scaled=True) * decay / k.k0s_za
-
-
-def _brackets(s: Scenario, rho: float) -> tuple[complex, complex]:
-    """Dimensionless velocity brackets (radial, azimuthal) at rho = r/a.
-
-    Both are exactly zero (bitwise) at rho = 1: every term evaluated at
-    rho = 1 reuses the float cached at scenario construction, so the
-    subtractions cancel without roundoff.
+    The derivatives use dK0/dz = -K1 and dK1/dz = -K0 - K1/z, which give
+    G'(rho) = -2 k0r(rho) - G(rho)/rho for the K0 ratio k0r, and
+    B_theta - B_r = 2 b k0r - 2, so B_theta' = B_r' + i b ba^2 G(rho).
+    At rho = 1 the brackets and B_r' vanish bitwise when unperturbed: every
+    term evaluated there reuses the floats cached in the coefficient set.
     """
-    k = s._kernel
-    inv2 = 1.0 / (rho * rho)
-    if k.small:
-        w = _w_small(s.ba_eff, k.k0_za, rho)
-        tail = w / rho - k.w1 * inv2
-    else:
-        g = _g_direct(s.ba_eff, k.k0s_za, rho)
-        tail = g / rho - k.g1 * inv2
-    br = (1.0 - inv2) + tail
-    bth = (-1.0 - inv2 + 2.0 * _k0_ratio(s, rho)) + tail
-    d_fa = s._fa_factor - 1.0
-    if d_fa != 0.0:
-        corr = d_fa * k.g1 * inv2
-        br -= corr
-        bth -= corr
-    return br, bth
-
-
-def _bracket_derivs(s: Scenario, rho: float) -> tuple[complex, complex]:
-    """d/d rho of the velocity brackets, by the Bessel recurrences.
-
-    Uses dK0/dz = -K1 and dK1/dz = -K0 - K1/z, which collapse to
-        W'(rho) = -2 k0r(rho) - W(rho)/rho         (ba < 1)
-        G'(rho) = -2 k0r(rho) - G(rho)/rho         (ba >= 1)
-    where k0r is the K0 ratio of _k0_ratio.  At rho = 1 the radial
-    derivative vanishes bitwise and the azimuthal one reduces to
-    i ba^2 G(1), which is what the surface traction needs.
-    """
-    k = s._kernel
-    ba = s.ba_eff
+    k = s._coefficients
+    b, c = k.b, k.c
+    gr, k0r = k.terms(rho)
     inv = 1.0 / rho
-    inv2 = inv * inv
-    inv3 = inv2 * inv
-    k0r = _k0_ratio(s, rho)
-    if k.small:
-        w = _w_small(ba, k.k0_za, rho)
-        dbr = 2.0 * inv3 - 2.0 * k0r * inv - 2.0 * w * inv2 + 2.0 * k.w1 * inv3
-        # i ba^2 Q/rho = -2/(K0(za) rho) is kept explicit: no ba^2 blow-up
-        dbth = dbr + 1j * (ba * ba) * w - 2.0 * inv / k.k0_za
-    else:
-        g = _g_direct(ba, k.k0s_za, rho)
-        dbr = 2.0 * inv3 - 2.0 * k0r * inv - 2.0 * g * inv2 + 2.0 * k.g1 * inv3
-        dbth = dbr + 1j * (ba * ba) * g
-    d_fa = s._fa_factor - 1.0
-    if d_fa != 0.0:
-        corr = 2.0 * d_fa * k.g1 * inv3
-        dbr += corr
-        dbth += corr
-    return dbr, dbth
-
-
-def _pressure_bracket(s: Scenario, rho: float) -> complex:
-    return rho + 1.0 / rho + s.g1_eff / rho
-
-
-def _pressure_bracket_deriv(s: Scenario, rho: float) -> complex:
     inv2 = 1.0 / (rho * rho)
-    return 1.0 - inv2 - s.g1_eff * inv2
+    inv3 = inv2 * inv
+    tail = b * gr / rho - c * k.g1r * inv2
+    wall = k.excess * inv2
+    br = (1.0 - c * inv2) + tail - wall
+    bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
+    dbr = (2.0 * c * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
+           + 2.0 * c * k.g1r * inv3)
+    dbth = dbr + b * (1j * (k.ba * k.ba) * gr) + b * (k.pole * inv)
+    dwall = 2.0 * k.excess * inv3
+    pb = (rho + c / rho) + c * k.g1 / rho
+    return br, bth, dbr + dwall, dbth + dwall, pb
 
 
 def _check_radius(s: Scenario, r: float) -> float:
@@ -325,111 +279,48 @@ def _phase(s: Scenario, t: float) -> complex:
     return cmath.exp(complex(0.0, -s.omega * t))
 
 
-def _k0_unscaled(z: complex) -> complex:
-    if abs(z) <= SERIES_RADIUS:
-        return bessel_k0(z)
-    return bessel_k0(z, scaled=True) * cmath.exp(-z)
-
-
-def _k1_unscaled(z: complex) -> complex:
-    if abs(z) <= SERIES_RADIUS:
-        return bessel_k1(z)
-    return bessel_k1(z, scaled=True) * cmath.exp(-z)
-
-
-def _coefficient_delta_fields(s: Scenario, r: float, theta: float,
-                              phase: complex) -> tuple[complex, complex, complex]:
-    """Field increments from a B or C perturbation.
-
-    The solution is linear in B and C, so the perturbed field is the
-    closed form plus (factor-1) * coefficient * mode shape.  The mode
-    shapes come from the constants form of the radial solution:
-
-        dv_r/dB = cos(theta) e^{-iwt} K1(j- beta r)/(rho0 omega r)
-        dv_t/dB = sin(theta) e^{-iwt} [K1(j- beta r)/(rho0 omega r)
-                                       + j- beta K0(j- beta r)/(rho0 omega)]
-        dv_r/dC = i cos(theta) e^{-iwt}/(rho0 omega r^2)
-        dv_t/dC = i sin(theta) e^{-iwt}/(rho0 omega r^2)
-        dp/dC   = cos(theta) e^{-iwt}/r
-    """
-    pert = s.perturbation
-    if pert is None or pert.coefficient not in ("B", "C"):
-        return 0j, 0j, 0j
-    rho0 = s.fluid.rho0
-    omega = s.omega
-    d = pert.factor - 1.0
-    c = math.cos(theta)
-    sn = math.sin(theta)
-    if pert.coefficient == "C":
-        dC = d * coefficient_C(s)
-        dvr = dC * 1j * c * phase / (rho0 * omega * r * r)
-        dvt = dC * 1j * sn * phase / (rho0 * omega * r * r)
-        dp = dC * c * phase / r
-        return dvr, dvt, dp
-    dB = d * coefficient_B(s)
-    z = J_MINUS * (s.beta * r)
-    k0 = _k0_unscaled(z)
-    k1 = _k1_unscaled(z)
-    dvr = dB * k1 * c * phase / (rho0 * omega * r)
-    dvt = dB * (k1 / (rho0 * omega * r) + J_MINUS * s.beta * k0 / (rho0 * omega)) * sn * phase
-    return dvr, dvt, 0j
-
-
 # ----------------------------------------------------------------------
 # public field evaluation
 # ----------------------------------------------------------------------
 
+def flow_state(s: Scenario, pt: PolarPoint, t: float) -> FlowState:
+    """Velocity [m/s] and pressure [Pa] phasors at a point, time t [s]."""
+    rho = _check_radius(s, pt.r)
+    br, bth, _, _, pb = _radial(s, rho)
+    ph = _phase(s, t)
+    c = math.cos(pt.theta)
+    return FlowState(
+        vr=s.v0 * c * ph * br,
+        vtheta=s.v0 * math.sin(pt.theta) * ph * bth,
+        p=1j * s.v0 * s.fluid.rho0 * s.omega * s.a * c * ph * pb)
+
+
 def velocity(s: Scenario, pt: PolarPoint, t: float) -> tuple[complex, complex]:
     """Velocity phasors (v_r, v_theta) at a point, time t [s]."""
-    rho = _check_radius(s, pt.r)
-    br, bth = _brackets(s, rho)
-    ph = _phase(s, t)
-    vr = s.v0 * math.cos(pt.theta) * ph * br
-    vth = s.v0 * math.sin(pt.theta) * ph * bth
-    if s.perturbation is not None and s.perturbation.coefficient in ("B", "C"):
-        dvr, dvt, _ = _coefficient_delta_fields(s, pt.r, pt.theta, ph)
-        vr += dvr
-        vth += dvt
-    return vr, vth
+    st = flow_state(s, pt, t)
+    return st.vr, st.vtheta
 
 
 def pressure(s: Scenario, pt: PolarPoint, t: float) -> complex:
     """Pressure phasor [Pa] at a point, time t [s]."""
-    rho = _check_radius(s, pt.r)
-    ph = _phase(s, t)
-    p = (1j * s.v0 * s.fluid.rho0 * s.omega * s.a
-         * math.cos(pt.theta) * ph * _pressure_bracket(s, rho))
-    if s.perturbation is not None and s.perturbation.coefficient == "C":
-        _, _, dp = _coefficient_delta_fields(s, pt.r, pt.theta, ph)
-        p += dp
-    return p
-
-
-def flow_state(s: Scenario, pt: PolarPoint, t: float) -> FlowState:
-    vr, vth = velocity(s, pt, t)
-    return FlowState(vr=vr, vtheta=vth, p=pressure(s, pt, t))
+    return flow_state(s, pt, t).p
 
 
 def f_of_r(s: Scenario, r: float) -> complex:
     """The Bessel abbreviation f(r) = 2 j+ K1(j- beta r)/K0(j- beta a)."""
     rho = _check_radius(s, r)
-    k = s._kernel
-    ba = s.ba_eff
-    if k.small:
-        g = k.q / rho + _w_small(ba, k.k0_za, rho)
-    else:
-        g = _g_direct(ba, k.k0s_za, rho)
-    return ba * g
+    k = s._coefficients
+    return k.ba * (k.q / rho + k.terms(rho)[0])
 
 
 def coefficient_C(s: Scenario) -> complex:
-    """Pressure-dipole constant C [Pa m] of the closed-form solution."""
-    return (1j * s.fluid.rho0 * s.a * s.a * s.omega * s.v0
-            * (1.0 + s._kernel.g1))
+    """Pressure-dipole constant C [Pa m] of the solution, c-weighted."""
+    k = s._coefficients
+    return k.c * (1j * s.fluid.rho0 * s.a * s.a * s.omega * s.v0 * (1.0 + k.g1))
 
 
 def coefficient_B(s: Scenario) -> complex:
-    """Constant B multiplying K1(j- beta r) in the radial solution.
+    """Constant B multiplying K1(j- beta r) in the radial solution, b-weighted.
 
     Algebraically B = -(rho0 a^2 omega v0 + iC)/(a K1(j- beta a)), which
     collapses to 2 j+ rho0 a omega v0/(ba K0(j- beta a)).  The collapsed
@@ -437,15 +328,17 @@ def coefficient_B(s: Scenario) -> complex:
     itself still grows like e^{ba/sqrt 2} and raises OverflowError once
     it leaves double range.
     """
-    k = s._kernel
-    ba = s.ba_eff
-    num = 2.0 * J_PLUS * s.fluid.rho0 * s.a * s.omega * s.v0
-    if k.small:
-        return num / (ba * k.k0_za)
-    if k.za.real > 709.0:
-        raise OverflowError(
-            f"coefficient B ~ e^(beta a/sqrt 2) exceeds double range at beta a = {ba:g}")
-    return num * cmath.exp(k.za) / (ba * k.k0s_za)
+    k = s._coefficients
+    num = k.b * 2.0 * J_PLUS * s.fluid.rho0 * s.a * s.omega * s.v0
+    try:
+        value = (num / (k.ba * k.k0_za) if k.small
+                 else num * cmath.exp(k.za) / (k.ba * k.k0_za))
+    except OverflowError:  # e^za itself leaves double range
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise OverflowError(f"coefficient B ~ e^(beta a/sqrt 2) exceeds double "
+                            f"range at beta a = {k.ba:g}")
+    return value
 
 
 def radial_velocity_from_constants(s: Scenario, pt: PolarPoint, t: float) -> complex:
@@ -455,12 +348,13 @@ def radial_velocity_from_constants(s: Scenario, pt: PolarPoint, t: float) -> com
     Exists as an independent consistency path for tests; production
     evaluation goes through the conditioned brackets of velocity().
     """
-    _check_radius(s, pt.r)
+    rho = _check_radius(s, pt.r)
     B = coefficient_B(s)
     C = coefficient_C(s)
     r = pt.r
     rho0, omega = s.fluid.rho0, s.omega
-    k1 = _k1_unscaled(J_MINUS * (s.beta * r))
+    z = J_MINUS * (s._coefficients.ba * rho)
+    k1 = bessel_k1(z, scaled=True) * cmath.exp(-z)
     bracket = s.v0 + B * k1 / (rho0 * omega * r) + 1j * C / (rho0 * omega * r * r)
     return bracket * math.cos(pt.theta) * _phase(s, t)
 
@@ -497,7 +391,7 @@ def recovery_radius(s: Scenario, fraction: float) -> float:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
 
     def g(rho: float) -> float:
-        return abs(_brackets(s, rho)[0])
+        return abs(_radial(s, rho)[0])
 
     n = _RECOVERY_GRID_N
     rhos = [10.0 ** (_RECOVERY_GRID_DECADES * j / n) for j in range(n + 1)]

@@ -22,12 +22,10 @@ therefore tests only the algebra connecting stress to force.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .flow import (PolarPoint, Scenario, _bracket_derivs, _brackets,
-                   _check_radius, _phase, _pressure_bracket)
+from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,19 @@ class ForceResult:
     method: str
 
 
+def _stress(s: Scenario, rho: float, radial: tuple, c: float, sn: float,
+            ph: complex) -> tuple[complex, complex, complex]:
+    """(Pi_rr, Pi_rtheta, Pi_thetatheta) from the radial brackets at rho,
+    the angle factors c = cos(theta), sn = sin(theta) and the phase."""
+    br, bth, dbr, dbth, pb = radial
+    scale = s.fluid.rho0 * s.omega * s.v0 * s.a
+    iba2 = 1.0 / (s.ba * s.ba)
+    sum_b = (br + bth) / rho
+    return (scale * c * ph * (-1j * pb + 2.0 * dbr * iba2),
+            scale * sn * ph * ((dbth - sum_b) * iba2),
+            scale * c * ph * (-1j * pb + 2.0 * sum_b * iba2))
+
+
 def stress_tensor(s: Scenario, pt: PolarPoint, t: float) -> StressTensor:
     """Stress phasor Pi = -p I + 2 mu0 D at a field point.
 
@@ -69,30 +80,21 @@ def stress_tensor(s: Scenario, pt: PolarPoint, t: float) -> StressTensor:
     since mu0 v0/a = rho0 omega v0 a / ba^2.
     """
     rho = _check_radius(s, pt.r)
-    br, bth = _brackets(s, rho)
-    dbr, dbth = _bracket_derivs(s, rho)
-    pb = _pressure_bracket(s, rho)
-    scale = s.fluid.rho0 * s.omega * s.v0 * s.a
-    iba2 = 1.0 / (s.ba * s.ba)
-    ph = _phase(s, t)
-    c = math.cos(pt.theta)
-    sn = math.sin(pt.theta)
-    sum_b = (br + bth) / rho
-    return StressTensor(
-        pi_rr=scale * c * ph * (-1j * pb + 2.0 * dbr * iba2),
-        pi_rtheta=scale * sn * ph * ((dbth - sum_b) * iba2),
-        pi_thetatheta=scale * c * ph * (-1j * pb + 2.0 * sum_b * iba2),
-    )
+    return StressTensor(*_stress(s, rho, _radial(s, rho), math.cos(pt.theta),
+                                 math.sin(pt.theta), _phase(s, t)))
+
+
+def _traction(s: Scenario, radial: tuple, theta: float,
+              ph: complex) -> tuple[complex, complex]:
+    c = math.cos(theta)
+    sn = math.sin(theta)
+    rr, rt, _ = _stress(s, 1.0, radial, c, sn, ph)
+    return rr * c - rt * sn, rr * sn + rt * c
 
 
 def traction(s: Scenario, theta: float, t: float) -> tuple[complex, complex]:
     """Cartesian traction phasor (t_x, t_y) [Pa] on the surface r = a."""
-    st = stress_tensor(s, PolarPoint(r=s.a, theta=theta), t)
-    c = math.cos(theta)
-    sn = math.sin(theta)
-    tx = st.pi_rr * c - st.pi_rtheta * sn
-    ty = st.pi_rr * sn + st.pi_rtheta * c
-    return tx, ty
+    return _traction(s, _radial(s, 1.0), theta, _phase(s, t))
 
 
 def _common_factor(s: Scenario, t: float) -> complex:
@@ -110,7 +112,7 @@ def force_buoyancy(s: Scenario, t: float) -> ForceResult:
 
 def force_viscous_approx(s: Scenario, t: float) -> ForceResult:
     """Viscous part of the force: F_v = F_p * f(a)/(beta a)."""
-    return ForceResult(fx=_common_factor(s, t) * s.g1_eff, fy=0j, method="viscous")
+    return ForceResult(fx=_common_factor(s, t) * s._coefficients.g1, fy=0j, method="viscous")
 
 
 def force_analytic(s: Scenario, t: float) -> ForceResult:
@@ -140,11 +142,13 @@ def force_quadrature(s: Scenario, t: float, n_nodes: int = 512) -> ForceResult:
     """
     if not isinstance(n_nodes, int) or n_nodes < 8:
         raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
+    radial = _radial(s, 1.0)  # every node sits at rho = 1
+    ph = _phase(s, t)
     txs: list[complex] = []
     tys: list[complex] = []
     step = 2.0 * math.pi / n_nodes
     for k in range(n_nodes):
-        tx, ty = traction(s, step * k, t)
+        tx, ty = _traction(s, radial, step * k, ph)
         txs.append(tx)
         tys.append(ty)
     w = s.a * step

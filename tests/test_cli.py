@@ -8,15 +8,20 @@ converted by ``main`` into a return value of 2.
 
 import csv
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+import oscylinder.residuals
 from oscylinder import bessel_k0
+from oscylinder import AIR_20C
 from oscylinder.cli import main
 
 AIR_RHO0 = 1.204
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -222,6 +227,25 @@ def test_validate_mutate_fa_alias(capsys):
     assert "RESULT FAIL" in capsys.readouterr().out
 
 
+def test_validate_detects_B_mutation_at_large_ba(capsys):
+    # at beta a = 1e3 the constant B overflows; the fields never use it,
+    # so the mutation still breaks no slip instead of turning into NaN
+    f = 1000.0
+    a = 1e3 / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
+    assert main(["validate", "--a", repr(a), "--f", repr(f),
+                 "--mutate", "B:1.001"]) == 1
+    assert "RESULT FAIL" in capsys.readouterr().out
+
+
+def test_validate_fails_on_nan_field(monkeypatch, capsys):
+    monkeypatch.setattr(oscylinder.residuals, "velocity",
+                        lambda s, pt, t: (complex("nan"), 0j))
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "boundary no_slip max=nan tol=1.000e-12 FAIL" in lines
+    assert lines[-1] == "RESULT FAIL"
+
+
 def test_validate_writes_file(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["validate", "--out", str(out)]) == 0
@@ -301,6 +325,15 @@ def test_semantic_errors_return_2(argv, capsys):
     assert "oscylinder: error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["field", "--a", "1e-300"],
+                                  ["force", "--a", "1e-160"]])
+def test_tiny_beta_a_fails_loudly(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "beta a" in captured.err
+    assert captured.out == ""
+
+
 def test_unwritable_output_returns_2(capsys):
     assert main(["profile", "--nr", "4", "--out",
                  "/nonexistent-dir/x.csv"]) == 2
@@ -322,3 +355,15 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("function,re,im")
+
+
+# ----------------------------------------------------------------------
+# documentation
+# ----------------------------------------------------------------------
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -23,7 +23,8 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, Fluid, Perturbation,
                         flow_state, pressure, radial_velocity_from_constants,
                         recovery_radius, reynolds_number, validity_report,
                         velocity)
-from oscylinder.flow import _brackets, _g_direct, _w_small
+from oscylinder import bessel_k1_minus_pole
+from oscylinder.flow import _radial
 
 
 def scenario(a, f, pert=None):
@@ -52,6 +53,19 @@ EXPECTED = {
 
 def rel(x, ref):
     return abs(x - ref) / abs(ref)
+
+
+def _w_small(ba, k0_za, rho):
+    """W(rho): G(rho) = f(a rho)/(beta a) with its K1 pole q/rho split off."""
+    z = J_MINUS * (ba * rho)
+    return 2.0 * J_PLUS * bessel_k1_minus_pole(z) / (ba * k0_za)
+
+
+def _g_direct(ba, k0s_za, rho):
+    """G(rho) from scaled Bessel values, k0s_za = e^za K0(za)."""
+    z = J_MINUS * (ba * rho)
+    decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
+    return 2.0 * J_PLUS * bessel_k1(z, scaled=True) * decay / (ba * k0s_za)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +138,7 @@ def test_no_slip_is_exact(s):
 
 def test_bracket_zero_bitwise():
     for s in (S1, S2, S3):
-        br, bth = _brackets(s, 1.0)
+        br, bth = _radial(s, 1.0)[:2]
         assert br == 0j and bth == 0j
 
 
@@ -229,6 +243,21 @@ def test_constants_form_matches_brackets_direct_branch():
         v_b = velocity(S3, pt, 0.0)[0]
         v_c = radial_velocity_from_constants(S3, pt, 0.0)
         assert rel(v_c, v_b) < 1e-12
+    # a B or C perturbation multiplies that coefficient of the constants
+    # form v0 + b B K1/(rho0 omega r) + c iC/(rho0 omega r^2), B and C
+    # being the unperturbed constants
+    B, C = coefficient_B(S3), coefficient_C(S3)
+    rho0, omega = S3.fluid.rho0, S3.omega
+    for name, b, c in (("B", 1.001, 1.0), ("C", 1.0, 1.001)):
+        mutated = scenario(1e-4, 1000.0, Perturbation(name, 1.001))
+        for rho in (1.0, 1.5, 3.0, 7.0):
+            r = rho * S3.a
+            pt = PolarPoint(r, 0.7)
+            k1 = bessel_k1(J_MINUS * (S3.beta * r))
+            v_c = (S3.v0 + b * B * k1 / (rho0 * omega * r)
+                   + c * 1j * C / (rho0 * omega * r * r)) * math.cos(0.7)
+            assert rel(velocity(mutated, pt, 0.0)[0], v_c) < 1e-12
+            assert rel(radial_velocity_from_constants(mutated, pt, 0.0), v_c) < 1e-12
 
 
 def test_constants_form_small_ba_sanity():
@@ -252,7 +281,7 @@ def test_branch_forms_agree_above_switch():
     for rho in (1.2, 2.0, 5.0):
         w = _w_small(s.ba, k0_za, rho)
         br_small = (1.0 - 1.0 / rho ** 2) + w / rho - w1 / rho ** 2
-        br = _brackets(s, rho)[0]
+        br = _radial(s, rho)[0]
         assert abs(br_small - br) < 1e-12 * max(1.0, abs(br))
 
 
@@ -267,7 +296,7 @@ def test_branch_forms_agree_below_switch():
     for rho in (1.2, 2.0, 5.0):
         g = _g_direct(s.ba, k0s_za, rho)
         br_direct = (1.0 - 1.0 / rho ** 2) + g / rho - g1 / rho ** 2
-        br = _brackets(s, rho)[0]
+        br = _radial(s, rho)[0]
         assert abs(br_direct - br) < 1e-12 * max(1.0, abs(br))
 
 
@@ -289,6 +318,12 @@ def test_coefficient_B_overflow():
     assert s.ba > 1100.0
     with pytest.raises(OverflowError):
         coefficient_B(s)
+    # at beta a = 1e3, e^{za} is finite but B itself overflows to nan
+    f = 1e3
+    edge = scenario(1e3 / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0), f)
+    assert edge.ba == pytest.approx(1e3, rel=1e-12)
+    with pytest.raises(OverflowError):
+        coefficient_B(edge)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from oscylinder import (
     AIR_20C,
+    Perturbation,
     PolarPoint,
     Scenario,
     f_of_r,
@@ -159,6 +160,25 @@ def test_quadrature_property(ae, fe):
     an = force_analytic(s, 0.0)
     assert rel(q.fx, an.fx) < 1e-9
     assert abs(q.fy) <= 1e-12 * abs(q.fx)
+
+
+@pytest.mark.parametrize("a, f", [(1e-6, 10.0), (1e-4, 1000.0)],
+                         ids=["S1", "S3"])
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_coefficient_mutation_reaches_stress_and_force(a, f, name):
+    # stress and surface force follow the same perturbed coefficients as
+    # the velocity, so the quadrature leaves the closed-form force
+    clean = scenario(a, f)
+    mutated = Scenario.from_frequency(AIR_20C, a, 1.0, f,
+                                      perturbation=Perturbation(name, 1.001))
+    pt = PolarPoint(r=2.0 * a, theta=0.9)
+    st0 = stress_tensor(clean, pt, 0.0)
+    st1 = stress_tensor(mutated, pt, 0.0)
+    for comp in ("pi_rr", "pi_rtheta", "pi_thetatheta"):
+        assert rel(getattr(st1, comp), getattr(st0, comp)) > 1e-5
+    q = force_quadrature(mutated, 0.0)
+    assert rel(q.fx, force_quadrature(clean, 0.0).fx) > 1e-5
+    assert rel(q.fx, force_analytic(mutated, 0.0).fx) > 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+import oscylinder.residuals
 from oscylinder import (
     AIR_20C,
     BoundaryReport,
@@ -246,6 +247,17 @@ def test_no_slip_detects_coefficient_mutation(name):
     rep = boundary_suite(mutated)
     assert not rep.no_slip_ok
     assert rep.no_slip_max > 1e-4
+
+
+def test_boundary_suite_fails_on_nan(monkeypatch):
+    # a NaN field must fail the check and show in the reported maximum,
+    # not vanish in the reduction
+    monkeypatch.setattr(oscylinder.residuals, "velocity",
+                        lambda s, pt, t: (complex("nan"), 0j))
+    rep = boundary_suite(S3)
+    assert not rep.passed
+    assert not rep.no_slip_ok and math.isnan(rep.no_slip_max)
+    assert not rep.far_field_ok and math.isnan(rep.far_field_max)
 
 
 def test_momentum_detects_beta_mutation():
