@@ -2,15 +2,23 @@
 
 The flow solution only ever needs arguments on the ray arg z = -pi/4,
 but the kernel is accurate on the whole sector |arg z| <= pi/2 with a
-relative-error target of 1e-12 for 1e-4 <= |z| <= 700.
+relative-error target of 1e-12 for 1e-4 <= |z| <= 700.  Near the zeros
+of I0 and I1 on the imaginary axis their relative error grows with
+their condition number |z I_n'/I_n|, as for any double evaluation.
+Everything is plain complex double arithmetic.
 
-Algorithm split at |z| = 17:
+Algorithm split:
 
-* |z| <= 17: Maclaurin/log series (DLMF 10.25.2, 10.31.1-2) accumulated
-  in double-double arithmetic.  The K-series assembly cancels like
-  e^{2 Re z} near the real axis (~e^34 at the crossover, 15 digits), so
-  plain doubles cannot reach 1e-12 here; the ~32-digit accumulator
-  leaves ample headroom.
+* |z| < 2, K: Temme's series (Temme 1975, J. Comput. Phys. 19:324) at
+  order 0.  It yields K0 and K1 - 1/z with the pole removed exactly.
+* 2 <= |z| <= 17, K: Steed's continued fraction CF2 (Thompson & Barnett
+  1986, J. Comput. Phys. 64:490; Numerical Recipes section 6.7), which
+  gives e^z K0 and e^z K1 directly.  CF2 needs Re z >= 0; the left
+  half-plane is reached by reflection, DLMF 10.34.2.
+* |z| <= 17, I: Miller backward recurrence for the ratios I_k/I_{k-1},
+  normalised by I0 + 2 sum_k I_k = e^z (DLMF 10.35.1 at t = 1).  I never
+  uses K, so the Wronskian I0 K1 + I1 K0 = 1/z remains an independent
+  check.
 * |z| > 17: asymptotic expansions (DLMF 10.40.2 for K, 10.40.5 for I)
   truncated at the smallest term.  At |z| = 17 the smallest term is
   ~e^{-2|z|} ~ 2e-15 relative, already past the target.
@@ -31,17 +39,20 @@ import cmath
 import math
 from functools import lru_cache
 
-from . import doubledouble as dd
-
 #: series/asymptotic crossover radius
 SERIES_RADIUS = 17.0
+#: Temme series / Steed CF2 crossover radius for K
+_TEMME_RADIUS = 2.0
 
 # exp(x) overflows above this (unscaled I impossible to represent)
 _EXP_OVERFLOW = 709.782712893384
 # exp(-x) flushes to zero above this (unscaled K loses all accuracy)
 _EXP_UNDERFLOW = 745.1332191019411
 
+_EPS = 2.0 ** -53
+_EULER_GAMMA = 0.57721566490153286
 _MAX_SERIES_TERMS = 200
+_MAX_CF2_TERMS = 1000
 _MAX_ASYM_TERMS = 40
 
 
@@ -59,60 +70,113 @@ def _check_domain(z: complex) -> None:
             f"argument {z!r} lies on the negative real axis (branch cut)")
 
 
+def _temme(z: complex) -> tuple[complex, complex]:
+    """(K0, K1 - 1/z) by Temme's series at order 0, for |z| < 2.
+
+    With x = z^2/4, f_0 = -(ln(z/2) + gamma) and p_0 = 1/2,
+        f_k = (f_{k-1} + 2 p_{k-1}/k)/k,   p_k = p_{k-1}/k,
+        K0 = sum_{k>=0} x^k/k! f_k,
+        K1 - 1/z = (z/2) sum_{k>=1} x^{k-1}/k! (p_k - k f_k),
+    the k = 0 term of K1 = (2/z) sum x^k/k! (p_k - k f_k) being the pole.
+    The stops use <= so that terms underflowing to 0 end the loop.
+    """
+    x = 0.25 * z * z
+    f = -(cmath.log(0.5 * z) + _EULER_GAMMA)
+    p = 0.5
+    k0 = f
+    k1m = 0j
+    e = 1.0 + 0j  # x^{k-1}/k!
+    for k in range(1, _MAX_SERIES_TERMS + 1):
+        f = (f + 2.0 * p / k) / k
+        p /= k
+        if k > 1:
+            e *= x / k
+        t0 = x * e * f
+        t1 = e * (p - k * f)
+        k0 += t0
+        k1m += t1
+        if abs(t0) <= _EPS * abs(k0) and abs(t1) <= _EPS * abs(k1m):
+            return k0, 0.5 * z * k1m
+    raise ArithmeticError(f"Temme series for {z!r} did not converge")
+
+
+def _steed(z: complex) -> tuple[complex, complex]:
+    """(e^z K0, e^z K1) by Steed's algorithm for CF2 at order 0.
+
+    Numerical Recipes `bessik` with mu = 0; needs Re z >= 0 and |z| >~ 2.
+    """
+    b = 2.0 * (1.0 + z)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0j, 1.0 + 0j
+    a1 = 0.25
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _MAX_CF2_TERMS + 1):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) <= _EPS * abs(s):
+            k0s = cmath.sqrt(0.5 * math.pi / z) / s
+            return k0s, k0s * (z + 0.5 - a1 * h) / z
+    raise ArithmeticError(f"continued fraction CF2 for {z!r} did not converge")
+
+
+def _miller(w: complex) -> tuple[complex, complex]:
+    """(e^{-w} I0, e^{-w} I1) by Miller backward recurrence, Re w >= 0.
+
+    The ratios r_k = I_k/I_{k-1} = w/(2k + w r_{k+1}) run down from
+    r_{n+1} = 0, and u_k = r_k (1 + u_{k+1}) = sum_{j>=k} I_j/I_{k-1}, so
+    I0 + 2 sum_{k>=1} I_k = e^w gives e^{-w} I0 = 1/(1 + 2 u_1).  The
+    start n = 2|w| + 24 is at least 11 orders past the smallest n that
+    reproduces the n = 400 result to 1e-17 for |w| <= 17.
+    """
+    n = 2 * int(abs(w)) + 24
+    r = u = 0j
+    for k in range(n, 0, -1):
+        r = w / (2.0 * k + w * r)
+        u = r * (1.0 + u)
+    i0s = 1.0 / (1.0 + 2.0 * u)
+    return i0s, r * i0s
+
+
 @lru_cache(maxsize=4096)
 def _series_values(z: complex):
-    """All four functions plus K1 - 1/z by simultaneous series, |z| <= 17.
+    """(I0, I1, K0, K1, K1 - 1/z) for |z| <= 17, unscaled.
 
-    Uses the expansions
-        I0(z) = sum u_k,                u_k = (z^2/4)^k / (k!)^2
-        I1(z) = (z/2) sum t_k,          t_k = (z^2/4)^k / (k! (k+1)!)
-        K0(z) = -(ln(z/2)+gamma) I0(z) + sum_{k>=1} H_k u_k
-        K1(z) = 1/z + (ln(z/2)+gamma) I1(z)
-                    - (z/4) sum_{k>=0} (H_k + H_{k+1}) t_k
-    with H_k the harmonic numbers.  Everything is accumulated as complex
-    double-doubles; returned values are rounded to complex doubles.
+    I comes from Miller's recurrence on w = +-z with Re w >= 0 (I0 is
+    even, I1 odd).  K comes from Temme's series below |z| = 2 and from
+    CF2 above; in the left half-plane CF2 runs on w = -z and DLMF
+    10.34.2 with m = sign(Im z) reflects it back:
+        K0(z) = K0(w) - m pi i I0(w),   K1(z) = -K1(w) - m pi i I1(w).
     """
-    zc = dd.c_from_complex(z)
-    w = dd.c_div_d(dd.c_mul(zc, zc), 4.0)
-
-    u = dd.CONE
-    t = dd.CONE
-    i0 = dd.CONE
-    s1 = dd.CONE
-    k0sum = dd.CZERO
-    hsum = dd.CONE  # k = 0 term: (H_0 + H_1) t_0 = 1
-    h = dd.ZERO
-    h_next = dd.ONE
-
-    for k in range(1, _MAX_SERIES_TERMS + 1):
-        u = dd.c_div_d(dd.c_mul(u, w), float(k * k))
-        t = dd.c_div_d(dd.c_mul(t, w), float(k * (k + 1)))
-        h = dd.add(h, dd.recip_int(k))
-        h_next = dd.add(h_next, dd.recip_int(k + 1))
-        i0 = dd.c_add(i0, u)
-        s1 = dd.c_add(s1, t)
-        k0sum = dd.c_add(k0sum, dd.c_mul_dd(u, h))
-        hsum = dd.c_add(hsum, dd.c_mul_dd(t, dd.add(h, h_next)))
-
-        mag_term = abs(u[0][0]) + abs(u[1][0])
-        mag_sum = abs(i0[0][0]) + abs(i0[1][0]) + 1.0
-        if mag_term < 1e-34 * mag_sum:
-            break
+    reflect = z.real < 0.0
+    w = -z if reflect else z
+    i0s, i1s = _miller(w)
+    ew = cmath.exp(w)
+    i0, i1 = i0s * ew, i1s * ew
+    if abs(z) < _TEMME_RADIUS:
+        k0, k1m = _temme(z)
+        k1 = k1m + 1.0 / z
     else:
-        raise ArithmeticError(f"series for {z!r} did not converge")
-
-    # log(z/2) + gamma, with the principal branch of log
-    lg_re, lg_im = dd.c_log(z.real, z.imag)
-    lg = (dd.add(dd.sub(lg_re, dd.LN2), dd.EULER_GAMMA), lg_im)
-
-    i1 = dd.c_mul(dd.c_mul_d(zc, 0.5), s1)
-    k0 = dd.c_sub(k0sum, dd.c_mul(lg, i0))
-    k1m = dd.c_sub(dd.c_mul(lg, i1), dd.c_mul(dd.c_mul_d(zc, 0.25), hsum))
-    inv_z = dd.c_div(dd.CONE, zc)
-    k1 = dd.c_add(k1m, inv_z)
-
-    return (dd.c_to_complex(i0), dd.c_to_complex(i1), dd.c_to_complex(k0),
-            dd.c_to_complex(k1), dd.c_to_complex(k1m))
+        k0s, k1s = _steed(w)
+        emw = cmath.exp(-w)
+        k0, k1 = k0s * emw, k1s * emw
+        if reflect:
+            m = math.pi * 1j if z.imag > 0.0 else -math.pi * 1j
+            k0, k1 = k0 - m * i0, -k1 - m * i1
+        k1m = k1 - 1.0 / z
+    if reflect:
+        i1 = -i1
+    return i0, i1, k0, k1, k1m
 
 
 def _asym_sum(nu: int, z: complex) -> complex:

@@ -51,17 +51,22 @@ class ForceResult:
     method: str
 
 
+def _scales(s: Scenario) -> tuple[float, float]:
+    """Pressure and viscous stress scales rho0 omega v0 a and mu0 v0/a [Pa]."""
+    return s.fluid.rho0 * s.omega * s.v0 * s.a, s.fluid.mu0 * s.v0 / s.a
+
+
 def _stress(s: Scenario, rho: float, radial: tuple, c: float, sn: float,
             ph: complex) -> tuple[complex, complex, complex]:
     """(Pi_rr, Pi_rtheta, Pi_thetatheta) from the radial brackets at rho,
     the angle factors c = cos(theta), sn = sin(theta) and the phase."""
     br, bth, dbr, dbth, pb = radial
-    scale = s.fluid.rho0 * s.omega * s.v0 * s.a
-    iba2 = 1.0 / (s.ba * s.ba)
+    scale, visc = _scales(s)
+    p = -1j * scale * pb
     sum_b = (br + bth) / rho
-    return (scale * c * ph * (-1j * pb + 2.0 * dbr * iba2),
-            scale * sn * ph * ((dbth - sum_b) * iba2),
-            scale * c * ph * (-1j * pb + 2.0 * sum_b * iba2))
+    return (c * ph * (p + 2.0 * visc * dbr),
+            sn * ph * (visc * (dbth - sum_b)),
+            c * ph * (p + 2.0 * visc * sum_b))
 
 
 def stress_tensor(s: Scenario, pt: PolarPoint, t: float) -> StressTensor:
@@ -77,24 +82,51 @@ def stress_tensor(s: Scenario, pt: PolarPoint, t: float) -> StressTensor:
         Pi_thetatheta  = rho0 omega v0 a cos(theta) e^{-iwt}
                          [ -i P(rho) + 2 (B_r + B_theta)/(rho ba^2) ]
 
-    since mu0 v0/a = rho0 omega v0 a / ba^2.
+    since mu0 v0/a = rho0 omega v0 a / ba^2.  The viscous terms are
+    scaled by mu0 v0/a itself, which stays finite where 1/ba^2 overflows.
     """
     rho = _check_radius(s, pt.r)
     return StressTensor(*_stress(s, rho, _radial(s, rho), math.cos(pt.theta),
                                  math.sin(pt.theta), _phase(s, t)))
 
 
-def _traction(s: Scenario, radial: tuple, theta: float,
-              ph: complex) -> tuple[complex, complex]:
+def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
+    """(A, Bv, A + Bv) on the surface, where Pi_rr = cos(theta) e^{-iwt} A
+    and Pi_rtheta = sin(theta) e^{-iwt} Bv, so that
+
+        t_x = e^{-iwt} (cos^2 A - sin^2 Bv),  t_y = e^{-iwt} sin cos (A + Bv).
+
+    A and Bv carry the large pole term g1 with opposite signs, so A + Bv
+    is summed from its own terms.  At rho = 1, B_theta' = B_r' + i b ba'^2
+    (q + g1r) (ba' = beta a with the beta factor), which gives
+
+        A + Bv = -i rho0 omega v0 a [(1 + c) + c g1 - b (ba'/ba)^2 (q + g1r)]
+                 + (mu0 v0/a) (3 B_r' - B_r - B_theta).
+
+    Unperturbed, the g1 parts cancel bitwise and the brackets vanish, so
+    t_y carries no roundoff from the large terms.
+    """
+    k = s._coefficients
+    radial = _radial(s, 1.0)
+    br, bth, dbr, _, _ = radial
+    a, bv, _ = _stress(s, 1.0, radial, 1.0, 1.0, 1.0)
+    beta_factor = k.ba / s.ba
+    g1_parts = k.c * k.g1 - k.b * (beta_factor * beta_factor) * (k.q + k.g1r)
+    scale, visc = _scales(s)
+    a_bv = -1j * scale * ((1.0 + k.c) + g1_parts) + visc * (3.0 * dbr - br - bth)
+    return a, bv, a_bv
+
+
+def _traction(wall: tuple, theta: float, ph: complex) -> tuple[complex, complex]:
+    a, bv, a_bv = wall
     c = math.cos(theta)
     sn = math.sin(theta)
-    rr, rt, _ = _stress(s, 1.0, radial, c, sn, ph)
-    return rr * c - rt * sn, rr * sn + rt * c
+    return ph * (c * c * a - sn * sn * bv), ph * (sn * c * a_bv)
 
 
 def traction(s: Scenario, theta: float, t: float) -> tuple[complex, complex]:
     """Cartesian traction phasor (t_x, t_y) [Pa] on the surface r = a."""
-    return _traction(s, _radial(s, 1.0), theta, _phase(s, t))
+    return _traction(_wall_stress(s), theta, _phase(s, t))
 
 
 def _common_factor(s: Scenario, t: float) -> complex:
@@ -142,13 +174,13 @@ def force_quadrature(s: Scenario, t: float, n_nodes: int = 512) -> ForceResult:
     """
     if not isinstance(n_nodes, int) or n_nodes < 8:
         raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
-    radial = _radial(s, 1.0)  # every node sits at rho = 1
+    wall = _wall_stress(s)  # every node sits at rho = 1
     ph = _phase(s, t)
     txs: list[complex] = []
     tys: list[complex] = []
     step = 2.0 * math.pi / n_nodes
     for k in range(n_nodes):
-        tx, ty = _traction(s, radial, step * k, ph)
+        tx, ty = _traction(wall, step * k, ph)
         txs.append(tx)
         tys.append(ty)
     w = s.a * step

@@ -90,6 +90,9 @@ def _resolve_step(pt: PolarPoint, h: float | None) -> float:
         h = 1e-4 * pt.r
     if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if h * h < sys.float_info.min:
+        raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
+                         f"so second differences cannot be formed")
     return h
 
 

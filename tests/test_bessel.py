@@ -2,15 +2,18 @@
 
 Expected values were computed with mpmath at 50 significant digits and
 frozen here (scripts/reference_values.py regenerates them).  The point
-set covers both evaluation branches (power series below |z| = 17,
-asymptotic expansion above), the arg(z) = -pi/4 ray the flow solution
-lives on, near-imaginary arguments, and the deep-decay regime.
+set covers every evaluation branch (Temme series below |z| = 2, CF2
+and Miller recurrence up to |z| = 17, asymptotic expansion above), the
+arg(z) = -pi/4 ray the flow solution lives on, near-imaginary
+arguments, and the deep-decay regime.  A hypothesis property compares
+the |z| <= 17 kernel with mpmath at 40 digits.
 """
 
 import cmath
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,10 +290,20 @@ def test_scaled_unscaled_consistency(radius, phi):
 
 
 def test_branch_agreement_at_crossover():
-    # the series (used below |z| = 17) and the asymptotic expansion
-    # (above) must agree where they hand over
-    from oscylinder.bessel import _asym_values_scaled, _series_values
+    # Temme's series (below |z| = 2) and CF2 (above) must agree where K
+    # hands over, and so must the |z| <= 17 kernel and the asymptotic
+    # expansion (above 17)
+    from oscylinder.bessel import (_asym_values_scaled, _series_values,
+                                   _steed, _temme)
     for phi in (-math.pi / 4, 0.0, math.pi / 3, -1.4):
+        z = cmath.rect(2.0, phi)
+        k0, k1m = _temme(z)
+        k1 = k1m + 1.0 / z
+        k0s, k1s = _steed(z)
+        ez = cmath.exp(-z)
+        assert abs(k0s * ez - k0) < 5e-14 * abs(k0)
+        assert abs(k1s * ez - k1) < 5e-14 * abs(k1)
+
         z = cmath.rect(17.0, phi)
         i0, i1, k0, k1, _ = _series_values(z)
         k0s, k1s, i0s, i1s = _asym_values_scaled(z)
@@ -301,12 +314,41 @@ def test_branch_agreement_at_crossover():
 
 def test_small_argument_limits():
     # K0 -> -ln(z/2) - gamma and K1 -> 1/z as z -> 0; the truncation of
-    # the K1 limit is O(|z|^2 ln|z|), so |z| <~ 1e-4 keeps it below 1e-6
+    # the K1 limit is O(|z|^2 ln|z|), so |z| <~ 1e-4 keeps it below 1e-6.
+    # K1 - 1/z -> (z/2)(ln(z/2) + gamma - 1/2) with O(|z|^2) relative
+    # error.  At 1e-150 on the flow ray, powers of z^2/4 underflow inside
+    # the series.
     gamma = 0.5772156649015329
-    for z in (1e-4 + 0j, 1e-4 - 1e-4j, 5e-5j):
+    for z in (1e-4 + 0j, 1e-4 - 1e-4j, 5e-5j, cmath.rect(1e-150, -math.pi / 4)):
         k0_lim = -cmath.log(z / 2.0) - gamma
         assert rel(bessel_k0(z), k0_lim) < 1e-6
         assert rel(bessel_k1(z), 1.0 / z) < 1e-6
+        k1m_lim = 0.5 * z * (cmath.log(z / 2.0) + gamma - 0.5)
+        assert rel(bessel_k1_minus_pole(z), k1m_lim) < 1e-6
+
+
+# log10 |z| from -3 to log10(17): every branch of the |z| <= 17 kernel
+@given(st.floats(min_value=-3.0, max_value=math.log10(SERIES_RADIUS)),
+       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_mpmath(log_radius, phi):
+    z = cmath.rect(10.0 ** log_radius, phi)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        k0, k1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
+        i0, i1 = mpmath.besseli(0, zm), mpmath.besseli(1, zm)
+        refs = ((bessel_k0, k0, 1.0), (bessel_k1, k1, 1.0),
+                (bessel_k1_minus_pole, k1 - 1 / zm, 1.0),
+                # relative condition numbers |z I_n'(z)/I_n(z)|: I0 and I1
+                # have zeros on the imaginary axis, where no double-precision
+                # evaluation keeps relative accuracy; the bound widens only
+                # where the conditioning exceeds 10
+                (bessel_i0, i0, abs(zm * i1 / i0)),
+                (bessel_i1, i1, abs(zm * i0 / i1 - 1)))
+        for fn, ref, kappa in refs:
+            got = fn(z)
+            err = abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)
+            assert err < 2e-14 * max(1.0, float(kappa) / 10.0), fn.__name__
 
 
 def test_recurrence_i():

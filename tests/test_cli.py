@@ -334,6 +334,23 @@ def test_tiny_beta_a_fails_loudly(argv, capsys):
     assert captured.out == ""
 
 
+def test_force_at_tiny_beta_a_is_finite(capsys):
+    # 1/(beta a)^2 overflows here while f(a)/(beta a) is still finite
+    assert main(["force", "--a", "1e-158", "--f", "1"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out.encode("ascii"))
+    total, _, _, quad = map(float, rows[0][1:])
+    assert math.isfinite(quad)
+    assert abs(quad - total) <= 1e-9 * total
+
+
+def test_validate_refuses_underflowing_step(capsys):
+    # the default stencil step 1e-4 r is ~1e-162 m, and h*h underflows
+    assert main(["validate", "--a", "1e-158", "--f", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "step h" in captured.err
+    assert captured.out == ""
+
+
 def test_unwritable_output_returns_2(capsys):
     assert main(["profile", "--nr", "4", "--out",
                  "/nonexistent-dir/x.csv"]) == 2
@@ -355,6 +372,20 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("function,re,im")
+
+
+def test_runtime_imports_only_stdlib():
+    # the package and its CLI load nothing outside the standard library
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import oscylinder, oscylinder.cli\n"
+            "print(sorted(name for name in set(sys.modules) - before\n"
+            "             if name.partition('.')[0] not in\n"
+            "             sys.stdlib_module_names | {'oscylinder'}))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
