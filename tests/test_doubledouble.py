@@ -1,9 +1,10 @@
 """Tests for the error-free transforms and double-double arithmetic.
 
-The double-double layer underpins the Bessel series accuracy, so it is
-checked directly against mpmath at 40 significant digits.  A double-
-double value carries ~32 digits; the comparisons below allow 1e-29
-relative error to leave headroom for the final rounding of the lo word.
+The double-double layer (``tests/doubledouble.py``, not part of the
+package) is checked directly against mpmath at 40 significant digits.
+A double-double value carries ~32 digits; the comparisons below allow
+1e-29 relative error to leave headroom for the final rounding of the lo
+word.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscylinder import doubledouble as dd
+import doubledouble as dd
 
 mpmath.mp.dps = 40
 
@@ -122,7 +123,7 @@ def test_sqrt_matches_mpmath(x):
 # ----------------------------------------------------------------------
 
 # below ~-620 the lo word of the result is subnormal and the pair loses
-# precision; the Bessel series only ever needs |x| <~ 20
+# precision; the former Bessel series only ever needed |x| <~ 20
 @given(st.floats(min_value=-600.0, max_value=600.0,
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=400)
