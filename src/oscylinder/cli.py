@@ -11,8 +11,8 @@ All CSV output is byte-deterministic: floats are written with 17
 significant digits (round-trip exact), rows are emitted in a fixed
 order, and line endings are always "\\n".  Frequencies given through
 --f/--f-list/--f-range are deduplicated and sorted ascending before any
-computation, so the row order never depends on input order or on
---jobs.
+computation, so the row order never depends on input order.  force
+computes its rows serially; --jobs (>= 1) is accepted but starts no threads.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input or I/O
 error.
@@ -25,7 +25,6 @@ import cmath
 import contextlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
@@ -212,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_force.add_argument("--nodes", type=int, default=512,
                          help="quadrature nodes on the surface (default 512)")
     p_force.add_argument("--jobs", type=int, default=1,
-                         help="worker threads across frequencies (default 1)")
+                         help="accepted for compatibility (>= 1); rows are "
+                              "computed serially (default 1)")
 
     p_validate = sub.add_parser("validate", parents=[common],
                                 help="equation residuals and boundary checks")
@@ -343,19 +343,14 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
               "abs_F_viscous_over_v0 [N s/m^2]",
               "abs_F_quadrature_over_v0 [N s/m^2]"]
 
-    def row(f: float) -> list[str]:
+    rows = []
+    for f in cfg.frequencies:
         s = cfg.scenario(f)
-        return [_fmt(f),
-                _fmt(abs(force_analytic(s, cfg.t).fx) / vnorm),
-                _fmt(abs(force_buoyancy(s, cfg.t).fx) / vnorm),
-                _fmt(abs(force_viscous_approx(s, cfg.t).fx) / vnorm),
-                _fmt(abs(force_quadrature(s, cfg.t, nodes).fx) / vnorm)]
-
-    if jobs == 1:
-        rows = [row(f) for f in cfg.frequencies]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, cfg.frequencies))
+        rows.append([_fmt(f),
+                     _fmt(abs(force_analytic(s, cfg.t).fx) / vnorm),
+                     _fmt(abs(force_buoyancy(s, cfg.t).fx) / vnorm),
+                     _fmt(abs(force_viscous_approx(s, cfg.t).fx) / vnorm),
+                     _fmt(abs(force_quadrature(s, cfg.t, nodes).fx) / vnorm)])
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -454,10 +449,7 @@ def main(argv=None) -> int:
         if args.command == "force":
             return cmd_force(cfg, args.nodes, args.jobs)
         return cmd_validate(cfg, args.h_rel)
-    except (ValueError, OverflowError, BesselDomainError) as exc:
-        print(f"oscylinder: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OverflowError, BesselDomainError, OSError) as exc:
         print(f"oscylinder: error: {exc}", file=sys.stderr)
         return 2
 

@@ -143,10 +143,11 @@ class _Coefficients:
     regular part at rho = 1, and pole = i ba^2 q is the pole part of
     i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
     term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
+    `last` holds (rho, _radial result) of the latest _radial call.
     """
 
     __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
-                 "g1", "excess")
+                 "g1", "excess", "last")
 
     def __init__(self, s: Scenario):
         weight = dict.fromkeys(PERTURBABLE, 1.0)
@@ -174,6 +175,7 @@ class _Coefficients:
             raise ValueError(f"f(a)/(beta a) = {self.g1} is not finite at "
                              f"beta a = {ba:g}")
         self.excess = self.c * ((fa - 1.0) * g1) + (self.c - self.b) * self.q
+        self.last = (None, None)
 
     def terms(self, rho: float) -> tuple[complex, complex]:
         """Regular part of G(rho) and K0(j- ba rho)/K0(j- ba), underflow-safe."""
@@ -250,8 +252,13 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
     B_theta - B_r = 2 b k0r - 2, so B_theta' = B_r' + i b ba^2 G(rho).
     At rho = 1 the brackets and B_r' vanish bitwise when unperturbed: every
     term evaluated there reuses the floats cached in the coefficient set.
+    The latest (rho, result) pair is kept there too, replaced in one
+    assignment, and returned again when the next call asks for that rho.
     """
     k = s._coefficients
+    last = k.last
+    if last[0] == rho:
+        return last[1]
     b, c = k.b, k.c
     gr, k0r = k.terms(rho)
     inv = 1.0 / rho
@@ -266,7 +273,9 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
     dbth = dbr + b * (1j * (k.ba * k.ba) * gr) + b * (k.pole * inv)
     dwall = 2.0 * k.excess * inv3
     pb = (rho + c / rho) + c * k.g1 / rho
-    return br, bth, dbr + dwall, dbth + dwall, pb
+    result = br, bth, dbr + dwall, dbth + dwall, pb
+    k.last = (rho, result)
+    return result
 
 
 def _check_radius(s: Scenario, r: float) -> float:

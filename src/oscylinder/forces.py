@@ -16,14 +16,17 @@ the last bit.
 force_quadrature() integrates the traction with the composite
 trapezoidal rule on a uniform theta grid.  The integrand is a
 trigonometric polynomial of degree two, so the rule is exact (up to
-roundoff) for every n >= 4; the quadrature-vs-analytic comparison
-therefore tests only the algebra connecting stress to force.
+roundoff) for every n >= 4, and the node sum factors into three angular
+sums that depend on n alone.  The wall constants come from the stress
+tensor, so the quadrature-vs-analytic comparison tests the algebra
+connecting stress to force.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
 
@@ -117,16 +120,22 @@ def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
     return a, bv, a_bv
 
 
-def _traction(wall: tuple, theta: float, ph: complex) -> tuple[complex, complex]:
-    a, bv, a_bv = wall
-    c = math.cos(theta)
-    sn = math.sin(theta)
+def traction(s: Scenario, theta: float, t: float) -> tuple[complex, complex]:
+    """Cartesian traction phasor (t_x, t_y) [Pa] on the surface r = a."""
+    a, bv, a_bv = _wall_stress(s)
+    c, sn = math.cos(theta), math.sin(theta)
+    ph = _phase(s, t)
     return ph * (c * c * a - sn * sn * bv), ph * (sn * c * a_bv)
 
 
-def traction(s: Scenario, theta: float, t: float) -> tuple[complex, complex]:
-    """Cartesian traction phasor (t_x, t_y) [Pa] on the surface r = a."""
-    return _traction(_wall_stress(s), theta, _phase(s, t))
+@lru_cache(maxsize=64)
+def _angular_sums(n: int) -> tuple[float, float, float]:
+    """(sum cos^2, sum sin^2, sum sin cos) over theta_k = 2 pi k/n, k < n."""
+    step = 2.0 * math.pi / n
+    nodes = [(math.cos(step * k), math.sin(step * k)) for k in range(n)]
+    return (math.fsum(c * c for c, _ in nodes),
+            math.fsum(sn * sn for _, sn in nodes),
+            math.fsum(sn * c for c, sn in nodes))
 
 
 def _common_factor(s: Scenario, t: float) -> complex:
@@ -154,38 +163,21 @@ def force_analytic(s: Scenario, t: float) -> ForceResult:
     return ForceResult(fx=fx, fy=0j, method="analytic")
 
 
-def _pairwise_sum(values: list[complex]) -> complex:
-    """Pairwise (tree) summation: deterministic and low-error for any order-
-    preserving caller."""
-    n = len(values)
-    if n == 1:
-        return values[0]
-    m = n // 2
-    return _pairwise_sum(values[:m]) + _pairwise_sum(values[m:])
-
-
 def force_quadrature(s: Scenario, t: float, n_nodes: int = 512) -> ForceResult:
     """Force by trapezoidal integration of the surface traction.
 
-    Uses theta_k = 2 pi k/n on [0, 2 pi) and weight a 2 pi/n.  Node
-    tractions are accumulated with pairwise summation so the result is
-    bitwise reproducible for a given n regardless of how callers
-    parallelize around this function.
+    Uses theta_k = 2 pi k/n on [0, 2 pi) and weight w = a 2 pi/n.  The
+    node sum factors as F_x = w e^{-iwt} (S_cc A - S_ss Bv) and
+    F_y = w e^{-iwt} S_sc (A + Bv), with the angular sums S of
+    _angular_sums(n) and the wall constants of _wall_stress.
     """
     if not isinstance(n_nodes, int) or n_nodes < 8:
         raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
-    wall = _wall_stress(s)  # every node sits at rho = 1
-    ph = _phase(s, t)
-    txs: list[complex] = []
-    tys: list[complex] = []
-    step = 2.0 * math.pi / n_nodes
-    for k in range(n_nodes):
-        tx, ty = _traction(wall, step * k, ph)
-        txs.append(tx)
-        tys.append(ty)
-    w = s.a * step
+    a, bv, a_bv = _wall_stress(s)
+    s_cc, s_ss, s_sc = _angular_sums(n_nodes)
+    w_ph = s.a * (2.0 * math.pi / n_nodes) * _phase(s, t)
     return ForceResult(
-        fx=w * _pairwise_sum(txs),
-        fy=w * _pairwise_sum(tys),
+        fx=w_ph * (s_cc * a - s_ss * bv),
+        fy=w_ph * (s_sc * a_bv),
         method=f"quadrature(n={n_nodes})",
     )

@@ -51,19 +51,20 @@ class ResidualReport:
 class _Stencil:
     """Field samples around one point plus second-order difference operators."""
 
-    def __init__(self, s: Scenario, pt: PolarPoint, t: float, h: float):
+    def __init__(self, s: Scenario, pt: PolarPoint, t: float, h: float | None):
+        _check_radius(s, pt.r)
+        self.h = h = _resolve_step(pt, h)
         r, theta = pt.r, pt.theta
-        self.h = h
         self.ht = h / r
         self.one_sided = (r - h) < s.a
-        if self.one_sided:
-            radii = (r, r + h, r + 2.0 * h, r + 3.0 * h)
-        else:
-            radii = (r - h, r, r + h)
-        self.radial = tuple(flow_state(s, PolarPoint(rr, theta), t) for rr in radii)
-        self.west = flow_state(s, PolarPoint(r, theta - self.ht), t)
-        self.east = flow_state(s, PolarPoint(r, theta + self.ht), t)
-        self.center = self.radial[0] if self.one_sided else self.radial[1]
+        # the samples at radius r come back to back: one radial evaluation
+        thetas = (theta, theta - self.ht, theta + self.ht)
+        self.center, self.west, self.east = (
+            flow_state(s, PolarPoint(r, th), t) for th in thetas)
+        radii = (r + h, r + 2.0 * h, r + 3.0 * h) if self.one_sided else (r - h, r + h)
+        off = [flow_state(s, PolarPoint(rr, theta), t) for rr in radii]
+        self.radial = ((self.center, *off) if self.one_sided
+                       else (off[0], self.center, off[1]))
 
     def d1r(self, attr: str) -> complex:
         f = [getattr(st, attr) for st in self.radial]
@@ -93,14 +94,16 @@ def _resolve_step(pt: PolarPoint, h: float | None) -> float:
     if h * h < sys.float_info.min:
         raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
                          f"so second differences cannot be formed")
+    r, theta, ht = pt.r, pt.theta, h / pt.r
+    if r + h == r or theta + ht == theta or theta - ht == theta:
+        raise ValueError(f"step h = {h!r} m is too small: the stencil points "
+                         f"round onto r = {r!r} m or theta = {theta!r}")
     return h
 
 
 def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
                     h: float | None = None) -> ResidualReport:
     """All four equation residuals at one point (default step 1e-4 r)."""
-    _check_radius(s, pt.r)
-    h = _resolve_step(pt, h)
     st = _Stencil(s, pt, t, h)
     r = pt.r
     inv_r = 1.0 / r
@@ -133,7 +136,7 @@ def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
     return ResidualReport(
         location=pt,
         t=t,
-        h=h,
+        h=st.h,
         one_sided=st.one_sided,
         continuity=abs(cont) * s.a / vnorm,
         momentum_r=abs(mom_r) / (vnorm * omega),
@@ -169,8 +172,6 @@ def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
     field samples, so they agree to regrouping roundoff (~1e-15); a
     larger gap would mean the two code paths diverged.
     """
-    _check_radius(s, pt.r)
-    h = _resolve_step(pt, h)
     st = _Stencil(s, pt, t, h)
     r = pt.r
     vnorm = s.v0 if s.v0 > 0 else 1.0

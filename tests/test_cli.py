@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+import oscylinder.flow
+import oscylinder.forces
 import oscylinder.residuals
 from oscylinder import bessel_k0
 from oscylinder import AIR_20C
@@ -246,6 +248,30 @@ def test_validate_fails_on_nan_field(monkeypatch, capsys):
     assert lines[-1] == "RESULT FAIL"
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile"], ["field"], ["validate"],
+    ["validate", "--a", "1e-6", "--f", "10"],
+    ["validate", "--mutate", "B:1.001"],
+])
+def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
+    # the memo in flow._radial only skips recomputing a pure function of
+    # (coefficients, rho): clearing it before every call gives the same bytes
+    code = main(argv)
+    with_memo = capsys.readouterr().out
+    radial = oscylinder.flow._radial
+
+    def without_memo(s, rho):
+        s._coefficients.last = (None, None)
+        return radial(s, rho)
+
+    monkeypatch.setattr(oscylinder.flow, "_radial", without_memo)
+    monkeypatch.setattr(oscylinder.forces, "_radial", without_memo)
+    assert main(argv) == code
+    # a bool, so that a failure does not diff thousands of CSV lines
+    moved = capsys.readouterr().out != with_memo
+    assert not moved
+
+
 def test_validate_writes_file(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["validate", "--out", str(out)]) == 0
@@ -348,6 +374,16 @@ def test_validate_refuses_underflowing_step(capsys):
     assert main(["validate", "--a", "1e-158", "--f", "1"]) == 2
     captured = capsys.readouterr()
     assert "step h" in captured.err
+    assert captured.out == ""
+
+
+def test_validate_refuses_collapsed_stencil(capsys):
+    # at h = 1e-20 r the stencil points round back onto r, so every
+    # difference is 0 or noise and the roundoff allowance passes anything
+    assert main(["validate", "--h-rel", "1e-20"]) == 2
+    captured = capsys.readouterr()
+    h = 1e-20 * 1.1 * 1e-4  # innermost validate radius 1.1 a, default a
+    assert f"step h = {h!r}" in captured.err
     assert captured.out == ""
 
 

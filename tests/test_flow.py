@@ -11,6 +11,8 @@ air at 20 C with v0 = 1 m/s:
 
 import cmath
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,63 @@ def test_coefficient_B_overflow():
     assert edge.ba == pytest.approx(1e3, rel=1e-12)
     with pytest.raises(OverflowError):
         coefficient_B(edge)
+
+
+# ----------------------------------------------------------------------
+# last-radius memo in _radial
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, f", [(1e-6, 10.0), (1e-4, 1000.0)],
+                         ids=["S1", "S3"])
+def test_radial_memo_returns_fresh_values(a, f):
+    # repeated and alternating radii give the same tuples as a scenario
+    # that has evaluated nothing yet
+    s = scenario(a, f)
+    for rho in (1.7, 3.0, 1.7, 1.7, 1.0, 1.0):
+        assert _radial(s, rho) == _radial(scenario(a, f), rho)
+
+
+@pytest.mark.parametrize("a, f", [(1e-6, 10.0), (1e-4, 1000.0)],
+                         ids=["S1", "S3"])
+@pytest.mark.parametrize("name", ["B", "C", "f_a", "beta"])
+def test_radial_memo_is_per_scenario(a, f, name):
+    # scenarios that differ only in the perturbation never share a result
+    clean = scenario(a, f)
+    mutated = scenario(a, f, Perturbation(name, 1.001))
+    want_clean = _radial(scenario(a, f), 2.0)
+    want_mutated = _radial(scenario(a, f, Perturbation(name, 1.001)), 2.0)
+    assert want_clean != want_mutated
+    for _ in range(2):
+        assert _radial(clean, 2.0) == want_clean
+        assert _radial(mutated, 2.0) == want_mutated
+
+
+def test_radial_memo_shared_across_threads():
+    # threads alternating radii on one Scenario each get the value for the
+    # radius they asked for: the memo is replaced in one assignment
+    s = scenario(1e-4, 1000.0)
+    rhos = (1.0, 1.7, 3.0)
+    want = {rho: _radial(scenario(1e-4, 1000.0), rho) for rho in rhos}
+    wrong = []
+
+    def work(offset):
+        for i in range(10000):
+            rho = rhos[(i + offset) % 3]
+            if _radial(s, rho) != want[rho]:
+                wrong.append(rho)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from oscylinder import (
     stress_tensor,
     traction,
 )
-from oscylinder.forces import _pairwise_sum
 
 
 def scenario(a, f, v0=1.0):
@@ -262,22 +261,28 @@ def test_force_scales_linearly_with_v0():
 
 
 # ----------------------------------------------------------------------
-# pairwise summation helper
+# moment-form quadrature against the node-by-node sum
 # ----------------------------------------------------------------------
 
-def test_pairwise_sum_small_cases():
-    assert _pairwise_sum([3.25 + 1j]) == 3.25 + 1j
-    assert _pairwise_sum([1.0, 2.0, 3.0, 4.0]) == 10.0
+@pytest.mark.parametrize("n", [8, 9, 63, 512])
+@pytest.mark.parametrize("a, f", [(1e-6, 10.0), (1e-4, 1000.0)],
+                         ids=["S1", "S3"])
+@pytest.mark.parametrize("name", [None, "B", "C", "f_a", "beta"])
+def test_quadrature_matches_node_sum(n, a, f, name):
+    # force_quadrature sums three angular moments instead of n node
+    # tractions; both are the same trapezoidal sum, so they agree to
+    # roundoff relative to the size of the summed terms
+    pert = Perturbation(name, 1.001) if name else None
+    s = Scenario.from_frequency(AIR_20C, a, 1.0, f, perturbation=pert)
+    t = 3.1e-4
+    step = 2.0 * math.pi / n
+    w = s.a * step
+    nodes = [traction(s, step * k, t) for k in range(n)]
 
+    def node_sum(i):
+        return w * complex(math.fsum(v[i].real for v in nodes),
+                           math.fsum(v[i].imag for v in nodes))
 
-def test_pairwise_sum_matches_fsum():
-    values = [complex((-1.0) ** k / (k + 1.0), (k % 5) * 1e-3) for k in range(257)]
-    got = _pairwise_sum(values)
-    want = complex(math.fsum(v.real for v in values),
-                   math.fsum(v.imag for v in values))
-    assert abs(got - want) < 1e-15 * abs(want)
-
-
-def test_pairwise_sum_deterministic():
-    values = [complex(math.sin(k), math.cos(k)) for k in range(100)]
-    assert _pairwise_sum(values) == _pairwise_sum(list(values))
+    q = force_quadrature(s, t, n)
+    scale = w * math.fsum(abs(tx) + abs(ty) for tx, ty in nodes)
+    assert abs(q.fx - node_sum(0)) + abs(q.fy - node_sum(1)) <= 1e-14 * scale

@@ -198,6 +198,15 @@ def test_bad_step_rejected(h):
         residual_report(S2, PolarPoint(3.0 * S2.a, 0.4), h=h)
 
 
+@pytest.mark.parametrize("theta, h_rel", [(0.4, 1e-20), (1e6, 1e-12)])
+def test_collapsed_stencil_rejected(theta, h_rel):
+    # a step below half an ulp of r (or h/r below half an ulp of theta)
+    # rounds the stencil points back onto the centre point
+    r = 3.0 * S2.a
+    with pytest.raises(ValueError, match="step h"):
+        residual_report(S2, PolarPoint(r, theta), h=h_rel * r)
+
+
 def test_inside_cylinder_rejected():
     with pytest.raises(ValueError):
         residual_report(S2, PolarPoint(0.5 * S2.a, 0.0))
