@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
                      bessel_k1_minus_pole, BesselDomainError)
 from .flow import (AIR_20C, Fluid, Perturbation, PolarPoint, Scenario,
-                   flow_state, velocity)
+                   _check_radius, _fields, _phase)
 from .forces import (force_analytic, force_buoyancy, force_quadrature,
                      force_viscous_approx)
 from .residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
@@ -289,11 +289,12 @@ def cmd_profile(cfg: RunConfig, nr: int, rmax_factor: float) -> int:
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
+        ph = _phase(s, cfg.t)
         for j in range(nr):
             # j = 0 gives exactly r = a, where the columns are exactly zero
             r = cfg.a * rmax_factor ** (j / (nr - 1))
-            vr = velocity(s, PolarPoint(r, 0.0), cfg.t)[0]
-            vt = velocity(s, PolarPoint(r, 0.5 * math.pi), cfg.t)[1]
+            # v_r at theta = 0 and v_theta at pi/2: cos 0 == sin(pi/2) == 1.0
+            vr, vt, _ = _fields(s, _check_radius(s, r), 1.0, 1.0, ph)
             rows.append([_fmt(f), _fmt(r), _fmt(r / cfg.a),
                          _fmt(_mode_value(vr / vnorm, mode)),
                          _fmt(_mode_value(vt / vnorm, mode))])
@@ -310,6 +311,7 @@ def cmd_field(cfg: RunConfig, grid) -> int:
         x0, x1, nx, y0, y1, ny = grid
     f = cfg.frequencies[0]
     s = cfg.scenario(f)
+    ph = _phase(s, cfg.t)
     header = ["x [m]", "y [m]", "masked [-]",
               "re_p [Pa]", "abs_p [Pa]", "re_vx [m/s]", "re_vy [m/s]"]
     rows = []
@@ -322,11 +324,11 @@ def cmd_field(cfg: RunConfig, grid) -> int:
                 rows.append([_fmt(x), _fmt(y), "1", "", "", "", ""])
                 continue
             theta = math.atan2(y, x)
-            st = flow_state(s, PolarPoint(r, theta), cfg.t)
             c, sn = math.cos(theta), math.sin(theta)
-            vx = st.vr * c - st.vtheta * sn
-            vy = st.vr * sn + st.vtheta * c
-            rows.append([_fmt(x), _fmt(y), "0", _fmt(st.p.real), _fmt(abs(st.p)),
+            vr, vt, p = _fields(s, _check_radius(s, r), c, sn, ph)
+            vx = vr * c - vt * sn
+            vy = vr * sn + vt * c
+            rows.append([_fmt(x), _fmt(y), "0", _fmt(p.real), _fmt(abs(p)),
                          _fmt(vx.real), _fmt(vy.real)])
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)

@@ -23,9 +23,10 @@ at rho = 1.  Physical fields are the real parts.
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface.  _radial(s, rho) returns
-B_r, B_theta, their rho-derivatives and P from that set.  Velocity,
-pressure, stress, traction and force are all angle x _radial x phase
-products, so a Perturbation reaches every one of them the same way.
+B_r, B_theta, their rho-derivatives and P from that set; _fields (which
+flow_state wraps) is angle x _radial x phase for v_r, v_theta and p.
+Stress, traction and force are angle x _radial x phase products too, so
+a Perturbation reaches every field the same way.
 
 Two evaluation branches keep the brackets well-conditioned:
 
@@ -288,20 +289,22 @@ def _phase(s: Scenario, t: float) -> complex:
     return cmath.exp(complex(0.0, -s.omega * t))
 
 
+def _fields(s: Scenario, rho: float, c: float, sn: float,
+            ph: complex) -> tuple[complex, complex, complex]:
+    """(v_r, v_theta, p) at rho = r/a, cos(theta) = c, sin(theta) = sn, phase ph."""
+    br, bth, _, _, pb = _radial(s, rho)
+    return (s.v0 * c * ph * br, s.v0 * sn * ph * bth,
+            1j * s.v0 * s.fluid.rho0 * s.omega * s.a * c * ph * pb)
+
+
 # ----------------------------------------------------------------------
 # public field evaluation
 # ----------------------------------------------------------------------
 
 def flow_state(s: Scenario, pt: PolarPoint, t: float) -> FlowState:
     """Velocity [m/s] and pressure [Pa] phasors at a point, time t [s]."""
-    rho = _check_radius(s, pt.r)
-    br, bth, _, _, pb = _radial(s, rho)
-    ph = _phase(s, t)
-    c = math.cos(pt.theta)
-    return FlowState(
-        vr=s.v0 * c * ph * br,
-        vtheta=s.v0 * math.sin(pt.theta) * ph * bth,
-        p=1j * s.v0 * s.fluid.rho0 * s.omega * s.a * c * ph * pb)
+    return FlowState(*_fields(s, _check_radius(s, pt.r), math.cos(pt.theta),
+                              math.sin(pt.theta), _phase(s, t)))
 
 
 def velocity(s: Scenario, pt: PolarPoint, t: float) -> tuple[complex, complex]:

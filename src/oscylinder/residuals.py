@@ -2,10 +2,11 @@
 equations, plus boundary-condition spot checks.
 
 The closed-form fields are treated as a black box: residuals are formed
-by differencing velocity() and pressure() on small stencils and
-substituting into the continuity equation, both linearized momentum
-equations, and the pressure Laplace equation.  Every residual is
-reported dimensionless:
+by differencing samples of flow._fields, the kernel that flow_state,
+velocity() and pressure() wrap (a test pins the two together bitwise),
+on small stencils and substituting into the continuity equation, both
+linearized momentum equations, and the pressure Laplace equation.  Every
+residual is reported dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -23,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .flow import PolarPoint, Scenario, _check_radius, flow_state, velocity, pressure
+from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase
 
 #: boundary_suite thresholds
 NO_SLIP_TOL = 1e-12
@@ -32,6 +33,7 @@ PRESSURE_FORM_TOL = 1e-13
 SYMMETRY_TOL = 1e-13
 
 _QUANTITIES = ("continuity", "momentum_r", "momentum_theta", "pressure_laplacian")
+_VR, _VT, _P = range(3)  # positions of v_r, v_theta and p in a _fields sample
 
 
 @dataclass(frozen=True)
@@ -49,41 +51,44 @@ class ResidualReport:
 
 
 class _Stencil:
-    """Field samples around one point plus second-order difference operators."""
+    """(v_r, v_theta, p) samples from _fields around one point, with one phase
+    and one rho = r/a per stencil, plus second-order difference operators."""
 
     def __init__(self, s: Scenario, pt: PolarPoint, t: float, h: float | None):
-        _check_radius(s, pt.r)
+        rho = _check_radius(s, pt.r)
         self.h = h = _resolve_step(pt, h)
         r, theta = pt.r, pt.theta
         self.ht = h / r
         self.one_sided = (r - h) < s.a
+        ph = _phase(s, t)
         # the samples at radius r come back to back: one radial evaluation
         thetas = (theta, theta - self.ht, theta + self.ht)
         self.center, self.west, self.east = (
-            flow_state(s, PolarPoint(r, th), t) for th in thetas)
+            _fields(s, rho, math.cos(th), math.sin(th), ph) for th in thetas)
+        c, sn = math.cos(theta), math.sin(theta)
         radii = (r + h, r + 2.0 * h, r + 3.0 * h) if self.one_sided else (r - h, r + h)
-        off = [flow_state(s, PolarPoint(rr, theta), t) for rr in radii]
+        off = [_fields(s, _check_radius(s, rr), c, sn, ph) for rr in radii]
         self.radial = ((self.center, *off) if self.one_sided
                        else (off[0], self.center, off[1]))
 
-    def d1r(self, attr: str) -> complex:
-        f = [getattr(st, attr) for st in self.radial]
+    def d1r(self, i: int) -> complex:
+        f = [st[i] for st in self.radial]
         if self.one_sided:
             return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * self.h)
         return (f[2] - f[0]) / (2.0 * self.h)
 
-    def d2r(self, attr: str) -> complex:
-        f = [getattr(st, attr) for st in self.radial]
+    def d2r(self, i: int) -> complex:
+        f = [st[i] for st in self.radial]
         if self.one_sided:
             return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (self.h * self.h)
         return (f[2] - 2.0 * f[1] + f[0]) / (self.h * self.h)
 
-    def d1t(self, attr: str) -> complex:
-        return (getattr(self.east, attr) - getattr(self.west, attr)) / (2.0 * self.ht)
+    def d1t(self, i: int) -> complex:
+        return (self.east[i] - self.west[i]) / (2.0 * self.ht)
 
-    def d2t(self, attr: str) -> complex:
-        return ((getattr(self.east, attr) - 2.0 * getattr(self.center, attr)
-                 + getattr(self.west, attr)) / (self.ht * self.ht))
+    def d2t(self, i: int) -> complex:
+        return ((self.east[i] - 2.0 * self.center[i] + self.west[i])
+                / (self.ht * self.ht))
 
 
 def _resolve_step(pt: PolarPoint, h: float | None) -> float:
@@ -113,25 +118,25 @@ def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
     omega = s.omega
     vnorm = s.v0 if s.v0 > 0 else 1.0
 
-    vr0 = st.center.vr
-    vt0 = st.center.vtheta
-    d1r_vr = st.d1r("vr")
-    d1r_vt = st.d1r("vtheta")
-    d1r_p = st.d1r("p")
-    d1t_vr = st.d1t("vr")
-    d1t_vt = st.d1t("vtheta")
-    d1t_p = st.d1t("p")
+    vr0 = st.center[_VR]
+    vt0 = st.center[_VT]
+    d1r_vr = st.d1r(_VR)
+    d1r_vt = st.d1r(_VT)
+    d1r_p = st.d1r(_P)
+    d1t_vr = st.d1t(_VR)
+    d1t_vt = st.d1t(_VT)
+    d1t_p = st.d1t(_P)
 
     cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
 
-    lap_vr = (st.d2r("vr") + st.d2t("vr") * inv_r2 + d1r_vr * inv_r
+    lap_vr = (st.d2r(_VR) + st.d2t(_VR) * inv_r2 + d1r_vr * inv_r
               - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
-    lap_vt = (st.d2r("vtheta") + st.d2t("vtheta") * inv_r2 + d1r_vt * inv_r
+    lap_vt = (st.d2r(_VT) + st.d2t(_VT) * inv_r2 + d1r_vt * inv_r
               + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
     mom_r = -1j * omega * vr0 + d1r_p / rho0 - nu0 * lap_vr
     mom_t = -1j * omega * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
 
-    lap_p = st.d2r("p") + d1r_p * inv_r + st.d2t("p") * inv_r2
+    lap_p = st.d2r(_P) + d1r_p * inv_r + st.d2t(_P) * inv_r2
 
     return ResidualReport(
         location=pt,
@@ -175,9 +180,9 @@ def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
     st = _Stencil(s, pt, t, h)
     r = pt.r
     vnorm = s.v0 if s.v0 > 0 else 1.0
-    vr0 = st.center.vr
-    d1r_vr = st.d1r("vr")
-    d1t_vt = st.d1t("vtheta")
+    vr0 = st.center[_VR]
+    d1r_vr = st.d1r(_VR)
+    d1t_vt = st.d1t(_VT)
     expanded = abs(d1r_vr + vr0 / r + d1t_vt / r) * s.a / vnorm
     regrouped = abs(vr0 + r * d1r_vr + d1t_vt) * s.a / (r * vnorm)
     return expanded, regrouped
@@ -269,22 +274,28 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     period = 2.0 * math.pi / s.omega
     times4 = (0.0, period / 6.0, period / 4.0, period / 2.0)
 
+    # one radius check and one phase per (radius, time) block
     no_slip = []
+    wall = _check_radius(s, s.a)  # exactly 1.0
     for t in times4:
+        ph = _phase(s, t)
         for k in range(64):
             theta = 2.0 * math.pi * k / 64.0
-            vr, vt = velocity(s, PolarPoint(s.a, theta), t)
+            vr, vt, _ = _fields(s, wall, math.cos(theta), math.sin(theta), ph)
             no_slip.append(math.hypot(abs(vr), abs(vt)) / vnorm)
 
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
+    far_rho = _check_radius(s, far_radius)
     far = []
     for t in (0.0, period / 5.0):
-        ph = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
+        ph_inf = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
+        ph = _phase(s, t)
         for k in range(32):
             theta = 2.0 * math.pi * k / 32.0
-            vr, vt = velocity(s, PolarPoint(far_radius, theta), t)
-            vinf_r = s.v0 * math.cos(theta) * ph
-            vinf_t = -s.v0 * math.sin(theta) * ph
+            c, sn = math.cos(theta), math.sin(theta)
+            vr, vt, _ = _fields(s, far_rho, c, sn, ph)
+            vinf_r = s.v0 * c * ph_inf
+            vinf_t = -s.v0 * sn * ph_inf
             far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)) / vnorm)
 
     # angles keep |cos| >= 0.25 so the division is well-conditioned
@@ -292,14 +303,17 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     form = []
     sym = []
     for rr in (1.5 * s.a, 3.0 * s.a):
+        rho = _check_radius(s, rr)
         for t in (0.0, period / 5.0):
-            p0 = pressure(s, PolarPoint(rr, 0.0), t)
+            ph = _phase(s, t)
+            p0 = _fields(s, rho, 1.0, 0.0, ph)[_P]  # theta = 0
             pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
             for theta in form_thetas:
-                p = pressure(s, PolarPoint(rr, theta), t)
+                p = _fields(s, rho, math.cos(theta), math.sin(theta), ph)[_P]
                 form.append(abs(p / math.cos(theta) - p0) / pnorm)
-                p_neg = pressure(s, PolarPoint(rr, -theta), t)
-                p_sup = pressure(s, PolarPoint(rr, math.pi - theta), t)
+                p_neg = _fields(s, rho, math.cos(-theta), math.sin(-theta), ph)[_P]
+                sup = math.pi - theta
+                p_sup = _fields(s, rho, math.cos(sup), math.sin(sup), ph)[_P]
                 sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
     no_slip, far, form, sym = (max(v, key=nan_rank) for v in (no_slip, far, form, sym))
 

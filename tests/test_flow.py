@@ -26,7 +26,7 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, Fluid, Perturbation,
                         recovery_radius, reynolds_number, validity_report,
                         velocity)
 from oscylinder import bessel_k1_minus_pole
-from oscylinder.flow import _radial
+from oscylinder.flow import _check_radius, _fields, _phase, _radial
 
 
 def scenario(a, f, pert=None):
@@ -383,6 +383,34 @@ def test_radial_memo_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+# ----------------------------------------------------------------------
+# the field kernel behind flow_state
+# ----------------------------------------------------------------------
+
+#: S1 and S3, clean and under each 0.1% coefficient perturbation
+KERNEL_SCENARIOS = [scenario(a, f, pert)
+                    for a, f in ((1e-6, 10.0), (1e-4, 1000.0))
+                    for pert in [None] + [Perturbation(n, 1.001)
+                                          for n in ("B", "C", "f_a", "beta")]]
+
+
+@given(st.sampled_from(KERNEL_SCENARIOS),
+       st.floats(min_value=0.0, max_value=6.0),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=-1e3, max_value=1e3))
+@settings(max_examples=200, deadline=None)
+def test_fields_kernel_matches_flow_state(s, log_rho, theta, t):
+    # residuals and the CLI sample _fields directly; it must give the
+    # public flow_state bit for bit, for rho in [1, 1e6], any angle and time
+    r = s.a * 10.0 ** log_rho
+    got = _fields(s, _check_radius(s, r), math.cos(theta), math.sin(theta),
+                  _phase(s, t))
+    want = flow_state(s, PolarPoint(r, theta), t)
+    assert got[0] == want.vr
+    assert got[1] == want.vtheta
+    assert got[2] == want.p
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+import oscylinder.flow
 import oscylinder.residuals
 from oscylinder import (
     AIR_20C,
@@ -26,11 +27,16 @@ from oscylinder import (
     continuity_pair,
     continuity_residual,
     convergence_order,
+    flow_state,
     momentum_residual,
+    pressure,
     pressure_laplacian_residual,
     residual_report,
     residual_tolerance,
+    velocity,
 )
+from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
+                                  SYMMETRY_TOL, nan_rank)
 
 
 def scenario(a, f, v0=1.0, perturbation=None):
@@ -261,8 +267,8 @@ def test_no_slip_detects_coefficient_mutation(name):
 def test_boundary_suite_fails_on_nan(monkeypatch):
     # a NaN field must fail the check and show in the reported maximum,
     # not vanish in the reduction
-    monkeypatch.setattr(oscylinder.residuals, "velocity",
-                        lambda s, pt, t: (complex("nan"), 0j))
+    monkeypatch.setattr(oscylinder.flow, "_radial",
+                        lambda s, rho: (complex("nan"),) * 5)
     rep = boundary_suite(S3)
     assert not rep.passed
     assert not rep.no_slip_ok and math.isnan(rep.no_slip_max)
@@ -277,3 +283,157 @@ def test_momentum_detects_beta_mutation():
     rep = residual_report(mutated, PolarPoint(1.5 * mutated.a, 0.7))
     tol = residual_tolerance(mutated, 1.5)
     assert max(rep.momentum_r, rep.momentum_theta) > 100.0 * tol
+
+
+# ----------------------------------------------------------------------
+# the checks against a public-API reference
+# ----------------------------------------------------------------------
+#
+# residual_report and boundary_suite sample flow._fields directly, one
+# phase per stencil or boundary block.  The references below sample every
+# point through velocity(), pressure() and flow_state() alone, with the
+# same arithmetic, so the checks still treat the fields as a black box.
+
+#: S1 and S3, clean and under each 0.1% coefficient perturbation
+REFERENCE_SCENARIOS = [scenario(a, f, perturbation=pert)
+                       for a, f in ((1e-6, 10.0), (1e-4, 1000.0))
+                       for pert in [None] + [Perturbation(n, 1.001)
+                                             for n in ("B", "C", "f_a", "beta")]]
+REFERENCE_IDS = [f"{name}-{pert}" for name in ("S1", "S3")
+                 for pert in ("clean", "B", "C", "f_a", "beta")]
+
+
+def reference_residual_report(s, pt, t, h):
+    r, theta = pt.r, pt.theta
+    ht = h / r
+    one_sided = (r - h) < s.a
+    center, west, east = (flow_state(s, PolarPoint(r, th), t)
+                          for th in (theta, theta - ht, theta + ht))
+    radii = (r + h, r + 2.0 * h, r + 3.0 * h) if one_sided else (r - h, r + h)
+    off = [flow_state(s, PolarPoint(rr, theta), t) for rr in radii]
+    radial = (center, *off) if one_sided else (off[0], center, off[1])
+
+    def d1r(attr):
+        f = [getattr(x, attr) for x in radial]
+        if one_sided:
+            return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+        return (f[2] - f[0]) / (2.0 * h)
+
+    def d2r(attr):
+        f = [getattr(x, attr) for x in radial]
+        if one_sided:
+            return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
+        return (f[2] - 2.0 * f[1] + f[0]) / (h * h)
+
+    def d1t(attr):
+        return (getattr(east, attr) - getattr(west, attr)) / (2.0 * ht)
+
+    def d2t(attr):
+        return ((getattr(east, attr) - 2.0 * getattr(center, attr)
+                 + getattr(west, attr)) / (ht * ht))
+
+    inv_r = 1.0 / r
+    inv_r2 = inv_r * inv_r
+    nu0, rho0, omega = s.fluid.nu0, s.fluid.rho0, s.omega
+    vnorm = s.v0 if s.v0 > 0 else 1.0
+    vr0, vt0 = center.vr, center.vtheta
+    d1r_vr, d1r_vt, d1r_p = d1r("vr"), d1r("vtheta"), d1r("p")
+    d1t_vr, d1t_vt, d1t_p = d1t("vr"), d1t("vtheta"), d1t("p")
+    cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
+    lap_vr = (d2r("vr") + d2t("vr") * inv_r2 + d1r_vr * inv_r
+              - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
+    lap_vt = (d2r("vtheta") + d2t("vtheta") * inv_r2 + d1r_vt * inv_r
+              + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
+    mom_r = -1j * omega * vr0 + d1r_p / rho0 - nu0 * lap_vr
+    mom_t = -1j * omega * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
+    lap_p = d2r("p") + d1r_p * inv_r + d2t("p") * inv_r2
+    return ResidualReport(
+        location=pt, t=t, h=h, one_sided=one_sided,
+        continuity=abs(cont) * s.a / vnorm,
+        momentum_r=abs(mom_r) / (vnorm * omega),
+        momentum_theta=abs(mom_t) / (vnorm * omega),
+        pressure_laplacian=abs(lap_p) * s.a / (rho0 * omega * vnorm))
+
+
+def reference_boundary_suite(s):
+    vnorm = s.v0 if s.v0 > 0 else 1.0
+    period = 2.0 * math.pi / s.omega
+    no_slip = []
+    for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
+        for k in range(64):
+            vr, vt = velocity(s, PolarPoint(s.a, 2.0 * math.pi * k / 64.0), t)
+            no_slip.append(math.hypot(abs(vr), abs(vt)) / vnorm)
+    far_radius = max(1e3 * s.a, 20.0 * s.delta)
+    far = []
+    for t in (0.0, period / 5.0):
+        ph = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
+        for k in range(32):
+            theta = 2.0 * math.pi * k / 32.0
+            vr, vt = velocity(s, PolarPoint(far_radius, theta), t)
+            vinf_r = s.v0 * math.cos(theta) * ph
+            vinf_t = -s.v0 * math.sin(theta) * ph
+            far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)) / vnorm)
+    form, sym = [], []
+    for rr in (1.5 * s.a, 3.0 * s.a):
+        for t in (0.0, period / 5.0):
+            p0 = pressure(s, PolarPoint(rr, 0.0), t)
+            pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
+            for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1):
+                p = pressure(s, PolarPoint(rr, theta), t)
+                form.append(abs(p / math.cos(theta) - p0) / pnorm)
+                p_neg = pressure(s, PolarPoint(rr, -theta), t)
+                p_sup = pressure(s, PolarPoint(rr, math.pi - theta), t)
+                sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
+    no_slip, far, form, sym = (max(v, key=nan_rank) for v in (no_slip, far, form, sym))
+    return BoundaryReport(
+        no_slip_max=no_slip, far_field_max=far, pressure_form_max=form,
+        symmetry_max=sym, far_radius=far_radius,
+        no_slip_ok=no_slip <= NO_SLIP_TOL, far_field_ok=far <= FAR_FIELD_TOL,
+        pressure_form_ok=form <= PRESSURE_FORM_TOL, symmetry_ok=sym <= SYMMETRY_TOL)
+
+
+@pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
+def test_boundary_suite_matches_public_reference(s):
+    assert boundary_suite(s) == reference_boundary_suite(s)
+
+
+@pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
+@pytest.mark.parametrize("rho, theta, t", [
+    (1.5, 0.7, 0.0),         # central stencil
+    (3.0, 2.9, 3.1e-4),      # central stencil, later time
+    (1.00005, 0.35, 0.0),    # r - h < a: one-sided stencil
+    (1.0, 4.0, 1.7e-3),      # on the wall: one-sided stencil
+])
+def test_residual_report_matches_public_reference(s, rho, theta, t):
+    pt = PolarPoint(rho * s.a, theta)
+    h = 1e-4 * pt.r
+    got = residual_report(s, pt, t, h)
+    want = reference_residual_report(s, pt, t, h)
+    assert got.one_sided == (rho < 1.0001)
+    assert got == want
+    assert residual_report(s, pt, t) == want  # default step 1e-4 r
+
+
+def test_checks_sample_once_per_block(monkeypatch):
+    # boundary_suite takes one phase per (radius, time) block, 10 in all,
+    # and a stencil one; neither samples a point through the public API
+    phases = []
+    phase = oscylinder.flow._phase
+
+    def counted(s, t):
+        phases.append(t)
+        return phase(s, t)
+
+    def refused(*args):
+        raise AssertionError("a check sampled a point through the public API")
+
+    for module in (oscylinder.flow, oscylinder.residuals):
+        monkeypatch.setattr(module, "_phase", counted, raising=False)
+        for name in ("flow_state", "velocity", "pressure"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    assert boundary_suite(S3).passed
+    assert 0 < len(phases) <= 10
+    phases.clear()
+    residual_report(S3, PolarPoint(1.5 * S3.a, 0.7))
+    residual_report(S3, PolarPoint(S3.a, 0.7))
+    assert len(phases) == 2
