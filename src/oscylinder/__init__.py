@@ -17,11 +17,9 @@ from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
 from .forces import (ForceResult, StressTensor, force_analytic,
                      force_buoyancy, force_quadrature, force_viscous_approx,
                      stress_tensor, traction)
-from .residuals import (BoundaryReport, ResidualReport, boundary_suite,
-                        continuity_pair, continuity_residual,
-                        convergence_order, momentum_residual,
-                        pressure_laplacian_residual, residual_report,
-                        residual_tolerance)
+from .residuals import (BoundaryReport, Check, ResidualReport, boundary_suite,
+                        continuity_pair, convergence_order, residual_report,
+                        residual_tolerance, validate_checks)
 
 __version__ = "0.1.0"
 
@@ -29,6 +27,7 @@ __all__ = [
     "AIR_20C",
     "BesselDomainError",
     "BoundaryReport",
+    "Check",
     "Fluid",
     "FlowState",
     "ForceResult",
@@ -51,7 +50,6 @@ __all__ = [
     "coefficient_B",
     "coefficient_C",
     "continuity_pair",
-    "continuity_residual",
     "convergence_order",
     "f_of_r",
     "far_field_pressure",
@@ -61,9 +59,7 @@ __all__ = [
     "force_buoyancy",
     "force_quadrature",
     "force_viscous_approx",
-    "momentum_residual",
     "pressure",
-    "pressure_laplacian_residual",
     "radial_velocity_from_constants",
     "recovery_radius",
     "residual_report",
@@ -71,6 +67,7 @@ __all__ = [
     "reynolds_number",
     "stress_tensor",
     "traction",
+    "validate_checks",
     "validity_report",
     "velocity",
 ]

@@ -5,7 +5,7 @@ Subcommands
 profile   radial decay of |v_r(r, 0)| and |v_theta(r, pi/2)|
 field     Cartesian grid of pressure and velocity around the cylinder
 force     force per unit length versus frequency (four evaluation paths)
-validate  equation residuals + boundary checks; exit 0 on pass, 1 on fail
+validate  prints residuals.validate_checks; exit 0 on pass, 1 on fail
 
 All CSV output is byte-deterministic: floats are written with 17
 significant digits (round-trip exact), rows are emitted in a fixed
@@ -24,18 +24,17 @@ import argparse
 import cmath
 import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
                      bessel_k1_minus_pole, BesselDomainError)
-from .flow import (AIR_20C, Fluid, Perturbation, PolarPoint, Scenario,
-                   _check_radius, _fields, _phase)
+from .flow import (AIR_20C, Fluid, Perturbation, Scenario, _check_radius,
+                   _fields, _phase)
 from .forces import (force_analytic, force_buoyancy, force_quadrature,
                      force_viscous_approx)
-from .residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
-                        SYMMETRY_TOL, boundary_suite, nan_rank,
-                        residual_report, residual_tolerance)
+from .residuals import validate_checks
 
 _MODES = ("re", "im", "abs", "phase")
 
@@ -81,6 +80,7 @@ def _mode_value(z: complex, mode: str) -> float:
 def _open_out(path: str | None):
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()  # a reader that left raises here, inside main()
     else:
         with open(path, "w", encoding="ascii", newline="") as fh:
             yield fh
@@ -359,60 +359,13 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
 
 
 def cmd_validate(cfg: RunConfig, h_rel: float) -> int:
-    if not (math.isfinite(h_rel) and 0.0 < h_rel < 0.1):
-        raise ValueError(f"--h-rel must lie in (0, 0.1), got {h_rel}")
-    f = cfg.frequencies[0]
-    s = cfg.scenario(f)
-    lines: list[str] = []
-    ok_all = True
-
-    rhos = [1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)]
-    thetas = (0.35, 1.05, 1.85, 2.65, 3.45)
-    # (value, tol) pairs; (0, 1) is what prints when every residual is 0
-    found = {q: [(0.0, 1.0)] for q in ("continuity", "momentum_r",
-                                       "momentum_theta", "pressure_laplacian")}
-    for rho in rhos:
-        tol = residual_tolerance(s, rho, h_rel)
-        for theta in thetas:
-            rep = residual_report(s, PolarPoint(rho * cfg.a, theta), cfg.t,
-                                  h=h_rel * rho * cfg.a)
-            for q, pairs in found.items():
-                pairs.append((getattr(rep, q), tol))
-    for q, pairs in found.items():
-        value, tol = max(pairs, key=lambda pair: nan_rank(pair[0]))
-        ok = all(v <= t for v, t in pairs)
-        ok_all &= ok
-        lines.append(f"residual {q} max={value:.3e} tol={tol:.3e} "
-                     f"{'PASS' if ok else 'FAIL'}")
-
-    rep = boundary_suite(s)
-    for name, value, tol, ok in (
-            ("no_slip", rep.no_slip_max, NO_SLIP_TOL, rep.no_slip_ok),
-            ("far_field", rep.far_field_max, FAR_FIELD_TOL, rep.far_field_ok),
-            ("pressure_form", rep.pressure_form_max, PRESSURE_FORM_TOL,
-             rep.pressure_form_ok),
-            ("symmetry", rep.symmetry_max, SYMMETRY_TOL, rep.symmetry_ok)):
-        ok_all &= ok
-        lines.append(f"boundary {name} max={value:.3e} tol={tol:.3e} "
-                     f"{'PASS' if ok else 'FAIL'}")
-
-    fq = force_quadrature(s, cfg.t, 512)
-    fa = force_analytic(s, cfg.t)
-    # != 0 rather than abs() > 0, so that NaN reaches the <= checks below
-    rel = abs(fq.fx - fa.fx) / abs(fa.fx) if fa.fx != 0 else 0.0
-    transverse = abs(fq.fy) / abs(fq.fx) if fq.fx != 0 else 0.0
-    ok_force = rel <= 1e-9
-    ok_transverse = transverse <= 1e-12
-    ok_all &= ok_force and ok_transverse
-    lines.append(f"force quadrature_vs_analytic rel={rel:.3e} tol=1.000e-09 "
-                 f"{'PASS' if ok_force else 'FAIL'}")
-    lines.append(f"force transverse rel={transverse:.3e} tol=1.000e-12 "
-                 f"{'PASS' if ok_transverse else 'FAIL'}")
-
-    lines.append(f"RESULT {'PASS' if ok_all else 'FAIL'}")
+    checks = validate_checks(cfg.scenario(cfg.frequencies[0]), cfg.t, h_rel)
+    ok_all = all(c.ok for c in checks)
     with _open_out(cfg.out) as stream:
-        for line in lines:
-            stream.write(line + "\n")
+        for c in checks:
+            stream.write(f"{c.name}={c.value:.3e} tol={c.tol:.3e} "
+                         f"{'PASS' if c.ok else 'FAIL'}\n")
+        stream.write(f"RESULT {'PASS' if ok_all else 'FAIL'}\n")
     return 0 if ok_all else 1
 
 
@@ -424,12 +377,11 @@ def cmd_bessel_eval(z_re: float, z_im: float, scaled: bool) -> int:
         ("I0", bessel_i0(z, scaled=scaled)),
         ("I1", bessel_i1(z, scaled=scaled)),
     ]
-    sys.stdout.write("function,re,im\n")
-    for name, v in values:
-        sys.stdout.write(f"{name},{_fmt(v.real)},{_fmt(v.imag)}\n")
     if not scaled:
-        k1m = bessel_k1_minus_pole(z)
-        sys.stdout.write(f"K1_minus_pole,{_fmt(k1m.real)},{_fmt(k1m.imag)}\n")
+        values.append(("K1_minus_pole", bessel_k1_minus_pole(z)))
+    with _open_out(None) as stream:
+        _write_csv(stream, ["function", "re", "im"],
+                   ([name, _fmt(v.real), _fmt(v.imag)] for name, v in values))
     return 0
 
 
@@ -451,6 +403,10 @@ def main(argv=None) -> int:
         if args.command == "force":
             return cmd_force(cfg, args.nodes, args.jobs)
         return cmd_validate(cfg, args.h_rel)
+    except BrokenPipeError:
+        # stdout's reader left (`| head`): exit quietly, flush later to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, OverflowError, BesselDomainError, OSError) as exc:
         print(f"oscylinder: error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,9 @@ Radial steps use central second-order differences, switching to
 one-sided second-order stencils (into the fluid) when r - h would fall
 below the surface, so no stencil ever crosses r = a.  Azimuthal steps
 use the arc-length-matched h_theta = h/r.
+
+validate_checks is the self-check as one table of Check rows (name,
+value, tol, ok), the rows `oscylinder validate` prints; NaN fails a row.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import sys
 from dataclasses import dataclass
 
 from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase
+from .forces import force_analytic, force_quadrature
 
 #: boundary_suite thresholds
 NO_SLIP_TOL = 1e-12
@@ -148,23 +152,6 @@ def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
         momentum_theta=abs(mom_t) / (vnorm * omega),
         pressure_laplacian=abs(lap_p) * s.a / (rho0 * omega * vnorm),
     )
-
-
-def continuity_residual(s: Scenario, pt: PolarPoint, t: float = 0.0,
-                        h: float | None = None) -> float:
-    return residual_report(s, pt, t, h).continuity
-
-
-def momentum_residual(s: Scenario, pt: PolarPoint, t: float = 0.0,
-                      h: float | None = None) -> tuple[float, float]:
-    """(radial, azimuthal) momentum residuals."""
-    rep = residual_report(s, pt, t, h)
-    return rep.momentum_r, rep.momentum_theta
-
-
-def pressure_laplacian_residual(s: Scenario, pt: PolarPoint, t: float = 0.0,
-                                h: float | None = None) -> float:
-    return residual_report(s, pt, t, h).pressure_laplacian
 
 
 def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
@@ -328,3 +315,52 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
         pressure_form_ok=form <= PRESSURE_FORM_TOL,
         symmetry_ok=sym <= SYMMETRY_TOL,
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """One validate row; name is the text before "=" in the printed line."""
+
+    name: str
+    value: float
+    tol: float
+    ok: bool
+
+
+def validate_checks(s: Scenario, t: float = 0.0,
+                    h_rel: float = 1e-4) -> list[Check]:
+    """The ten rows `oscylinder validate` prints, in order: each equation's
+    largest residual (step h_rel r) on 5 radii in [1.1a, 100a] x 5 angles,
+    passing only if each meets the residual_tolerance of its own radius; the
+    boundary_suite maxima; the force_quadrature-vs-analytic and |Fy/Fx| ratios."""
+    if not (math.isfinite(h_rel) and 0.0 < h_rel < 0.1):
+        raise ValueError(f"h_rel must lie in (0, 0.1), got {h_rel!r}")
+    # (value, tol) pairs; (0, 1) is what prints when every residual is 0
+    found = {q: [(0.0, 1.0)] for q in _QUANTITIES}
+    for rho in (1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)):
+        tol = residual_tolerance(s, rho, h_rel)
+        for theta in (0.35, 1.05, 1.85, 2.65, 3.45):
+            rep = residual_report(s, PolarPoint(rho * s.a, theta), t,
+                                  h=h_rel * rho * s.a)
+            for q, pairs in found.items():
+                pairs.append((getattr(rep, q), tol))
+    checks = []
+    for q, pairs in found.items():
+        value, tol = max(pairs, key=lambda pair: nan_rank(pair[0]))
+        checks.append(Check(f"residual {q} max", value, tol,
+                            all(v <= tl for v, tl in pairs)))
+
+    b = boundary_suite(s)
+    for q, tol in (("no_slip", NO_SLIP_TOL), ("far_field", FAR_FIELD_TOL),
+                   ("pressure_form", PRESSURE_FORM_TOL), ("symmetry", SYMMETRY_TOL)):
+        checks.append(Check(f"boundary {q} max", getattr(b, f"{q}_max"), tol,
+                            getattr(b, f"{q}_ok")))
+
+    fq, fa = force_quadrature(s, t, 512), force_analytic(s, t)
+    # != 0 rather than abs() > 0, so that NaN reaches the <= checks below
+    rel = abs(fq.fx - fa.fx) / abs(fa.fx) if fa.fx != 0 else 0.0
+    transverse = abs(fq.fy) / abs(fq.fx) if fq.fx != 0 else 0.0
+    for name, value, tol in (("force quadrature_vs_analytic rel", rel, 1e-9),
+                             ("force transverse rel", transverse, 1e-12)):
+        checks.append(Check(name, value, tol, value <= tol))
+    return checks

@@ -8,6 +8,7 @@ converted by ``main`` into a return value of 2.
 
 import csv
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -18,8 +19,12 @@ import pytest
 import oscylinder.flow
 import oscylinder.forces
 from oscylinder import bessel_k0
-from oscylinder import AIR_20C
+from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
+                        boundary_suite, force_analytic, force_quadrature,
+                        residual_report, residual_tolerance)
 from oscylinder.cli import main
+from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
+                                  SYMMETRY_TOL, nan_rank)
 
 AIR_RHO0 = 1.204
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -271,6 +276,79 @@ def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
     assert not moved
 
 
+def reference_validate_report(s, t=0.0, h_rel=1e-4):
+    """validate's 11 report lines and exit code, computed here row by row
+    from the public checks, independently of residuals.validate_checks."""
+    lines = []
+    ok_all = True
+    rhos = [1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)]
+    thetas = (0.35, 1.05, 1.85, 2.65, 3.45)
+    found = {q: [(0.0, 1.0)] for q in ("continuity", "momentum_r",
+                                       "momentum_theta", "pressure_laplacian")}
+    for rho in rhos:
+        tol = residual_tolerance(s, rho, h_rel)
+        for theta in thetas:
+            rep = residual_report(s, PolarPoint(rho * s.a, theta), t,
+                                  h=h_rel * rho * s.a)
+            for q, pairs in found.items():
+                pairs.append((getattr(rep, q), tol))
+    for q, pairs in found.items():
+        value, tol = max(pairs, key=lambda pair: nan_rank(pair[0]))
+        ok = all(v <= tl for v, tl in pairs)
+        ok_all &= ok
+        lines.append(f"residual {q} max={value:.3e} tol={tol:.3e} "
+                     f"{'PASS' if ok else 'FAIL'}")
+    rep = boundary_suite(s)
+    for name, value, tol, ok in (
+            ("no_slip", rep.no_slip_max, NO_SLIP_TOL, rep.no_slip_ok),
+            ("far_field", rep.far_field_max, FAR_FIELD_TOL, rep.far_field_ok),
+            ("pressure_form", rep.pressure_form_max, PRESSURE_FORM_TOL,
+             rep.pressure_form_ok),
+            ("symmetry", rep.symmetry_max, SYMMETRY_TOL, rep.symmetry_ok)):
+        ok_all &= ok
+        lines.append(f"boundary {name} max={value:.3e} tol={tol:.3e} "
+                     f"{'PASS' if ok else 'FAIL'}")
+    fq = force_quadrature(s, t, 512)
+    fa = force_analytic(s, t)
+    rel = abs(fq.fx - fa.fx) / abs(fa.fx) if fa.fx != 0 else 0.0
+    transverse = abs(fq.fy) / abs(fq.fx) if fq.fx != 0 else 0.0
+    ok_force = rel <= 1e-9
+    ok_transverse = transverse <= 1e-12
+    ok_all &= ok_force and ok_transverse
+    lines.append(f"force quadrature_vs_analytic rel={rel:.3e} tol=1.000e-09 "
+                 f"{'PASS' if ok_force else 'FAIL'}")
+    lines.append(f"force transverse rel={transverse:.3e} tol=1.000e-12 "
+                 f"{'PASS' if ok_transverse else 'FAIL'}")
+    lines.append(f"RESULT {'PASS' if ok_all else 'FAIL'}")
+    return lines, 0 if ok_all else 1
+
+
+#: (a, f, v0, t, mutate): the default scenario, also with every residual
+#: exactly 0 (v0 = 0) and at a later time, a thick-layer scenario, then
+#: beta a from 1e-8 to 1e4 at 1 kHz, each clean and under every 0.1%
+#: coefficient mutation
+VALIDATE_CASES = [(1e-4, 1000.0, 1.0, 0.0, None), (1e-4, 1000.0, 0.0, 0.0, None),
+                  (1e-4, 1000.0, 1.0, 3.1e-4, None), (1e-6, 10.0, 1.0, 0.0, None)] + [
+    (ba / math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0), 1000.0, 1.0, 0.0, mutate)
+    for ba in (1e-8, 1e-5, 1e-3, 0.1, 1.0, 30.0, 1e3, 1e4)
+    for mutate in (None, "B:1.001", "C:1.001", "fa:1.001", "beta:1.001")]
+
+
+@pytest.mark.parametrize("a, f, v0, t, mutate", VALIDATE_CASES)
+def test_validate_prints_the_reference_report(a, f, v0, t, mutate, capsys):
+    argv = ["validate", "--a", repr(a), "--f", repr(f), "--v0", repr(v0),
+            "--t", repr(t)]
+    perturbation = None
+    if mutate:
+        argv += ["--mutate", mutate]
+        name, factor = mutate.split(":")
+        perturbation = Perturbation({"fa": "f_a"}.get(name, name), float(factor))
+    code = main(argv)
+    s = Scenario.from_frequency(AIR_20C, a, v0, f, perturbation=perturbation)
+    assert (capsys.readouterr().out.splitlines(), code) == \
+        reference_validate_report(s, t)
+
+
 def test_validate_writes_file(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["validate", "--out", str(out)]) == 0
@@ -407,6 +485,24 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("function,re,im")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_quietly(unbuffered):
+    # the default 41 x 41 map is ~200 KB, more than a pipe buffer holds, so
+    # the writer is still writing when the reader closes after one line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "oscylinder.cli", "field"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline().startswith(b"x [m],")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 2
 
 
 def test_runtime_imports_only_stdlib():

@@ -15,6 +15,7 @@ import math
 import pytest
 
 import oscylinder.flow
+import oscylinder.forces
 import oscylinder.residuals
 from oscylinder import (
     AIR_20C,
@@ -25,14 +26,12 @@ from oscylinder import (
     Scenario,
     boundary_suite,
     continuity_pair,
-    continuity_residual,
     convergence_order,
     flow_state,
-    momentum_residual,
     pressure,
-    pressure_laplacian_residual,
     residual_report,
     residual_tolerance,
+    validate_checks,
     velocity,
 )
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
@@ -114,14 +113,6 @@ def test_one_sided_stencil_near_wall():
 def test_central_stencil_flag():
     rep = residual_report(S3, PolarPoint(1.1 * S3.a, 0.8))
     assert not rep.one_sided
-
-
-def test_wrapper_functions_agree_with_report():
-    pt = PolarPoint(2.5 * S3.a, 1.3)
-    rep = residual_report(S3, pt, t=2e-4)
-    assert continuity_residual(S3, pt, t=2e-4) == rep.continuity
-    assert momentum_residual(S3, pt, t=2e-4) == (rep.momentum_r, rep.momentum_theta)
-    assert pressure_laplacian_residual(S3, pt, t=2e-4) == rep.pressure_laplacian
 
 
 # ----------------------------------------------------------------------
@@ -437,3 +428,50 @@ def test_checks_sample_once_per_block(monkeypatch):
     residual_report(S3, PolarPoint(1.5 * S3.a, 0.7))
     residual_report(S3, PolarPoint(S3.a, 0.7))
     assert len(phases) == 2
+
+
+# ----------------------------------------------------------------------
+# validate_checks
+# ----------------------------------------------------------------------
+
+def test_validate_checks_nan_fails_every_row(monkeypatch):
+    # NaN fields reach all ten rows: residual and boundary maxima keep the
+    # NaN, and the force ratios' != 0 guards let it through to <=
+    for module in (oscylinder.flow, oscylinder.forces):
+        monkeypatch.setattr(module, "_radial",
+                            lambda s, rho: (complex("nan"),) * 5)
+    checks = validate_checks(S3)
+    assert len(checks) == 10
+    assert [c.ok for c in checks] == [False] * 10
+
+
+@pytest.mark.parametrize("h_rel", [0.0, 0.1, math.nan, 0.5])
+def test_validate_checks_rejects_step_outside_range(h_rel):
+    with pytest.raises(ValueError, match="h_rel"):
+        validate_checks(S3, h_rel=h_rel)
+
+
+@pytest.mark.parametrize("ba", [1e-8, 1e-3, 1.0, 30.0, 1e3])
+def test_every_mutation_fails_a_validate_row(ba):
+    # the clean scenario passes every row, and each 0.1% coefficient
+    # mutation fails at least one, across the supported beta a range
+    f = 1000.0
+    a = ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
+    assert all(c.ok for c in validate_checks(scenario(a, f)))
+    for name in ("B", "C", "f_a", "beta"):
+        mutated = scenario(a, f, perturbation=Perturbation(name, 1.001))
+        assert not all(c.ok for c in validate_checks(mutated)), name
+
+
+def test_validate_residual_row_fails_on_any_radius(monkeypatch):
+    # the printed (max, tol) pair can pass while a smaller residual fails
+    # the tighter tolerance of its own radius: the row must still fail
+    def report(s, pt, t, h):
+        inner = pt.r < 2.0 * s.a
+        return ResidualReport(pt, t, h, False, *(4 * [1.0 if inner else 1e-3]))
+
+    monkeypatch.setattr(oscylinder.residuals, "residual_report", report)
+    monkeypatch.setattr(oscylinder.residuals, "residual_tolerance",
+                        lambda s, rho, h_rel: 2.0 if rho < 2.0 else 1e-6)
+    for c in validate_checks(S3)[:4]:
+        assert (c.value, c.tol, c.ok) == (1.0, 2.0, False)
