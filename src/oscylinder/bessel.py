@@ -14,7 +14,7 @@ Algorithm split:
 * 2 <= |z| <= 17, K: Steed's continued fraction CF2 (Thompson & Barnett
   1986, J. Comput. Phys. 64:490; Numerical Recipes section 6.7), which
   gives e^z K0 and e^z K1 directly.  CF2 needs Re z >= 0; the left
-  half-plane is reached by reflection, DLMF 10.34.2.
+  half-plane is reached by reflection (DLMF 10.34.2), K's only use of I.
 * |z| <= 17, I: Miller backward recurrence for the ratios I_k/I_{k-1},
   normalised by I0 + 2 sum_k I_k = e^z (DLMF 10.35.1 at t = 1).  I never
   uses K, so the Wronskian I0 K1 + I1 K0 = 1/z remains an independent
@@ -131,7 +131,7 @@ def _steed(z: complex) -> tuple[complex, complex]:
 
 
 def _miller(w: complex) -> tuple[complex, complex]:
-    """(e^{-w} I0, e^{-w} I1) by Miller backward recurrence, Re w >= 0.
+    """(I0, I1) by Miller backward recurrence, Re w >= 0.
 
     The ratios r_k = I_k/I_{k-1} = w/(2k + w r_{k+1}) run down from
     r_{n+1} = 0, and u_k = r_k (1 + u_{k+1}) = sum_{j>=k} I_j/I_{k-1}, so
@@ -145,38 +145,38 @@ def _miller(w: complex) -> tuple[complex, complex]:
         r = w / (2.0 * k + w * r)
         u = r * (1.0 + u)
     i0s = 1.0 / (1.0 + 2.0 * u)
-    return i0s, r * i0s
+    ew = cmath.exp(w)
+    return i0s * ew, r * i0s * ew
 
 
 @lru_cache(maxsize=4096)
-def _series_values(z: complex):
-    """(I0, I1, K0, K1, K1 - 1/z) for |z| <= 17, unscaled.
-
-    I comes from Miller's recurrence on w = +-z with Re w >= 0 (I0 is
-    even, I1 odd).  K comes from Temme's series below |z| = 2 and from
-    CF2 above; in the left half-plane CF2 runs on w = -z and DLMF
-    10.34.2 with m = sign(Im z) reflects it back:
+def _k_values(z: complex):
+    """(K0, K1, K1 - 1/z) for |z| <= 17, unscaled: Temme's series below
+    |z| = 2, CF2 above.  In the left half-plane CF2 runs on w = -z and
+    DLMF 10.34.2 with m = sign(Im z) reflects it back, with Miller's I:
         K0(z) = K0(w) - m pi i I0(w),   K1(z) = -K1(w) - m pi i I1(w).
     """
-    reflect = z.real < 0.0
-    w = -z if reflect else z
-    i0s, i1s = _miller(w)
-    ew = cmath.exp(w)
-    i0, i1 = i0s * ew, i1s * ew
     if abs(z) < _TEMME_RADIUS:
         k0, k1m = _temme(z)
-        k1 = k1m + 1.0 / z
-    else:
-        k0s, k1s = _steed(w)
-        emw = cmath.exp(-w)
-        k0, k1 = k0s * emw, k1s * emw
-        if reflect:
-            m = math.pi * 1j if z.imag > 0.0 else -math.pi * 1j
-            k0, k1 = k0 - m * i0, -k1 - m * i1
-        k1m = k1 - 1.0 / z
+        return k0, k1m + 1.0 / z, k1m
+    reflect = z.real < 0.0
+    w = -z if reflect else z
+    k0s, k1s = _steed(w)
+    emw = cmath.exp(-w)
+    k0, k1 = k0s * emw, k1s * emw
     if reflect:
-        i1 = -i1
-    return i0, i1, k0, k1, k1m
+        i0, i1 = _miller(w)
+        m = math.pi * 1j if z.imag > 0.0 else -math.pi * 1j
+        k0, k1 = k0 - m * i0, -k1 - m * i1
+    return k0, k1, k1 - 1.0 / z
+
+
+def _series_values(z: complex):
+    """(I0, I1, K0, K1, K1 - 1/z) for |z| <= 17, unscaled: I from Miller's
+    recurrence on w = +-z with Re w >= 0 (I0 even, I1 odd), K from _k_values."""
+    reflect = z.real < 0.0
+    i0, i1 = _miller(-z if reflect else z)
+    return (i0, -i1 if reflect else i1, *_k_values(z))
 
 
 def _asym_sum(nu: int, z: complex) -> complex:
@@ -239,7 +239,7 @@ def bessel_k0(z: complex, scaled: bool = False) -> complex:
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
-        k0 = _series_values(z)[2]
+        k0 = _k_values(z)[0]
         return k0 * cmath.exp(z) if scaled else k0
     k0s = _asym_values_scaled(z)[0]
     return k0s if scaled else k0s * _k_unscaling(z)
@@ -250,7 +250,7 @@ def bessel_k1(z: complex, scaled: bool = False) -> complex:
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
-        k1 = _series_values(z)[3]
+        k1 = _k_values(z)[1]
         return k1 * cmath.exp(z) if scaled else k1
     k1s = _asym_values_scaled(z)[1]
     return k1s if scaled else k1s * _k_unscaling(z)
@@ -290,6 +290,6 @@ def bessel_k1_minus_pole(z: complex) -> complex:
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
-        return _series_values(z)[4]
+        return _k_values(z)[2]
     k1s = _asym_values_scaled(z)[1]
     return k1s * cmath.exp(-z) - 1.0 / z

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
                      bessel_k1_minus_pole, BesselDomainError)
@@ -157,6 +158,7 @@ def _parse_mutate(parser, text) -> Perturbation:
     return Perturbation(coefficient=names[parts[0]], factor=factor)
 
 
+@lru_cache(maxsize=None)  # one parser per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscylinder",

@@ -23,7 +23,7 @@ at rho = 1.  Physical fields are the real parts.
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface.  _radial(s, rho) returns
-B_r, B_theta, their rho-derivatives and P from that set; _fields (which
+B_r, B_theta, their rho-derivatives and P, memoised per rho; _fields (which
 flow_state wraps) is angle x _radial x phase for v_r, v_theta and p.
 Stress, traction and force are angle x _radial x phase products too, so
 a Perturbation reaches every field the same way.
@@ -144,11 +144,12 @@ class _Coefficients:
     regular part at rho = 1, and pole = i ba^2 q is the pole part of
     i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
     term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
-    `last` holds (rho, _radial result) of the latest _radial call.
+    `memo` maps rho to its _radial result, so terms() runs once per
+    distinct rho; it is emptied when it reaches 4096 entries.
     """
 
     __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
-                 "g1", "excess", "last")
+                 "g1", "excess", "memo")
 
     def __init__(self, s: Scenario):
         weight = dict.fromkeys(PERTURBABLE, 1.0)
@@ -176,7 +177,7 @@ class _Coefficients:
             raise ValueError(f"f(a)/(beta a) = {self.g1} is not finite at "
                              f"beta a = {ba:g}")
         self.excess = self.c * ((fa - 1.0) * g1) + (self.c - self.b) * self.q
-        self.last = (None, None)
+        self.memo = {}
 
     def terms(self, rho: float) -> tuple[complex, complex]:
         """Regular part of G(rho) and K0(j- ba rho)/K0(j- ba), underflow-safe."""
@@ -253,13 +254,13 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
     B_theta - B_r = 2 b k0r - 2, so B_theta' = B_r' + i b ba^2 G(rho).
     At rho = 1 the brackets and B_r' vanish bitwise when unperturbed: every
     term evaluated there reuses the floats cached in the coefficient set.
-    The latest (rho, result) pair is kept there too, replaced in one
-    assignment, and returned again when the next call asks for that rho.
+    Results are kept in the set's memo by rho and returned on later calls;
+    each dict get or set is atomic, so threads sharing a Scenario agree.
     """
     k = s._coefficients
-    last = k.last
-    if last[0] == rho:
-        return last[1]
+    hit = k.memo.get(rho)
+    if hit is not None:
+        return hit
     b, c = k.b, k.c
     gr, k0r = k.terms(rho)
     inv = 1.0 / rho
@@ -275,7 +276,9 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
     dwall = 2.0 * k.excess * inv3
     pb = (rho + c / rho) + c * k.g1 / rho
     result = br, bth, dbr + dwall, dbth + dwall, pb
-    k.last = (rho, result)
+    if len(k.memo) >= 4096:  # as many entries as each Bessel cache holds
+        k.memo.clear()
+    k.memo[rho] = result
     return result
 
 

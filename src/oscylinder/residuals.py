@@ -208,12 +208,20 @@ def residual_tolerance(s: Scenario, rho: float, h_rel: float = 1e-4) -> float:
     * roundoff amplification of second differences, ~eps/h^2 on fields
       of size v0, i.e. ~40 eps/((beta a) rho h_rel)^2 after the
       momentum normalization by v0 omega.
+
+    An infinite envelope would pass anything, so it raises ValueError.
     """
     ba = s.ba
     eps = sys.float_info.epsilon
-    truncation = 3e-7 * (h_rel / 1e-4) ** 2 / ((ba * ba) * rho ** 4)
-    roundoff = 40.0 * eps / ((ba * rho * h_rel) ** 2)
-    return max(1e-6, truncation, roundoff)
+    try:
+        truncation = 3e-7 * (h_rel / 1e-4) ** 2 / ((ba * ba) * rho ** 4)
+        roundoff = 40.0 * eps / ((ba * rho * h_rel) ** 2)
+        tol = max(1e-6, truncation, roundoff)
+    except ZeroDivisionError:  # a power of beta a underflowed to 0
+        tol = math.inf
+    if tol == math.inf:
+        raise ValueError(f"residual tolerance overflows at beta a = {ba:g}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -335,6 +343,7 @@ def validate_checks(s: Scenario, t: float = 0.0,
     boundary_suite maxima; the force_quadrature-vs-analytic and |Fy/Fx| ratios."""
     if not (math.isfinite(h_rel) and 0.0 < h_rel < 0.1):
         raise ValueError(f"h_rel must lie in (0, 0.1), got {h_rel!r}")
+    s._coefficients  # an unusable beta a fails here, naming it, before any tol
     # (value, tol) pairs; (0, 1) is what prints when every residual is 0
     found = {q: [(0.0, 1.0)] for q in _QUANTITIES}
     for rho in (1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)):

@@ -312,6 +312,38 @@ def test_branch_agreement_at_crossover():
         assert abs(k1s * ez - k1) < 5e-14 * abs(k1)
 
 
+def test_k_runs_miller_only_to_reflect(monkeypatch):
+    # K on Re z >= 0 never needs I: with Miller's recurrence disabled it
+    # still returns Temme's series (|z| < 2) or CF2 (above), bitwise
+    from oscylinder import bessel
+    from oscylinder.bessel import _steed, _temme
+
+    def no_miller(w):
+        raise AssertionError("K used Miller's recurrence")
+
+    monkeypatch.setattr(bessel, "_miller", no_miller)
+    bessel._k_values.cache_clear()
+    ray = [cmath.rect(r, -math.pi / 4) for r in (1e-8, 0.5, 1.99, 2.0, 7.0, 17.0)]
+    others = [cmath.rect(r, phi) for r in (0.3, 3.0, 16.0)
+              for phi in (0.0, math.pi / 3, -1.4, math.pi / 2)]
+    for z in ray + others:
+        if abs(z) < 2.0:
+            k0, k1m = _temme(z)
+            k1 = k1m + 1.0 / z
+        else:
+            k0s, k1s = _steed(z)
+            k0, k1 = k0s * cmath.exp(-z), k1s * cmath.exp(-z)
+            k1m = k1 - 1.0 / z
+        assert bessel_k0(z) == k0
+        assert bessel_k1(z) == k1
+        assert bessel_k0(z, scaled=True) == k0 * cmath.exp(z)
+        assert bessel_k1(z, scaled=True) == k1 * cmath.exp(z)
+        assert bessel_k1_minus_pole(z) == k1m
+    # the reflected branch is the one K path that still needs I
+    with pytest.raises(AssertionError):
+        bessel_k0(complex(-3.0, 1.0))
+
+
 def test_small_argument_limits():
     # K0 -> -ln(z/2) - gamma and K1 -> 1/z as z -> 0; the truncation of
     # the K1 limit is O(|z|^2 ln|z|), so |z| <~ 1e-4 keeps it below 1e-6.

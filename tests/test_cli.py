@@ -6,6 +6,7 @@ errors surface as ``SystemExit(2)`` from argparse; semantic errors are
 converted by ``main`` into a return value of 2.
 """
 
+import argparse
 import csv
 import math
 import os
@@ -22,7 +23,7 @@ from oscylinder import bessel_k0
 from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
                         boundary_suite, force_analytic, force_quadrature,
                         residual_report, residual_tolerance)
-from oscylinder.cli import main
+from oscylinder.cli import build_parser, main
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
                                   SYMMETRY_TOL, nan_rank)
 
@@ -265,7 +266,7 @@ def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
     radial = oscylinder.flow._radial
 
     def without_memo(s, rho):
-        s._coefficients.last = (None, None)
+        s._coefficients.memo.clear()
         return radial(s, rho)
 
     monkeypatch.setattr(oscylinder.flow, "_radial", without_memo)
@@ -437,6 +438,20 @@ def test_tiny_beta_a_fails_loudly(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("a", ["1e-200", "1e-250", "1e-300"])
+def test_validate_at_tiny_beta_a_fails_loudly(a):
+    # (beta a)^2 underflows to 0 here: exit 2 with one message, no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscylinder.cli", "validate", "--a", a],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "beta a" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_force_at_tiny_beta_a_is_finite(capsys):
     # 1/(beta a)^2 overflows here while f(a)/(beta a) is still finite
     assert main(["force", "--a", "1e-158", "--f", "1"]) == 0
@@ -477,6 +492,46 @@ def test_custom_fluid_accepted(tmp_path):
     assert code == 0
     _, rows = parse_csv(data)
     assert len(rows) == 4
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # one cached parser serves every main() call: the same codes, stdout
+    # and stderr as a parser built afresh for each call
+    argvs = [["validate"],
+             ["validate", "--f", "1", "--f-list", "2"],  # argparse SystemExit
+             ["validate", "--mutate", "Q:1.001"],  # parser.error after parsing
+             ["force"],
+             ["profile", "--mode", "phase"],
+             []]  # help on stderr, exit 2
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+
+    reused = []
+    built_during = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built_during.append(len(reused))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for argv in argvs:
+        reused.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0, 2]
+    assert built_during and set(built_during) == {0}
 
 
 def test_module_entry_point():

@@ -26,6 +26,8 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, Fluid, Perturbation,
                         recovery_radius, reynolds_number, validity_report,
                         velocity)
 from oscylinder import bessel_k1_minus_pole
+import oscylinder.flow
+from oscylinder.cli import main
 from oscylinder.flow import _check_radius, _fields, _phase, _radial
 
 
@@ -329,7 +331,7 @@ def test_coefficient_B_overflow():
 
 
 # ----------------------------------------------------------------------
-# last-radius memo in _radial
+# per-radius memo in _radial
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("a, f", [(1e-6, 10.0), (1e-4, 1000.0)],
@@ -357,9 +359,43 @@ def test_radial_memo_is_per_scenario(a, f, name):
         assert _radial(mutated, 2.0) == want_mutated
 
 
+def test_field_evaluates_each_radius_once(monkeypatch, capsys):
+    # the default 41 x 41 map runs terms() once per distinct rho it samples,
+    # plus rho = 1 when the coefficient set is built
+    sampled, evaluated = [], []
+    radial, terms = oscylinder.flow._radial, oscylinder.flow._Coefficients.terms
+
+    def recording_radial(s, rho):
+        sampled.append(rho)
+        return radial(s, rho)
+
+    def recording_terms(self, rho):
+        evaluated.append(rho)
+        return terms(self, rho)
+
+    monkeypatch.setattr(oscylinder.flow, "_radial", recording_radial)
+    monkeypatch.setattr(oscylinder.flow._Coefficients, "terms", recording_terms)
+    assert main(["field"]) == 0
+    capsys.readouterr()
+    assert len(sampled) > len(set(sampled)) > 100
+    assert sorted(evaluated) == sorted([1.0, *set(sampled)])
+
+
+def test_radial_memo_is_bounded_and_exact():
+    # 5000 distinct radii overflow the memo; it stays within 4096 entries
+    # and every value, computed or remembered, equals a fresh scenario's
+    s = scenario(1e-6, 100.0)
+    rhos = [1.0 + 0.001 * k for k in range(5000)]
+    first = [_radial(s, rho) for rho in rhos]
+    assert len(s._coefficients.memo) <= 4096
+    for rho, value in zip(rhos, first):
+        assert value == _radial(scenario(1e-6, 100.0), rho)
+        assert _radial(s, rho) == value
+
+
 def test_radial_memo_shared_across_threads():
     # threads alternating radii on one Scenario each get the value for the
-    # radius they asked for: the memo is replaced in one assignment
+    # radius they asked for: each memo lookup or store is one dict operation
     s = scenario(1e-4, 1000.0)
     rhos = (1.0, 1.7, 3.0)
     want = {rho: _radial(scenario(1e-4, 1000.0), rho) for rho in rhos}

@@ -159,6 +159,26 @@ def test_tolerance_floor_at_reference_scenario():
         assert residual_tolerance(S3, rho) == 1e-6
 
 
+@pytest.mark.parametrize("a, f", [(1e-6, 10.0), (1e-9, 1e-3), (1e-150, 1.0)])
+@pytest.mark.parametrize("rho, h_rel", [(1.1, 1e-4), (100.0, 1e-4), (3.0, 1e-7)])
+def test_finite_tolerance_is_the_envelope(a, f, rho, h_rel):
+    # the max of the floor, the truncation and the roundoff terms, bit for bit
+    s = Scenario.from_frequency(AIR_20C, a, 1.0, f)
+    ba = s.ba
+    want = max(1e-6, 3e-7 * (h_rel / 1e-4) ** 2 / ((ba * ba) * rho ** 4),
+               40.0 * 2.0 ** -52 / ((ba * rho * h_rel) ** 2))
+    assert math.isfinite(want)
+    assert residual_tolerance(s, rho, h_rel) == want
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e-250, 1e-300])
+def test_tolerance_refuses_underflowing_beta_a(a):
+    # (beta a)^2 underflows to 0; the envelope would divide by it
+    s = Scenario.from_frequency(AIR_20C, a, 1.0, 1000.0)
+    with pytest.raises(ValueError, match="beta a"):
+        residual_tolerance(s, 1.1)
+
+
 def test_tolerance_grows_for_thick_layers():
     # ba ~ 2e-3 amplifies the algebraic-tail truncation by ba^-2
     assert residual_tolerance(S1, 1.1) > 1e-6
