@@ -172,11 +172,11 @@ def _k_values(z: complex):
 
 
 def _series_values(z: complex):
-    """(I0, I1, K0, K1, K1 - 1/z) for |z| <= 17, unscaled: I from Miller's
-    recurrence on w = +-z with Re w >= 0 (I0 even, I1 odd), K from _k_values."""
+    """(I0, I1) for |z| <= 17, unscaled: Miller's recurrence on w = +-z with
+    Re w >= 0 (I0 even, I1 odd)."""
     reflect = z.real < 0.0
     i0, i1 = _miller(-z if reflect else z)
-    return (i0, -i1 if reflect else i1, *_k_values(z))
+    return i0, -i1 if reflect else i1
 
 
 def _asym_sum(nu: int, z: complex) -> complex:
@@ -199,14 +199,17 @@ def _asym_sum(nu: int, z: complex) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def _asym_values_scaled(z: complex):
-    """Scaled (e^z K, e^{-z} I) values from the large-|z| expansions."""
+def _asym_k_scaled(z: complex):
+    """(e^z K0, e^z K1) from the large-|z| expansion."""
+    pref_k = cmath.sqrt(math.pi / 2.0 / z)
+    return pref_k * _asym_sum(0, z), pref_k * _asym_sum(1, z)
+
+
+def _asym_i_scaled(z: complex):
+    """(e^{-z} I0, e^{-z} I1) from the large-|z| expansion; its e^{-2z}
+    terms carry K's sums."""
     s0 = _asym_sum(0, z)
     s1 = _asym_sum(1, z)
-    pref_k = cmath.sqrt(math.pi / 2.0 / z)
-    k0s = pref_k * s0
-    k1s = pref_k * s1
-
     s0m = _asym_sum(0, -z)
     s1m = _asym_sum(1, -z)
     if z.imag >= 0.0:
@@ -217,7 +220,7 @@ def _asym_values_scaled(z: complex):
     pref_i = 1.0 / cmath.sqrt(2.0 * math.pi * z)
     i0s = pref_i * (s0m + sig0 * e2 * s0)
     i1s = pref_i * (s1m + sig1 * e2 * s1)
-    return k0s, k1s, i0s, i1s
+    return i0s, i1s
 
 
 def _k_unscaling(z: complex) -> complex:
@@ -241,7 +244,7 @@ def bessel_k0(z: complex, scaled: bool = False) -> complex:
     if abs(z) <= SERIES_RADIUS:
         k0 = _k_values(z)[0]
         return k0 * cmath.exp(z) if scaled else k0
-    k0s = _asym_values_scaled(z)[0]
+    k0s = _asym_k_scaled(z)[0]
     return k0s if scaled else k0s * _k_unscaling(z)
 
 
@@ -252,7 +255,7 @@ def bessel_k1(z: complex, scaled: bool = False) -> complex:
     if abs(z) <= SERIES_RADIUS:
         k1 = _k_values(z)[1]
         return k1 * cmath.exp(z) if scaled else k1
-    k1s = _asym_values_scaled(z)[1]
+    k1s = _asym_k_scaled(z)[1]
     return k1s if scaled else k1s * _k_unscaling(z)
 
 
@@ -263,7 +266,7 @@ def bessel_i0(z: complex, scaled: bool = False) -> complex:
     if abs(z) <= SERIES_RADIUS:
         i0 = _series_values(z)[0]
         return i0 * cmath.exp(-z) if scaled else i0
-    i0s = _asym_values_scaled(z)[2]
+    i0s = _asym_i_scaled(z)[0]
     return i0s * _i_unscaling(z) if not scaled else i0s
 
 
@@ -274,7 +277,7 @@ def bessel_i1(z: complex, scaled: bool = False) -> complex:
     if abs(z) <= SERIES_RADIUS:
         i1 = _series_values(z)[1]
         return i1 * cmath.exp(-z) if scaled else i1
-    i1s = _asym_values_scaled(z)[3]
+    i1s = _asym_i_scaled(z)[1]
     return i1s * _i_unscaling(z) if not scaled else i1s
 
 
@@ -291,5 +294,5 @@ def bessel_k1_minus_pole(z: complex) -> complex:
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
         return _k_values(z)[2]
-    k1s = _asym_values_scaled(z)[1]
+    k1s = _asym_k_scaled(z)[1]
     return k1s * cmath.exp(-z) - 1.0 / z

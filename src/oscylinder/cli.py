@@ -63,10 +63,6 @@ class RunConfig:
                                        perturbation=self.perturbation)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".16e")
-
-
 def _mode_value(z: complex, mode: str) -> float:
     if mode == "re":
         return z.real
@@ -87,10 +83,12 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_csv(stream, header: list[str], rows) -> None:
+def _write_csv(stream, header: list[str], lines) -> None:
+    """Header, then the pre-joined "\\n"-terminated rows one write each: a
+    single large write to a pipe whose reader left can come back short
+    without raising BrokenPipeError."""
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
+    stream.writelines(lines)
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +294,10 @@ def cmd_profile(cfg: RunConfig, nr: int, rmax_factor: float) -> int:
             # j = 0 gives exactly r = a, where the columns are exactly zero
             r = cfg.a * rmax_factor ** (j / (nr - 1))
             # v_r at theta = 0 and v_theta at pi/2: cos 0 == sin(pi/2) == 1.0
-            vr, vt, _ = _fields(s, _check_radius(s, r), 1.0, 1.0, ph)
-            rows.append([_fmt(f), _fmt(r), _fmt(r / cfg.a),
-                         _fmt(_mode_value(vr / vnorm, mode)),
-                         _fmt(_mode_value(vt / vnorm, mode))])
+            vr, vt, _ = _fields(s, _check_radius(s, r), ((1.0, 1.0),), ph)[0]
+            rows.append(f"{f:.16e},{r:.16e},{r / cfg.a:.16e},"
+                        f"{_mode_value(vr / vnorm, mode):.16e},"
+                        f"{_mode_value(vt / vnorm, mode):.16e}\n")
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -316,22 +314,24 @@ def cmd_field(cfg: RunConfig, grid) -> int:
     ph = _phase(s, cfg.t)
     header = ["x [m]", "y [m]", "masked [-]",
               "re_p [Pa]", "abs_p [Pa]", "re_vx [m/s]", "re_vy [m/s]"]
+    columns = [(x, f"{x:.16e}") for x in
+               (x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx))]
     rows = []
     for iy in range(ny):
         y = y0 + (y1 - y0) * iy / (ny - 1)
-        for ix in range(nx):
-            x = x0 + (x1 - x0) * ix / (nx - 1)
+        ys = f"{y:.16e}"
+        for x, xs in columns:
             r = math.hypot(x, y)
             if r < cfg.a:
-                rows.append([_fmt(x), _fmt(y), "1", "", "", "", ""])
+                rows.append(f"{xs},{ys},1,,,,\n")
                 continue
             theta = math.atan2(y, x)
             c, sn = math.cos(theta), math.sin(theta)
-            vr, vt, p = _fields(s, _check_radius(s, r), c, sn, ph)
+            vr, vt, p = _fields(s, _check_radius(s, r), ((c, sn),), ph)[0]
             vx = vr * c - vt * sn
             vy = vr * sn + vt * c
-            rows.append([_fmt(x), _fmt(y), "0", _fmt(p.real), _fmt(abs(p)),
-                         _fmt(vx.real), _fmt(vy.real)])
+            rows.append(f"{xs},{ys},0,{p.real:.16e},{abs(p):.16e},"
+                        f"{vx.real:.16e},{vy.real:.16e}\n")
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -350,11 +350,11 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
-        rows.append([_fmt(f),
-                     _fmt(abs(force_analytic(s, cfg.t).fx) / vnorm),
-                     _fmt(abs(force_buoyancy(s, cfg.t).fx) / vnorm),
-                     _fmt(abs(force_viscous_approx(s, cfg.t).fx) / vnorm),
-                     _fmt(abs(force_quadrature(s, cfg.t, nodes).fx) / vnorm)])
+        rows.append(f"{f:.16e},"
+                    f"{abs(force_analytic(s, cfg.t).fx) / vnorm:.16e},"
+                    f"{abs(force_buoyancy(s, cfg.t).fx) / vnorm:.16e},"
+                    f"{abs(force_viscous_approx(s, cfg.t).fx) / vnorm:.16e},"
+                    f"{abs(force_quadrature(s, cfg.t, nodes).fx) / vnorm:.16e}\n")
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -383,7 +383,7 @@ def cmd_bessel_eval(z_re: float, z_im: float, scaled: bool) -> int:
         values.append(("K1_minus_pole", bessel_k1_minus_pole(z)))
     with _open_out(None) as stream:
         _write_csv(stream, ["function", "re", "im"],
-                   ([name, _fmt(v.real), _fmt(v.imag)] for name, v in values))
+                   [f"{name},{v.real:.16e},{v.imag:.16e}\n" for name, v in values])
     return 0
 
 

@@ -23,8 +23,10 @@ at rho = 1.  Physical fields are the real parts.
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface.  _radial(s, rho) returns
-B_r, B_theta, their rho-derivatives and P, memoised per rho; _fields (which
-flow_state wraps) is angle x _radial x phase for v_r, v_theta and p.
+B_r, B_theta, their rho-derivatives and P, memoised per rho.  _fields, the
+one sampling kernel (flow_state passes it a single angle), is angle x
+_radial x phase for v_r, v_theta and p over a block: one rho, one phase
+and a sequence of angles, with one _radial lookup per block.
 Stress, traction and force are angle x _radial x phase products too, so
 a Perturbation reaches every field the same way.
 
@@ -292,12 +294,15 @@ def _phase(s: Scenario, t: float) -> complex:
     return cmath.exp(complex(0.0, -s.omega * t))
 
 
-def _fields(s: Scenario, rho: float, c: float, sn: float,
-            ph: complex) -> tuple[complex, complex, complex]:
-    """(v_r, v_theta, p) at rho = r/a, cos(theta) = c, sin(theta) = sn, phase ph."""
+def _fields(s: Scenario, rho: float, angles,
+            ph: complex) -> list[tuple[complex, complex, complex]]:
+    """(v_r, v_theta, p) at rho = r/a and phase ph, one per (cos theta, sin
+    theta) pair in angles: one _radial lookup for the whole block."""
     br, bth, _, _, pb = _radial(s, rho)
-    return (s.v0 * c * ph * br, s.v0 * sn * ph * bth,
-            1j * s.v0 * s.fluid.rho0 * s.omega * s.a * c * ph * pb)
+    v0 = s.v0
+    pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
+    return [(v0 * c * ph * br, v0 * sn * ph * bth, pv * c * ph * pb)
+            for c, sn in angles]
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +311,8 @@ def _fields(s: Scenario, rho: float, c: float, sn: float,
 
 def flow_state(s: Scenario, pt: PolarPoint, t: float) -> FlowState:
     """Velocity [m/s] and pressure [Pa] phasors at a point, time t [s]."""
-    return FlowState(*_fields(s, _check_radius(s, pt.r), math.cos(pt.theta),
-                              math.sin(pt.theta), _phase(s, t)))
+    angle = ((math.cos(pt.theta), math.sin(pt.theta)),)
+    return FlowState(*_fields(s, _check_radius(s, pt.r), angle, _phase(s, t))[0])
 
 
 def velocity(s: Scenario, pt: PolarPoint, t: float) -> tuple[complex, complex]:

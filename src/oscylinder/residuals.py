@@ -2,11 +2,15 @@
 equations, plus boundary-condition spot checks.
 
 The closed-form fields are treated as a black box: residuals are formed
-by differencing samples of flow._fields, the kernel that flow_state,
-velocity() and pressure() wrap (a test pins the two together bitwise),
-on small stencils and substituting into the continuity equation, both
-linearized momentum equations, and the pressure Laplace equation.  Every
-residual is reported dimensionless:
+by differencing samples of flow._fields, the block kernel that
+flow_state, velocity() and pressure() call one point at a time (a test
+pins the two together bitwise), on small stencils and substituting into
+the continuity equation, both linearized momentum equations, and the
+pressure Laplace equation.  Samples are taken by block, one kernel call
+per (radius, time): the stencils of points sharing a radius come from one
+call at r for all their angles plus one per off-radius point, and
+boundary_suite makes 10 calls in all.  Every residual is reported
+dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -36,6 +40,16 @@ FAR_FIELD_TOL = 1e-3
 PRESSURE_FORM_TOL = 1e-13
 SYMMETRY_TOL = 1e-13
 
+#: boundary_suite's (cos theta, sin theta) tables: the wall and far-field
+#: rings, then theta = 0 and theta, -theta, pi - theta for each pressure-form
+#: angle (those keep |cos| >= 0.25 so dividing by it is well-conditioned)
+_RING64, _RING32 = ([(math.cos(th), math.sin(th))
+                     for th in (2.0 * math.pi * k / n for k in range(n))]
+                    for n in (64, 32))
+_FORM_ANGLES = [(1.0, 0.0)] + [(math.cos(th), math.sin(th))
+                               for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1)
+                               for th in (theta, -theta, math.pi - theta)]
+
 _QUANTITIES = ("continuity", "momentum_r", "momentum_theta", "pressure_laplacian")
 _VR, _VT, _P = range(3)  # positions of v_r, v_theta and p in a _fields sample
 
@@ -55,25 +69,13 @@ class ResidualReport:
 
 
 class _Stencil:
-    """(v_r, v_theta, p) samples from _fields around one point, with one phase
-    and one rho = r/a per stencil, plus second-order difference operators."""
+    """(v_r, v_theta, p) samples around one point with one step h, plus
+    second-order difference operators; _stencils builds them by radius."""
 
-    def __init__(self, s: Scenario, pt: PolarPoint, t: float, h: float | None):
-        rho = _check_radius(s, pt.r)
-        self.h = h = _resolve_step(pt, h)
-        r, theta = pt.r, pt.theta
-        self.ht = h / r
-        self.one_sided = (r - h) < s.a
-        ph = _phase(s, t)
-        # the samples at radius r come back to back: one radial evaluation
-        thetas = (theta, theta - self.ht, theta + self.ht)
-        self.center, self.west, self.east = (
-            _fields(s, rho, math.cos(th), math.sin(th), ph) for th in thetas)
-        c, sn = math.cos(theta), math.sin(theta)
-        radii = (r + h, r + 2.0 * h, r + 3.0 * h) if self.one_sided else (r - h, r + h)
-        off = [_fields(s, _check_radius(s, rr), c, sn, ph) for rr in radii]
-        self.radial = ((self.center, *off) if self.one_sided
-                       else (off[0], self.center, off[1]))
+    def __init__(self, h, ht, one_sided, center, west, east, off):
+        self.h, self.ht, self.one_sided = h, ht, one_sided
+        self.center, self.west, self.east = center, west, east
+        self.radial = (center, *off) if one_sided else (off[0], center, off[1])
 
     def d1r(self, i: int) -> complex:
         f = [st[i] for st in self.radial]
@@ -95,63 +97,89 @@ class _Stencil:
                 / (self.ht * self.ht))
 
 
-def _resolve_step(pt: PolarPoint, h: float | None) -> float:
+def _resolve_step(r: float, thetas, h: float | None) -> float:
     if h is None:
-        h = 1e-4 * pt.r
+        h = 1e-4 * r
     if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
     if h * h < sys.float_info.min:
         raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
                          f"so second differences cannot be formed")
-    r, theta, ht = pt.r, pt.theta, h / pt.r
-    if r + h == r or theta + ht == theta or theta - ht == theta:
-        raise ValueError(f"step h = {h!r} m is too small: the stencil points "
-                         f"round onto r = {r!r} m or theta = {theta!r}")
+    ht = h / r
+    for theta in thetas:
+        if r + h == r or theta + ht == theta or theta - ht == theta:
+            raise ValueError(f"step h = {h!r} m is too small: the stencil points "
+                             f"round onto r = {r!r} m or theta = {theta!r}")
     return h
 
 
-def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
-                    h: float | None = None) -> ResidualReport:
-    """All four equation residuals at one point (default step 1e-4 r)."""
-    st = _Stencil(s, pt, t, h)
-    r = pt.r
+def _stencils(s: Scenario, pts, t: float, h: float | None) -> list[_Stencil]:
+    """Stencils around points that share one radius r, sampled as blocks: one
+    _fields call at r for every theta and theta -+ h/r, one per off radius."""
+    r = pts[0].r
+    rho = _check_radius(s, r)
+    h = _resolve_step(r, [pt.theta for pt in pts], h)
+    ht = h / r
+    one_sided = (r - h) < s.a
+    ph = _phase(s, t)
+    angles = [(math.cos(th), math.sin(th)) for pt in pts
+              for th in (pt.theta, pt.theta - ht, pt.theta + ht)]
+    ring = _fields(s, rho, angles, ph)
+    radii = (r + h, r + 2.0 * h, r + 3.0 * h) if one_sided else (r - h, r + h)
+    off = [_fields(s, _check_radius(s, rr), angles[::3], ph) for rr in radii]
+    return [_Stencil(h, ht, one_sided, *ring[3 * i:3 * i + 3], [o[i] for o in off])
+            for i in range(len(pts))]
+
+
+def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
+    """residual_report at each of pts, which share one radius."""
+    stencils = _stencils(s, pts, t, h)
+    r = pts[0].r
     inv_r = 1.0 / r
     inv_r2 = inv_r * inv_r
     nu0 = s.fluid.nu0
     rho0 = s.fluid.rho0
     omega = s.omega
     vnorm = s.v0 if s.v0 > 0 else 1.0
+    reports = []
+    for pt, st in zip(pts, stencils):
+        vr0 = st.center[_VR]
+        vt0 = st.center[_VT]
+        d1r_vr = st.d1r(_VR)
+        d1r_vt = st.d1r(_VT)
+        d1r_p = st.d1r(_P)
+        d1t_vr = st.d1t(_VR)
+        d1t_vt = st.d1t(_VT)
+        d1t_p = st.d1t(_P)
 
-    vr0 = st.center[_VR]
-    vt0 = st.center[_VT]
-    d1r_vr = st.d1r(_VR)
-    d1r_vt = st.d1r(_VT)
-    d1r_p = st.d1r(_P)
-    d1t_vr = st.d1t(_VR)
-    d1t_vt = st.d1t(_VT)
-    d1t_p = st.d1t(_P)
+        cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
 
-    cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
+        lap_vr = (st.d2r(_VR) + st.d2t(_VR) * inv_r2 + d1r_vr * inv_r
+                  - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
+        lap_vt = (st.d2r(_VT) + st.d2t(_VT) * inv_r2 + d1r_vt * inv_r
+                  + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
+        mom_r = -1j * omega * vr0 + d1r_p / rho0 - nu0 * lap_vr
+        mom_t = -1j * omega * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
 
-    lap_vr = (st.d2r(_VR) + st.d2t(_VR) * inv_r2 + d1r_vr * inv_r
-              - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
-    lap_vt = (st.d2r(_VT) + st.d2t(_VT) * inv_r2 + d1r_vt * inv_r
-              + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
-    mom_r = -1j * omega * vr0 + d1r_p / rho0 - nu0 * lap_vr
-    mom_t = -1j * omega * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
+        lap_p = st.d2r(_P) + d1r_p * inv_r + st.d2t(_P) * inv_r2
 
-    lap_p = st.d2r(_P) + d1r_p * inv_r + st.d2t(_P) * inv_r2
+        reports.append(ResidualReport(
+            location=pt,
+            t=t,
+            h=st.h,
+            one_sided=st.one_sided,
+            continuity=abs(cont) * s.a / vnorm,
+            momentum_r=abs(mom_r) / (vnorm * omega),
+            momentum_theta=abs(mom_t) / (vnorm * omega),
+            pressure_laplacian=abs(lap_p) * s.a / (rho0 * omega * vnorm),
+        ))
+    return reports
 
-    return ResidualReport(
-        location=pt,
-        t=t,
-        h=st.h,
-        one_sided=st.one_sided,
-        continuity=abs(cont) * s.a / vnorm,
-        momentum_r=abs(mom_r) / (vnorm * omega),
-        momentum_theta=abs(mom_t) / (vnorm * omega),
-        pressure_laplacian=abs(lap_p) * s.a / (rho0 * omega * vnorm),
-    )
+
+def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
+                    h: float | None = None) -> ResidualReport:
+    """All four equation residuals at one point (default step 1e-4 r)."""
+    return _reports(s, [pt], t, h)[0]
 
 
 def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
@@ -164,7 +192,7 @@ def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
     field samples, so they agree to regrouping roundoff (~1e-15); a
     larger gap would mean the two code paths diverged.
     """
-    st = _Stencil(s, pt, t, h)
+    st = _stencils(s, [pt], t, h)[0]
     r = pt.r
     vnorm = s.v0 if s.v0 > 0 else 1.0
     vr0 = st.center[_VR]
@@ -254,6 +282,11 @@ def nan_rank(value: float) -> tuple[bool, float]:
     return math.isnan(value), value
 
 
+def _nan_max(values: list[float]) -> float:
+    """max(values, key=nan_rank) without a per-element key call."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def boundary_suite(s: Scenario) -> BoundaryReport:
     """Check no slip, far-field recovery, and the pressure ansatz shape.
 
@@ -267,50 +300,36 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     """
     vnorm = s.v0 if s.v0 > 0 else 1.0
     period = 2.0 * math.pi / s.omega
-    times4 = (0.0, period / 6.0, period / 4.0, period / 2.0)
-
-    # one radius check and one phase per (radius, time) block
+    # one kernel call, so one radius check and one phase, per (radius, time)
     no_slip = []
     wall = _check_radius(s, s.a)  # exactly 1.0
-    for t in times4:
-        ph = _phase(s, t)
-        for k in range(64):
-            theta = 2.0 * math.pi * k / 64.0
-            vr, vt, _ = _fields(s, wall, math.cos(theta), math.sin(theta), ph)
-            no_slip.append(math.hypot(abs(vr), abs(vt)) / vnorm)
+    for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
+        no_slip += [math.hypot(abs(vr), abs(vt)) / vnorm
+                    for vr, vt, _ in _fields(s, wall, _RING64, _phase(s, t))]
 
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
     far_rho = _check_radius(s, far_radius)
     far = []
     for t in (0.0, period / 5.0):
         ph_inf = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
-        ph = _phase(s, t)
-        for k in range(32):
-            theta = 2.0 * math.pi * k / 32.0
-            c, sn = math.cos(theta), math.sin(theta)
-            vr, vt, _ = _fields(s, far_rho, c, sn, ph)
+        samples = _fields(s, far_rho, _RING32, _phase(s, t))
+        for (c, sn), (vr, vt, _) in zip(_RING32, samples):
             vinf_r = s.v0 * c * ph_inf
             vinf_t = -s.v0 * sn * ph_inf
             far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)) / vnorm)
 
-    # angles keep |cos| >= 0.25 so the division is well-conditioned
-    form_thetas = (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1)
     form = []
     sym = []
     for rr in (1.5 * s.a, 3.0 * s.a):
         rho = _check_radius(s, rr)
         for t in (0.0, period / 5.0):
-            ph = _phase(s, t)
-            p0 = _fields(s, rho, 1.0, 0.0, ph)[_P]  # theta = 0
+            p0, *ps = (p for _, _, p in _fields(s, rho, _FORM_ANGLES, _phase(s, t)))
             pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
-            for theta in form_thetas:
-                p = _fields(s, rho, math.cos(theta), math.sin(theta), ph)[_P]
-                form.append(abs(p / math.cos(theta) - p0) / pnorm)
-                p_neg = _fields(s, rho, math.cos(-theta), math.sin(-theta), ph)[_P]
-                sup = math.pi - theta
-                p_sup = _fields(s, rho, math.cos(sup), math.sin(sup), ph)[_P]
+            for k in range(0, len(ps), 3):
+                p, p_neg, p_sup = ps[k:k + 3]
+                form.append(abs(p / _FORM_ANGLES[k + 1][0] - p0) / pnorm)
                 sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
-    no_slip, far, form, sym = (max(v, key=nan_rank) for v in (no_slip, far, form, sym))
+    no_slip, far, form, sym = (_nan_max(v) for v in (no_slip, far, form, sym))
 
     return BoundaryReport(
         no_slip_max=no_slip,
@@ -348,9 +367,8 @@ def validate_checks(s: Scenario, t: float = 0.0,
     found = {q: [(0.0, 1.0)] for q in _QUANTITIES}
     for rho in (1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)):
         tol = residual_tolerance(s, rho, h_rel)
-        for theta in (0.35, 1.05, 1.85, 2.65, 3.45):
-            rep = residual_report(s, PolarPoint(rho * s.a, theta), t,
-                                  h=h_rel * rho * s.a)
+        pts = [PolarPoint(rho * s.a, theta) for theta in (0.35, 1.05, 1.85, 2.65, 3.45)]
+        for rep in _reports(s, pts, t, h_rel * rho * s.a):
             for q, pairs in found.items():
                 pairs.append((getattr(rep, q), tol))
     checks = []

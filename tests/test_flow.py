@@ -441,12 +441,32 @@ def test_fields_kernel_matches_flow_state(s, log_rho, theta, t):
     # residuals and the CLI sample _fields directly; it must give the
     # public flow_state bit for bit, for rho in [1, 1e6], any angle and time
     r = s.a * 10.0 ** log_rho
-    got = _fields(s, _check_radius(s, r), math.cos(theta), math.sin(theta),
-                  _phase(s, t))
+    got, = _fields(s, _check_radius(s, r), ((math.cos(theta), math.sin(theta)),),
+                   _phase(s, t))
     want = flow_state(s, PolarPoint(r, theta), t)
     assert got[0] == want.vr
     assert got[1] == want.vtheta
     assert got[2] == want.p
+
+
+@given(st.sampled_from(KERNEL_SCENARIOS),
+       st.floats(min_value=0.0, max_value=6.0),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=70),
+       st.floats(min_value=-1e3, max_value=1e3))
+@settings(max_examples=200, deadline=None)
+def test_block_kernel_matches_flow_state_per_point(s, log_rho, thetas, t):
+    # one kernel call over a vector of angles gives, angle by angle, what
+    # flow_state gives one point at a time, bit for bit
+    r = s.a * 10.0 ** log_rho
+    got = _fields(s, _check_radius(s, r),
+                  [(math.cos(th), math.sin(th)) for th in thetas], _phase(s, t))
+    assert len(got) == len(thetas)
+    for (vr, vt, p), theta in zip(got, thetas):
+        want = flow_state(s, PolarPoint(r, theta), t)
+        assert vr == want.vr
+        assert vt == want.vtheta
+        assert p == want.p
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from oscylinder import (
     AIR_20C,
+    J_MINUS,
+    J_PLUS,
     Perturbation,
     PolarPoint,
     Scenario,
@@ -116,6 +118,56 @@ def test_buoyancy_dominates_at_large_ba():
     assert s.ba == pytest.approx(ba_target, rel=1e-12)
     ratio = force_analytic(s, 0.0).fx / force_buoyancy(s, 0.0).fx
     assert abs(ratio - 1.0) < 1e-2
+
+
+# ----------------------------------------------------------------------
+# limit laws of g1 = f(a)/(beta a) at both ends (Stokes 1851)
+# ----------------------------------------------------------------------
+#
+# g1 is read off the force as F_viscous/F_buoyancy and set against closed
+# forms that use only log and rational arithmetic, never the Bessel kernel.
+
+EULER_GAMMA = 0.57721566490153286
+
+
+def g1_and_ba(ba, perturbation=None):
+    f = 100.0
+    a = ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
+    s = Scenario.from_frequency(AIR_20C, a, 1.0, f, perturbation=perturbation)
+    return force_viscous_approx(s, 0.0).fx / force_buoyancy(s, 0.0).fx, s.ba
+
+
+def small_ba_error(ba, perturbation=None):
+    # g1 -> 2i/((beta a)^2 (-ln(j- beta a/2) - gamma)), error O((beta a)^2 ln)
+    g1, x = g1_and_ba(ba, perturbation)
+    law = 2j / (x * x * (-cmath.log(J_MINUS * x / 2.0) - EULER_GAMMA))
+    return rel(g1, law), 2.0 * x * x * abs(math.log(x))
+
+
+def large_ba_error(ba, perturbation=None):
+    # g1 = (2 j+/beta a) K1/K0 with K1/K0 = 1 + 1/(2z) - 1/(8z^2) + ..., z = j- beta a
+    g1, x = g1_and_ba(ba, perturbation)
+    z = J_MINUS * x
+    return rel(g1, (2.0 * J_PLUS / x) * (1.0 + 1.0 / (2.0 * z) - 1.0 / (8.0 * z * z)))
+
+
+@pytest.mark.parametrize("ba", [1e-9, 1e-8, 1e-6])
+def test_g1_small_ba_limit_law(ba):
+    err, bound = small_ba_error(ba)
+    assert err <= bound
+
+
+@pytest.mark.parametrize("ba, bound", [(3e3, 1e-11), (1e4, 1e-12)])
+def test_g1_large_ba_limit_law(ba, bound):
+    assert large_ba_error(ba) <= bound
+
+
+def test_g1_limit_laws_detect_f_a_mutation():
+    # a 1e-9 relative change of f(a) breaks both gates at their pinned ends
+    pert = Perturbation("f_a", 1.0 + 1e-9)
+    err, bound = small_ba_error(1e-6, pert)
+    assert err > bound
+    assert large_ba_error(1e4, pert) > 1e-12
 
 
 # ----------------------------------------------------------------------

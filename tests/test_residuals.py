@@ -486,12 +486,67 @@ def test_every_mutation_fails_a_validate_row(ba):
 def test_validate_residual_row_fails_on_any_radius(monkeypatch):
     # the printed (max, tol) pair can pass while a smaller residual fails
     # the tighter tolerance of its own radius: the row must still fail
-    def report(s, pt, t, h):
-        inner = pt.r < 2.0 * s.a
-        return ResidualReport(pt, t, h, False, *(4 * [1.0 if inner else 1e-3]))
+    def reports(s, pts, t, h):
+        inner = pts[0].r < 2.0 * s.a
+        return [ResidualReport(pt, t, h, False, *(4 * [1.0 if inner else 1e-3]))
+                for pt in pts]
 
-    monkeypatch.setattr(oscylinder.residuals, "residual_report", report)
+    monkeypatch.setattr(oscylinder.residuals, "_reports", reports)
     monkeypatch.setattr(oscylinder.residuals, "residual_tolerance",
                         lambda s, rho, h_rel: 2.0 if rho < 2.0 else 1e-6)
     for c in validate_checks(S3)[:4]:
         assert (c.value, c.tol, c.ok) == (1.0, 2.0, False)
+
+
+@pytest.mark.parametrize("h_rel", [1e-4, 0.095])
+@pytest.mark.parametrize("s, t", [(S1, 0.0), (S3, 3.1e-4),
+                                  (scenario(1e-4, 1000.0, perturbation=
+                                            Perturbation("beta", 1.001)), 0.0)])
+def test_validate_grid_reports_match_residual_report(monkeypatch, s, t, h_rel):
+    # the grid samples a radius at a time; each of its 25 reports equals
+    # residual_report at that point and step.  At h_rel = 0.095 the
+    # innermost radius rho = 1.1 takes the one-sided stencil.
+    grid = []
+    reports = oscylinder.residuals._reports
+
+    def recording(*args):
+        got = reports(*args)
+        grid.extend(got)
+        return got
+
+    monkeypatch.setattr(oscylinder.residuals, "_reports", recording)
+    validate_checks(s, t, h_rel)
+    monkeypatch.undo()
+    assert len(grid) == 25
+    assert sum(rep.one_sided for rep in grid) == (5 if h_rel == 0.095 else 0)
+    for rep in grid:
+        assert rep == residual_report(s, rep.location, t, rep.h)
+
+
+@pytest.mark.parametrize("h_rel", [1e-4, 0.095])
+def test_checks_sample_by_block(monkeypatch, h_rel):
+    # boundary_suite makes one kernel call per (radius, time) block, and the
+    # residual grid one at each radius plus one per off-radius stencil point
+    calls = []
+    fields = oscylinder.residuals._fields
+
+    def counted(*args):
+        calls.append(args[1])
+        return fields(*args)
+
+    monkeypatch.setattr(oscylinder.residuals, "_fields", counted)
+    boundary_suite(S3)
+    assert len(calls) <= 10
+    per_radius = []
+    reports = oscylinder.residuals._reports
+
+    def recording(*args):
+        before = len(calls)
+        got = reports(*args)
+        per_radius.append(len(calls) - before)
+        return got
+
+    monkeypatch.setattr(oscylinder.residuals, "_reports", recording)
+    validate_checks(S3, h_rel=h_rel)
+    assert len(per_radius) == 5
+    assert all(n <= 4 for n in per_radius)
