@@ -12,7 +12,8 @@ significant digits (round-trip exact), rows are emitted in a fixed
 order, and line endings are always "\\n".  Frequencies given through
 --f/--f-list/--f-range are deduplicated and sorted ascending before any
 computation, so the row order never depends on input order.  force
-computes its rows serially; --jobs (>= 1) is accepted but starts no threads.
+computes each row's terms once, serially, with |F_b + F_v| as the exact
+force_analytic column; --jobs (>= 1) is accepted but starts no threads.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input or I/O
 error.
@@ -26,15 +27,14 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
                      bessel_k1_minus_pole, BesselDomainError)
 from .flow import (AIR_20C, Fluid, Perturbation, Scenario, _check_radius,
                    _fields, _phase)
-from .forces import (force_analytic, force_buoyancy, force_quadrature,
-                     force_viscous_approx)
+from .forces import force_buoyancy, force_quadrature, force_viscous_approx
 from .residuals import validate_checks
 
 _MODES = ("re", "im", "abs", "phase")
@@ -45,10 +45,10 @@ _DEFAULT_F = {"profile": 10.0, "field": 100.0, "validate": 1000.0}
 _DEFAULT_F_RANGE = "1:1e4:200"  # force command: log-spaced sweep
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "fluid a v0 t mode frequencies out perturbation")):
     """Scenario and I/O settings shared by every subcommand."""
 
+    __slots__ = ()
     fluid: Fluid
     a: float
     v0: float
@@ -350,11 +350,11 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
-        rows.append(f"{f:.16e},"
-                    f"{abs(force_analytic(s, cfg.t).fx) / vnorm:.16e},"
-                    f"{abs(force_buoyancy(s, cfg.t).fx) / vnorm:.16e},"
-                    f"{abs(force_viscous_approx(s, cfg.t).fx) / vnorm:.16e},"
-                    f"{abs(force_quadrature(s, cfg.t, nodes).fx) / vnorm:.16e}\n")
+        fb = force_buoyancy(s, cfg.t).fx
+        fv = force_viscous_approx(s, cfg.t).fx
+        fq = force_quadrature(s, cfg.t, nodes).fx
+        rows.append(f"{f:.16e},{abs(fb + fv) / vnorm:.16e},{abs(fb) / vnorm:.16e},"
+                    f"{abs(fv) / vnorm:.16e},{abs(fq) / vnorm:.16e}\n")
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .bessel import (SERIES_RADIUS, bessel_k0, bessel_k1,
@@ -67,6 +67,9 @@ SMALL_BA = 1.0
 #: coefficients that can be perturbed for sensitivity checks
 PERTURBABLE = ("B", "C", "f_a", "beta")
 
+#: _make of the checked records, so that _replace also runs __new__'s checks
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
 
 class RecoveryNotFoundError(RuntimeError):
     """Velocity never recovers to the requested fraction within the scan range."""
@@ -77,16 +80,18 @@ def _positive(name, value):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Fluid:
+class Fluid(namedtuple("Fluid", "nu0 rho0")):
     """Newtonian fluid, described by kinematic viscosity and density."""
 
+    __slots__ = ()
+    _make = _checked_make
     nu0: float   # kinematic viscosity [m^2/s]
     rho0: float  # density [kg/m^3]
 
-    def __post_init__(self):
-        _positive("nu0", self.nu0)
-        _positive("rho0", self.rho0)
+    def __new__(cls, nu0, rho0):
+        _positive("nu0", nu0)
+        _positive("rho0", rho0)
+        return tuple.__new__(cls, (nu0, rho0))
 
     @property
     def mu0(self) -> float:
@@ -98,8 +103,7 @@ class Fluid:
 AIR_20C = Fluid(nu0=15.11e-6, rho0=1.204)
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(namedtuple("Perturbation", "coefficient factor")):
     """Multiply one solution coefficient by `factor` (sensitivity hook).
 
     Coefficient names: "B" and "C" are the constants of the general
@@ -107,30 +111,35 @@ class Perturbation:
     inverse viscous length.  Exactly one coefficient is perturbed.
     """
 
+    __slots__ = ()
+    _make = _checked_make
     coefficient: str
     factor: float
 
-    def __post_init__(self):
-        if self.coefficient not in PERTURBABLE:
+    def __new__(cls, coefficient, factor):
+        if coefficient not in PERTURBABLE:
             raise ValueError(
-                f"coefficient must be one of {PERTURBABLE}, got {self.coefficient!r}")
-        _positive("factor", self.factor)
+                f"coefficient must be one of {PERTURBABLE}, got {coefficient!r}")
+        _positive("factor", factor)
+        return tuple.__new__(cls, (coefficient, factor))
 
 
-@dataclass(frozen=True)
-class PolarPoint:
+class PolarPoint(namedtuple("PolarPoint", "r theta")):
+    __slots__ = ()
+    _make = _checked_make
     r: float       # radius [m]
     theta: float   # azimuth [rad]; any real value, used through cos/sin
 
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+    def __new__(cls, r, theta):
+        if not (math.isfinite(r) and math.isfinite(theta)):
             raise ValueError("PolarPoint components must be finite")
+        return tuple.__new__(cls, (r, theta))
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(namedtuple("FlowState", "vr vtheta p")):
     """Field phasors at one point: multiply by nothing, take .real for physics."""
 
+    __slots__ = ()
     vr: complex      # [m/s]
     vtheta: complex  # [m/s]
     p: complex       # [Pa]
@@ -142,8 +151,9 @@ class _Coefficients:
     ba is the Bessel-argument scale (beta factor applied), b and c the B-
     and C-mode weights, g1 = f(a)/ba (f_a factor applied).  k0_za is
     K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
-    splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r is the
-    regular part at rho = 1, and pole = i ba^2 q is the pole part of
+    splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r and
+    k0r1 are terms(1.0), the regular part and the K0 ratio at rho = 1,
+    which _radial reuses there; pole = i ba^2 q is the pole part of
     i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
     term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
     `memo` maps rho to its _radial result, so terms() runs once per
@@ -151,7 +161,7 @@ class _Coefficients:
     """
 
     __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
-                 "g1", "excess", "memo")
+                 "k0r1", "g1", "excess", "memo")
 
     def __init__(self, s: Scenario):
         weight = dict.fromkeys(PERTURBABLE, 1.0)
@@ -168,7 +178,7 @@ class _Coefficients:
                 self.pole = -(2.0 / self.k0_za)
             else:
                 self.q = self.pole = 0j
-            self.g1r = self.terms(1.0)[0]
+            self.g1r, self.k0r1 = self.terms(1.0)
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"the solution cannot be evaluated at "
                              f"beta a = {ba:g}: {exc}") from None
@@ -195,22 +205,25 @@ class _Coefficients:
         return gr, bessel_k0(z, scaled=True) * decay / self.k0_za
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
     """One flow problem: fluid, cylinder radius, far-field amplitude, frequency."""
 
+    _make = _checked_make
     fluid: Fluid
     a: float       # cylinder radius [m]
     v0: float      # far-field speed amplitude [m/s]
     omega: float   # angular frequency [rad/s]
-    perturbation: Perturbation | None = None
+    perturbation: Perturbation | None
 
-    def __post_init__(self):
-        _positive("a", self.a)
-        _positive("omega", self.omega)  # omega = 0 has no bounded 2-D solution
-        if not (isinstance(self.v0, (int, float)) and math.isfinite(self.v0)
-                and self.v0 >= 0):
-            raise ValueError(f"v0 must be finite and >= 0, got {self.v0!r}")
+    def __new__(cls, fluid, a, v0, omega, perturbation=None):
+        _positive("a", a)
+        _positive("omega", omega)  # omega = 0 has no bounded 2-D solution
+        if not (isinstance(v0, (int, float)) and math.isfinite(v0) and v0 >= 0):
+            raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
+        return tuple.__new__(cls, (fluid, a, v0, omega, perturbation))
+
+    def __setattr__(self, name, value):  # __dict__ (no __slots__) holds only the cache
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_frequency(cls, fluid: Fluid, a: float, v0: float, f: float,
@@ -264,7 +277,7 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
     if hit is not None:
         return hit
     b, c = k.b, k.c
-    gr, k0r = k.terms(rho)
+    gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
     inv = 1.0 / rho
     inv2 = 1.0 / (rho * rho)
     inv3 = inv2 * inv
@@ -317,8 +330,7 @@ def flow_state(s: Scenario, pt: PolarPoint, t: float) -> FlowState:
 
 def velocity(s: Scenario, pt: PolarPoint, t: float) -> tuple[complex, complex]:
     """Velocity phasors (v_r, v_theta) at a point, time t [s]."""
-    st = flow_state(s, pt, t)
-    return st.vr, st.vtheta
+    return flow_state(s, pt, t)[:2]
 
 
 def pressure(s: Scenario, pt: PolarPoint, t: float) -> complex:
@@ -402,8 +414,8 @@ _RECOVERY_GRID_N = 512
 def recovery_radius(s: Scenario, fraction: float) -> float:
     """Smallest radius where |v_r(r, 0)|/v0 has recovered to `fraction`.
 
-    Scans a log-spaced grid out to 1e6 a for the last crossing, then
-    bisects to 1e-6 relative tolerance in r.  Raises
+    Scans a log-spaced grid inward from 1e6 a for the outermost sample
+    below the fraction, then bisects to 1e-6 relative tolerance in r.  Raises
     RecoveryNotFoundError when even the outermost sample is below the
     fraction.
     """
@@ -415,10 +427,7 @@ def recovery_radius(s: Scenario, fraction: float) -> float:
 
     n = _RECOVERY_GRID_N
     rhos = [10.0 ** (_RECOVERY_GRID_DECADES * j / n) for j in range(n + 1)]
-    last_below = None
-    for j, rho in enumerate(rhos):
-        if g(rho) < fraction:
-            last_below = j
+    last_below = next((j for j in range(n, -1, -1) if g(rhos[j]) < fraction), None)
     if last_below is None:
         return s.a
     if last_below == n:
@@ -434,10 +443,12 @@ def recovery_radius(s: Scenario, fraction: float) -> float:
     return s.a * 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(namedtuple("ValidityReport", "reynolds frequency_parameter "
+                                "boundary_layer_thickness recovery_radius_90 "
+                                "warn_nonlinear warn_long_range")):
     """Regime diagnostics for one scenario."""
 
+    __slots__ = ()
     reynolds: float                 # v0 a / nu0
     frequency_parameter: float      # beta a
     boundary_layer_thickness: float  # sqrt(2 nu0/omega) [m]
@@ -454,11 +465,4 @@ def validity_report(s: Scenario) -> ValidityReport:
     except RecoveryNotFoundError:
         r90 = None
         long_range = True
-    return ValidityReport(
-        reynolds=re,
-        frequency_parameter=s.ba,
-        boundary_layer_thickness=s.delta,
-        recovery_radius_90=r90,
-        warn_nonlinear=re >= 0.1,
-        warn_long_range=long_range,
-    )
+    return ValidityReport(re, s.ba, s.delta, r90, re >= 0.1, long_range)

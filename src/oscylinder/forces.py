@@ -11,7 +11,7 @@ The analytic force along x is
 which splits into a pressure (buoyancy-like) part, the term "1", and a
 viscous part, the term f(a)/(beta a).  force_analytic() returns exactly
 the float sum of the two parts so the decomposition identity holds to
-the last bit.
+the last bit; `oscylinder force`, which prints both parts, adds them itself.
 
 force_quadrature() integrates the traction with the composite
 trapezoidal rule on a uniform theta grid.  The integrand is a
@@ -25,16 +25,16 @@ connecting stress to force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
 
 
-@dataclass(frozen=True)
-class StressTensor:
+class StressTensor(namedtuple("StressTensor", "pi_rr pi_rtheta pi_thetatheta")):
     """Polar components of the stress phasor [Pa] at one point."""
 
+    __slots__ = ()
     pi_rr: complex
     pi_rtheta: complex
     pi_thetatheta: complex
@@ -45,10 +45,10 @@ class StressTensor:
         return self.pi_rtheta
 
 
-@dataclass(frozen=True)
-class ForceResult:
+class ForceResult(namedtuple("ForceResult", "fx fy method")):
     """Force per unit length [N/m] and the evaluation path that produced it."""
 
+    __slots__ = ()
     fx: complex
     fy: complex
     method: str

@@ -29,16 +29,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase
 from .forces import force_analytic, force_quadrature
 
-#: boundary_suite thresholds
+#: boundary_suite thresholds, then its four checks in BoundaryReport order
 NO_SLIP_TOL = 1e-12
 FAR_FIELD_TOL = 1e-3
 PRESSURE_FORM_TOL = 1e-13
 SYMMETRY_TOL = 1e-13
+_BOUNDARY_CHECKS = (("no_slip", NO_SLIP_TOL), ("far_field", FAR_FIELD_TOL),
+                    ("pressure_form", PRESSURE_FORM_TOL), ("symmetry", SYMMETRY_TOL))
 
 #: boundary_suite's (cos theta, sin theta) tables: the wall and far-field
 #: rings, then theta = 0 and theta, -theta, pi - theta for each pressure-form
@@ -54,10 +56,11 @@ _QUANTITIES = ("continuity", "momentum_r", "momentum_theta", "pressure_laplacian
 _VR, _VT, _P = range(3)  # positions of v_r, v_theta and p in a _fields sample
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", "location t h one_sided continuity "
+                                "momentum_r momentum_theta pressure_laplacian")):
     """Dimensionless equation residuals at one point and step size."""
 
+    __slots__ = ()
     location: PolarPoint
     t: float
     h: float              # radial step [m]
@@ -75,16 +78,17 @@ class _Stencil:
     def __init__(self, h, ht, one_sided, center, west, east, off):
         self.h, self.ht, self.one_sided = h, ht, one_sided
         self.center, self.west, self.east = center, west, east
-        self.radial = (center, *off) if one_sided else (off[0], center, off[1])
+        samples = (center, *off) if one_sided else (off[0], center, off[1])
+        self.radial = list(zip(*samples))  # per component, inward to outward
 
     def d1r(self, i: int) -> complex:
-        f = [st[i] for st in self.radial]
+        f = self.radial[i]
         if self.one_sided:
             return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * self.h)
         return (f[2] - f[0]) / (2.0 * self.h)
 
     def d2r(self, i: int) -> complex:
-        f = [st[i] for st in self.radial]
+        f = self.radial[i]
         if self.one_sided:
             return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (self.h * self.h)
         return (f[2] - 2.0 * f[1] + f[0]) / (self.h * self.h)
@@ -252,14 +256,16 @@ def residual_tolerance(s: Scenario, rho: float, h_rel: float = 1e-4) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(namedtuple("BoundaryReport", "no_slip_max far_field_max "
+                                "pressure_form_max symmetry_max far_radius no_slip_ok "
+                                "far_field_ok pressure_form_ok symmetry_ok")):
     """Maximum deviations from the four boundary/structure conditions.
 
     All maxima are normalized: velocities by v0, pressures by the
     reference pressure at theta = 0 of the same radius and time.
     """
 
+    __slots__ = ()
     no_slip_max: float        # |v(a, theta, t)|/v0
     far_field_max: float      # |v(R) - v_inf|/v0 at R = far_radius
     pressure_form_max: float  # theta-dependence of p/cos(theta)
@@ -329,25 +335,15 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
                 p, p_neg, p_sup = ps[k:k + 3]
                 form.append(abs(p / _FORM_ANGLES[k + 1][0] - p0) / pnorm)
                 sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
-    no_slip, far, form, sym = (_nan_max(v) for v in (no_slip, far, form, sym))
-
-    return BoundaryReport(
-        no_slip_max=no_slip,
-        far_field_max=far,
-        pressure_form_max=form,
-        symmetry_max=sym,
-        far_radius=far_radius,
-        no_slip_ok=no_slip <= NO_SLIP_TOL,
-        far_field_ok=far <= FAR_FIELD_TOL,
-        pressure_form_ok=form <= PRESSURE_FORM_TOL,
-        symmetry_ok=sym <= SYMMETRY_TOL,
-    )
+    maxima = [_nan_max(v) for v in (no_slip, far, form, sym)]
+    return BoundaryReport(*maxima, far_radius,
+                          *(m <= tol for m, (_, tol) in zip(maxima, _BOUNDARY_CHECKS)))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name value tol ok")):
     """One validate row; name is the text before "=" in the printed line."""
 
+    __slots__ = ()
     name: str
     value: float
     tol: float
@@ -373,13 +369,13 @@ def validate_checks(s: Scenario, t: float = 0.0,
                 pairs.append((getattr(rep, q), tol))
     checks = []
     for q, pairs in found.items():
-        value, tol = max(pairs, key=lambda pair: nan_rank(pair[0]))
+        value = _nan_max([v for v, _ in pairs])
+        tol = next(tl for v, tl in pairs if v == value or v != v)  # first NaN/max
         checks.append(Check(f"residual {q} max", value, tol,
                             all(v <= tl for v, tl in pairs)))
 
     b = boundary_suite(s)
-    for q, tol in (("no_slip", NO_SLIP_TOL), ("far_field", FAR_FIELD_TOL),
-                   ("pressure_form", PRESSURE_FORM_TOL), ("symmetry", SYMMETRY_TOL)):
+    for q, tol in _BOUNDARY_CHECKS:
         checks.append(Check(f"boundary {q} max", getattr(b, f"{q}_max"), tol,
                             getattr(b, f"{q}_ok")))
 

@@ -511,6 +511,47 @@ def test_recovery_errors():
         recovery_radius(S3, 1.0 - 1e-13)
 
 
+def _recovery_radius_forward(s, fraction):
+    """Reference: scan the whole grid outward, keep the last sample below
+    the fraction, then bisect as recovery_radius does."""
+    n = oscylinder.flow._RECOVERY_GRID_N
+    rhos = [10.0 ** (oscylinder.flow._RECOVERY_GRID_DECADES * j / n)
+            for j in range(n + 1)]
+    below = [j for j, rho in enumerate(rhos) if abs(_radial(s, rho)[0]) < fraction]
+    if not below:
+        return s.a
+    if below[-1] == n:
+        return RecoveryNotFoundError
+    lo, hi = rhos[below[-1]], rhos[below[-1] + 1]
+    while hi - lo > 1e-6 * lo:
+        mid = math.sqrt(lo * hi)
+        if abs(_radial(s, mid)[0]) >= fraction:
+            hi = mid
+        else:
+            lo = mid
+    return s.a * 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.999999])
+def test_recovery_radius_matches_forward_scan(fraction):
+    """The inward scan finds the same grid crossing as a full outward scan,
+    bit for bit, for beta a from 1e-9 to 1e4 (r90 and the not-found error)."""
+    a = 1e-4
+    outcomes = set()
+    for k in range(27):
+        ba = 10.0 ** (-9 + 0.5 * k)
+        s = Scenario(AIR_20C, a, 1.0, (ba / a) ** 2 * AIR_20C.nu0)
+        want = _recovery_radius_forward(s, fraction)
+        if want is RecoveryNotFoundError:
+            with pytest.raises(RecoveryNotFoundError):
+                recovery_radius(s, fraction)
+        else:
+            assert recovery_radius(s, fraction) == want
+        outcomes.add(want is RecoveryNotFoundError)
+    if fraction == 0.9:
+        assert outcomes == {True, False}  # both branches are exercised
+
+
 def test_fluid_properties():
     assert AIR_20C.mu0 == pytest.approx(15.11e-6 * 1.204, rel=1e-15)
     assert S1.frequency == pytest.approx(10.0, rel=1e-15)

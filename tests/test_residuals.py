@@ -465,6 +465,23 @@ def test_validate_checks_nan_fails_every_row(monkeypatch):
     assert [c.ok for c in checks] == [False] * 10
 
 
+def test_validate_checks_nan_row_reports_tol_of_first_nan(monkeypatch):
+    # NaN only beyond rho = 10: each residual row prints NaN with the tol of
+    # the first radius that produced it, not of the last or the largest value
+    s = Scenario.from_frequency(AIR_20C, 1e-6, 1.0, 10.0)  # tol varies by rho
+    fields = oscylinder.residuals._fields
+    monkeypatch.setattr(
+        oscylinder.residuals, "_fields",
+        lambda s, rho, angles, ph: ([(complex("nan"),) * 3] * len(angles)
+                                    if rho > 10.0 else fields(s, rho, angles, ph)))
+    rhos = [1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)]
+    tols = [residual_tolerance(s, rho) for rho in rhos]
+    assert len(set(tols[2:])) == 3
+    for row in validate_checks(s)[:4]:
+        assert math.isnan(row.value) and not row.ok
+        assert row.tol == tols[2]
+
+
 @pytest.mark.parametrize("h_rel", [0.0, 0.1, math.nan, 0.5])
 def test_validate_checks_rejects_step_outside_range(h_rel):
     with pytest.raises(ValueError, match="h_rel"):
