@@ -296,3 +296,24 @@ def bessel_k1_minus_pole(z: complex) -> complex:
         return _k_values(z)[2]
     k1s = _asym_k_scaled(z)[1]
     return k1s * cmath.exp(-z) - 1.0 / z
+
+
+def bessel_k_pair(z: complex, scaled: bool = False) -> tuple[complex, complex]:
+    """(K0(z), K1(z) - 1/z), or (e^z K0(z), e^z K1(z)) when scaled: the flow
+    brackets' pair, from one domain check, one cache lookup and at most one
+    exponential.  Bitwise the values of bessel_k0, bessel_k1 and
+    bessel_k1_minus_pole, except that past |z| = 17 the unscaled K0 is
+    e^z K0 times e^{-z}, which flushes to 0 where bessel_k0 would raise."""
+    z = complex(z)
+    _check_domain(z)
+    if abs(z) <= SERIES_RADIUS:
+        k0, k1, k1m = _k_values(z)
+        if scaled:
+            ez = cmath.exp(z)
+            return k0 * ez, k1 * ez
+        return k0, k1m
+    k0s, k1s = _asym_k_scaled(z)
+    if scaled:
+        return k0s, k1s
+    emz = cmath.exp(-z)
+    return k0s * emz, k1s * emz - 1.0 / z

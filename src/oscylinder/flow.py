@@ -33,7 +33,7 @@ a Perturbation reaches every field the same way.
 Two evaluation branches keep the brackets well-conditioned:
 
 * ba < 1: K1(z) carries a 1/z pole, so G(rho) = q/rho + W(rho) with
-  q = 2i/(ba^2 K0(j- ba)) ~ 1/ba^2 and W regular (bessel_k1_minus_pole).
+  q = 2i/(ba^2 K0(j- ba)) ~ 1/ba^2 and W regular (K1 - 1/z, bessel_k_pair).
   The q/rho^2 parts of b G/rho and c g1/rho^2 merge into one wall term
   of weight c f_a - b, exactly zero unperturbed, so only W is evaluated
   at each radius.
@@ -54,8 +54,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .bessel import (SERIES_RADIUS, bessel_k0, bessel_k1,
-                     bessel_k1_minus_pole)
+from .bessel import bessel_k1, bessel_k_pair
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 J_PLUS = complex(_SQRT1_2, _SQRT1_2)    # (1+i)/sqrt(2)
@@ -172,7 +171,7 @@ class _Coefficients:
         self.za = J_MINUS * ba
         self.small = ba < SMALL_BA
         try:
-            self.k0_za = bessel_k0(self.za, scaled=not self.small)
+            self.k0_za = bessel_k_pair(self.za, scaled=not self.small)[0]
             if self.small:
                 self.q = 2j / (ba * ba * self.k0_za)
                 self.pole = -(2.0 / self.k0_za)
@@ -196,13 +195,12 @@ class _Coefficients:
         ba = self.ba
         z = J_MINUS * (ba * rho)
         if self.small:
-            gr = 2.0 * J_PLUS * bessel_k1_minus_pole(z) / (ba * self.k0_za)
-            if abs(z) <= SERIES_RADIUS:
-                return gr, bessel_k0(z) / self.k0_za
-            return gr, bessel_k0(z, scaled=True) * cmath.exp(-z) / self.k0_za
+            k0, k1m = bessel_k_pair(z)
+            return 2.0 * J_PLUS * k1m / (ba * self.k0_za), k0 / self.k0_za
+        k0s, k1s = bessel_k_pair(z, scaled=True)
         decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
-        gr = 2.0 * J_PLUS * bessel_k1(z, scaled=True) * decay / (ba * self.k0_za)
-        return gr, bessel_k0(z, scaled=True) * decay / self.k0_za
+        return (2.0 * J_PLUS * k1s * decay / (ba * self.k0_za),
+                k0s * decay / self.k0_za)
 
 
 class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):

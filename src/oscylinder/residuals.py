@@ -7,10 +7,10 @@ flow_state, velocity() and pressure() call one point at a time (a test
 pins the two together bitwise), on small stencils and substituting into
 the continuity equation, both linearized momentum equations, and the
 pressure Laplace equation.  Samples are taken by block, one kernel call
-per (radius, time): the stencils of points sharing a radius come from one
-call at r for all their angles plus one per off-radius point, and
-boundary_suite makes 10 calls in all.  Every residual is reported
-dimensionless:
+per (radius, time): _stencils samples the points sharing a radius with one
+call at r for all their angles plus one per off-radius point, _reports
+forms every difference from those samples inline, and boundary_suite
+makes 10 calls in all.  Every residual is reported dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -52,9 +52,6 @@ _FORM_ANGLES = [(1.0, 0.0)] + [(math.cos(th), math.sin(th))
                                for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1)
                                for th in (theta, -theta, math.pi - theta)]
 
-_QUANTITIES = ("continuity", "momentum_r", "momentum_theta", "pressure_laplacian")
-_VR, _VT, _P = range(3)  # positions of v_r, v_theta and p in a _fields sample
-
 
 class ResidualReport(namedtuple("ResidualReport", "location t h one_sided continuity "
                                 "momentum_r momentum_theta pressure_laplacian")):
@@ -71,34 +68,8 @@ class ResidualReport(namedtuple("ResidualReport", "location t h one_sided contin
     pressure_laplacian: float
 
 
-class _Stencil:
-    """(v_r, v_theta, p) samples around one point with one step h, plus
-    second-order difference operators; _stencils builds them by radius."""
-
-    def __init__(self, h, ht, one_sided, center, west, east, off):
-        self.h, self.ht, self.one_sided = h, ht, one_sided
-        self.center, self.west, self.east = center, west, east
-        samples = (center, *off) if one_sided else (off[0], center, off[1])
-        self.radial = list(zip(*samples))  # per component, inward to outward
-
-    def d1r(self, i: int) -> complex:
-        f = self.radial[i]
-        if self.one_sided:
-            return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * self.h)
-        return (f[2] - f[0]) / (2.0 * self.h)
-
-    def d2r(self, i: int) -> complex:
-        f = self.radial[i]
-        if self.one_sided:
-            return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (self.h * self.h)
-        return (f[2] - 2.0 * f[1] + f[0]) / (self.h * self.h)
-
-    def d1t(self, i: int) -> complex:
-        return (self.east[i] - self.west[i]) / (2.0 * self.ht)
-
-    def d2t(self, i: int) -> complex:
-        return ((self.east[i] - 2.0 * self.center[i] + self.west[i])
-                / (self.ht * self.ht))
+_RESIDUALS = slice(4, 8)  # the residual columns of a ResidualReport
+_QUANTITIES = ResidualReport._fields[_RESIDUALS]
 
 
 def _resolve_step(r: float, thetas, h: float | None) -> float:
@@ -117,9 +88,11 @@ def _resolve_step(r: float, thetas, h: float | None) -> float:
     return h
 
 
-def _stencils(s: Scenario, pts, t: float, h: float | None) -> list[_Stencil]:
-    """Stencils around points that share one radius r, sampled as blocks: one
-    _fields call at r for every theta and theta -+ h/r, one per off radius."""
+def _stencils(s: Scenario, pts, t: float, h: float | None):
+    """(h, ht, one_sided, ring, off) for points sharing one radius r: the
+    steps, whether the wall forces one-sided radial stencils, the (v_r,
+    v_theta, p) samples at theta, theta -+ ht of each point in turn, and per
+    point its samples at r -+ h, or r + h, 2h, 3h when one-sided."""
     r = pts[0].r
     rho = _check_radius(s, r)
     h = _resolve_step(r, [pt.theta for pt in pts], h)
@@ -130,53 +103,57 @@ def _stencils(s: Scenario, pts, t: float, h: float | None) -> list[_Stencil]:
               for th in (pt.theta, pt.theta - ht, pt.theta + ht)]
     ring = _fields(s, rho, angles, ph)
     radii = (r + h, r + 2.0 * h, r + 3.0 * h) if one_sided else (r - h, r + h)
-    off = [_fields(s, _check_radius(s, rr), angles[::3], ph) for rr in radii]
-    return [_Stencil(h, ht, one_sided, *ring[3 * i:3 * i + 3], [o[i] for o in off])
-            for i in range(len(pts))]
+    off = list(zip(*[_fields(s, _check_radius(s, rr), angles[::3], ph)
+                     for rr in radii]))
+    return h, ht, one_sided, ring, off
 
 
 def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
-    """residual_report at each of pts, which share one radius."""
-    stencils = _stencils(s, pts, t, h)
-    r = pts[0].r
-    inv_r = 1.0 / r
+    """residual_report at each of pts, which share one radius: one _stencils
+    block, then second-order differences formed inline, point by point."""
+    h, ht, one_sided, ring, off = _stencils(s, pts, t, h)
+    inv_r = 1.0 / pts[0].r
     inv_r2 = inv_r * inv_r
-    nu0 = s.fluid.nu0
-    rho0 = s.fluid.rho0
-    omega = s.omega
+    h2, hh, ht2, htht = 2.0 * h, h * h, 2.0 * ht, ht * ht
+    a, nu0, rho0, iw = s.a, s.fluid.nu0, s.fluid.rho0, -1j * s.omega
     vnorm = s.v0 if s.v0 > 0 else 1.0
+    mnorm, pnorm = vnorm * s.omega, rho0 * s.omega * vnorm
     reports = []
-    for pt, st in zip(pts, stencils):
-        vr0 = st.center[_VR]
-        vt0 = st.center[_VT]
-        d1r_vr = st.d1r(_VR)
-        d1r_vt = st.d1r(_VT)
-        d1r_p = st.d1r(_P)
-        d1t_vr = st.d1t(_VR)
-        d1t_vt = st.d1t(_VT)
-        d1t_p = st.d1t(_P)
-
+    for pt, (vr0, vt0, p0), (vr_w, vt_w, p_w), (vr_e, vt_e, p_e), radial in zip(
+            pts, ring[::3], ring[1::3], ring[2::3], off):
+        if one_sided:  # samples at r + h, r + 2h, r + 3h
+            (vr1, vt1, p1), (vr2, vt2, p2), (vr3, vt3, p3) = radial
+            d1r_vr = (-3.0 * vr0 + 4.0 * vr1 - vr2) / h2
+            d1r_vt = (-3.0 * vt0 + 4.0 * vt1 - vt2) / h2
+            d1r_p = (-3.0 * p0 + 4.0 * p1 - p2) / h2
+            d2r_vr = (2.0 * vr0 - 5.0 * vr1 + 4.0 * vr2 - vr3) / hh
+            d2r_vt = (2.0 * vt0 - 5.0 * vt1 + 4.0 * vt2 - vt3) / hh
+            d2r_p = (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) / hh
+        else:  # samples at r - h, r + h
+            (vr1, vt1, p1), (vr2, vt2, p2) = radial
+            d1r_vr = (vr2 - vr1) / h2
+            d1r_vt = (vt2 - vt1) / h2
+            d1r_p = (p2 - p1) / h2
+            d2r_vr = (vr2 - 2.0 * vr0 + vr1) / hh
+            d2r_vt = (vt2 - 2.0 * vt0 + vt1) / hh
+            d2r_p = (p2 - 2.0 * p0 + p1) / hh
+        d1t_vr = (vr_e - vr_w) / ht2
+        d1t_vt = (vt_e - vt_w) / ht2
+        d1t_p = (p_e - p_w) / ht2
+        d2t_vr = (vr_e - 2.0 * vr0 + vr_w) / htht
+        d2t_vt = (vt_e - 2.0 * vt0 + vt_w) / htht
+        d2t_p = (p_e - 2.0 * p0 + p_w) / htht
         cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
-
-        lap_vr = (st.d2r(_VR) + st.d2t(_VR) * inv_r2 + d1r_vr * inv_r
+        lap_vr = (d2r_vr + d2t_vr * inv_r2 + d1r_vr * inv_r
                   - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
-        lap_vt = (st.d2r(_VT) + st.d2t(_VT) * inv_r2 + d1r_vt * inv_r
+        lap_vt = (d2r_vt + d2t_vt * inv_r2 + d1r_vt * inv_r
                   + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
-        mom_r = -1j * omega * vr0 + d1r_p / rho0 - nu0 * lap_vr
-        mom_t = -1j * omega * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
-
-        lap_p = st.d2r(_P) + d1r_p * inv_r + st.d2t(_P) * inv_r2
-
-        reports.append(ResidualReport(
-            location=pt,
-            t=t,
-            h=st.h,
-            one_sided=st.one_sided,
-            continuity=abs(cont) * s.a / vnorm,
-            momentum_r=abs(mom_r) / (vnorm * omega),
-            momentum_theta=abs(mom_t) / (vnorm * omega),
-            pressure_laplacian=abs(lap_p) * s.a / (rho0 * omega * vnorm),
-        ))
+        mom_r = iw * vr0 + d1r_p / rho0 - nu0 * lap_vr
+        mom_t = iw * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
+        lap_p = d2r_p + d1r_p * inv_r + d2t_p * inv_r2
+        reports.append(ResidualReport(pt, t, h, one_sided, abs(cont) * a / vnorm,
+                                      abs(mom_r) / mnorm, abs(mom_t) / mnorm,
+                                      abs(lap_p) * a / pnorm))
     return reports
 
 
@@ -196,12 +173,13 @@ def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
     field samples, so they agree to regrouping roundoff (~1e-15); a
     larger gap would mean the two code paths diverged.
     """
-    st = _stencils(s, [pt], t, h)[0]
+    h, ht, one_sided, ((vr0, _, _), (_, vt_w, _), (_, vt_e, _)), (radial,) = \
+        _stencils(s, [pt], t, h)
+    vr1, vr2 = radial[0][0], radial[1][0]
+    d1r_vr = ((-3.0 * vr0 + 4.0 * vr1 - vr2) if one_sided else (vr2 - vr1)) / (2.0 * h)
+    d1t_vt = (vt_e - vt_w) / (2.0 * ht)
     r = pt.r
     vnorm = s.v0 if s.v0 > 0 else 1.0
-    vr0 = st.center[_VR]
-    d1r_vr = st.d1r(_VR)
-    d1t_vt = st.d1t(_VT)
     expanded = abs(d1r_vr + vr0 / r + d1t_vt / r) * s.a / vnorm
     regrouped = abs(vr0 + r * d1r_vr + d1t_vt) * s.a / (r * vnorm)
     return expanded, regrouped
@@ -288,7 +266,7 @@ def nan_rank(value: float) -> tuple[bool, float]:
     return math.isnan(value), value
 
 
-def _nan_max(values: list[float]) -> float:
+def _nan_max(values: list[float] | tuple[float, ...]) -> float:
     """max(values, key=nan_rank) without a per-element key call."""
     return math.nan if any(map(math.isnan, values)) else max(values)
 
@@ -359,16 +337,17 @@ def validate_checks(s: Scenario, t: float = 0.0,
     if not (math.isfinite(h_rel) and 0.0 < h_rel < 0.1):
         raise ValueError(f"h_rel must lie in (0, 0.1), got {h_rel!r}")
     s._coefficients  # an unusable beta a fails here, naming it, before any tol
-    # (value, tol) pairs; (0, 1) is what prints when every residual is 0
-    found = {q: [(0.0, 1.0)] for q in _QUANTITIES}
+    # per residual column, one (block max, tol) pair per radius; (0, 1) is
+    # what prints when every residual is 0
+    found = [[(0.0, 1.0)] for _ in _QUANTITIES]
     for rho in (1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)):
         tol = residual_tolerance(s, rho, h_rel)
         pts = [PolarPoint(rho * s.a, theta) for theta in (0.35, 1.05, 1.85, 2.65, 3.45)]
-        for rep in _reports(s, pts, t, h_rel * rho * s.a):
-            for q, pairs in found.items():
-                pairs.append((getattr(rep, q), tol))
+        columns = list(zip(*_reports(s, pts, t, h_rel * rho * s.a)))[_RESIDUALS]
+        for pairs, column in zip(found, columns):
+            pairs.append((_nan_max(column), tol))
     checks = []
-    for q, pairs in found.items():
+    for q, pairs in zip(_QUANTITIES, found):
         value = _nan_max([v for v, _ in pairs])
         tol = next(tl for v, tl in pairs if v == value or v != v)  # first NaN/max
         checks.append(Check(f"residual {q} max", value, tol,

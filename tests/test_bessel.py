@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from oscylinder import (SERIES_RADIUS, BesselDomainError, bessel_i0,
                         bessel_i1, bessel_k0, bessel_k1,
                         bessel_k1_minus_pole)
+from oscylinder.bessel import bessel_k_pair
 
 # name: (z, K0, K1, I0, I1)  [unscaled]
 BESSEL_REFERENCE = {
@@ -401,6 +402,9 @@ def test_domain_errors(bad):
     for fn in FUNCS:
         with pytest.raises(BesselDomainError):
             fn(bad)
+    for scaled in (False, True):
+        with pytest.raises(BesselDomainError):
+            bessel_k_pair(bad, scaled=scaled)
 
 
 def test_domain_error_is_value_error():
@@ -416,6 +420,27 @@ def test_unscaled_overflow_policy():
         bessel_i0(complex(710.0, 1.0))
     with pytest.raises(OverflowError):
         bessel_i1(complex(710.0, 1.0))
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1.999, 2.0, 2.001, 16.999, 17.0,
+                                    17.001, 60.0, 700.0])
+@pytest.mark.parametrize("phi", [-math.pi / 2, -math.pi / 4, 0.0, 1.1, math.pi / 2])
+def test_k_pair_matches_public_functions(radius, phi):
+    # the flow brackets' pair is, bit for bit, what the public K0, K1 and
+    # K1 - 1/z give, on both sides of the series switches at |z| = 2 and 17
+    z = cmath.rect(radius, phi)
+    assert bessel_k_pair(z) == (bessel_k0(z), bessel_k1_minus_pole(z))
+    assert bessel_k_pair(z, scaled=True) == (bessel_k0(z, scaled=True),
+                                             bessel_k1(z, scaled=True))
+
+
+def test_k_pair_unscaled_flushes_to_zero():
+    # past Re z ~ 745 e^{-z} underflows: the pair flushes K0 to 0 (K1 - 1/z
+    # to -1/z) where the public unscaled K0 raises
+    z = complex(800.0, 1.0)
+    with pytest.raises(OverflowError):
+        bessel_k0(z)
+    assert bessel_k_pair(z) == (0.0, -1.0 / z)
 
 
 def test_scaled_reaches_extreme_arguments():

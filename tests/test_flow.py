@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscylinder import (AIR_20C, J_MINUS, J_PLUS, Fluid, Perturbation,
+from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
+                        BesselDomainError, Fluid, Perturbation,
                         PolarPoint, RecoveryNotFoundError, Scenario,
                         bessel_k0, bessel_k1, coefficient_B, coefficient_C,
                         f_of_r, far_field_pressure, far_field_velocity,
@@ -467,6 +468,47 @@ def test_block_kernel_matches_flow_state_per_point(s, log_rho, thetas, t):
         assert vr == want.vr
         assert vt == want.vtheta
         assert p == want.p
+
+
+# ----------------------------------------------------------------------
+# the radial terms behind _radial
+# ----------------------------------------------------------------------
+
+def _terms_public(k, rho):
+    """_Coefficients.terms(rho) formed from the public Bessel functions."""
+    z = J_MINUS * (k.ba * rho)
+    if k.small:
+        k0 = (bessel_k0(z) if abs(z) <= SERIES_RADIUS
+              else bessel_k0(z, scaled=True) * cmath.exp(-z))
+        return _w_small(k.ba, k.k0_za, rho), k0 / k.k0_za
+    decay = cmath.exp(-J_MINUS * (k.ba * (rho - 1.0)))
+    return (_g_direct(k.ba, k.k0_za, rho),
+            bessel_k0(z, scaled=True) * decay / k.k0_za)
+
+
+@pytest.mark.parametrize("ba", [0.05, 0.7, 1.2, 1.9])
+@pytest.mark.parametrize("abs_z", [1.999, 2.001, 16.999, 17.001, 400.0])
+def test_terms_match_public_bessel_route(ba, abs_z):
+    # one bessel_k_pair call per rho gives the public-function values bit
+    # for bit, on both branches and both sides of |z| = 2 and |z| = 17
+    s = scenario(ba / math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0), 1000.0)
+    k = s._coefficients
+    assert k.small == (ba < 1.0)
+    assert k.k0_za == bessel_k0(k.za, scaled=not k.small)
+    rho = abs_z / k.ba
+    assert rho >= 1.0
+    assert k.terms(rho) == _terms_public(k, rho)
+
+
+@pytest.mark.parametrize("f", [100.0, 1e9])
+def test_infinite_radius_ratio_raises_domain_error(f):
+    # r/a overflows to rho = inf; the one Bessel lookup per rho must still
+    # refuse the infinite argument, on the beta a < 1 (f = 100) and the
+    # beta a >= 1 (f = 1e9) branch alike, rather than return NaN
+    s = scenario(1e-5, f)
+    assert (s.ba < 1.0) == (f == 100.0)
+    with pytest.raises(BesselDomainError, match="argument must be finite"):
+        flow_state(s, PolarPoint(1e305, 0.3), 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ to the documented tolerance envelope instead.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscylinder.flow
 import oscylinder.forces
@@ -142,7 +144,7 @@ def test_convergence_order_undefined_for_null_field():
 # continuity regrouping identity
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("rho", [1.1, 2.0, 20.0])
+@pytest.mark.parametrize("rho", [1.0, 1.00005, 1.1, 2.0, 20.0])
 def test_continuity_pair_agrees(rho):
     expanded, regrouped = continuity_pair(S3, PolarPoint(rho * S3.a, 1.1))
     assert abs(expanded - regrouped) <= 1e-12
@@ -425,6 +427,63 @@ def test_residual_report_matches_public_reference(s, rho, theta, t):
     assert residual_report(s, pt, t) == want  # default step 1e-4 r
 
 
+def reference_continuity_pair(s, pt, t, h):
+    r, theta = pt.r, pt.theta
+    ht = h / r
+    vr0 = flow_state(s, pt, t).vr
+    vt_w, vt_e = (flow_state(s, PolarPoint(r, th), t).vtheta
+                  for th in (theta - ht, theta + ht))
+    one_sided = (r - h) < s.a
+    vr1, vr2 = (flow_state(s, PolarPoint(rr, theta), t).vr
+                for rr in ((r + h, r + 2.0 * h) if one_sided else (r - h, r + h)))
+    if one_sided:
+        d1r_vr = (-3.0 * vr0 + 4.0 * vr1 - vr2) / (2.0 * h)
+    else:
+        d1r_vr = (vr2 - vr1) / (2.0 * h)
+    d1t_vt = (vt_e - vt_w) / (2.0 * ht)
+    vnorm = s.v0 if s.v0 > 0 else 1.0
+    return (abs(d1r_vr + vr0 / r + d1t_vt / r) * s.a / vnorm,
+            abs(vr0 + r * d1r_vr + d1t_vt) * s.a / (r * vnorm))
+
+
+@pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
+@pytest.mark.parametrize("rho, theta, t", [
+    (1.0, 4.0, 1.7e-3),      # on the wall: one-sided stencil
+    (1.00005, 0.35, 0.0),    # r - h < a: one-sided stencil
+    (1.5, 0.7, 3.1e-4),      # central stencil
+])
+def test_continuity_pair_matches_public_reference(s, rho, theta, t):
+    pt = PolarPoint(rho * s.a, theta)
+    want = reference_continuity_pair(s, pt, t, 1e-4 * pt.r)
+    assert continuity_pair(s, pt, t, 1e-4 * pt.r) == want
+    assert continuity_pair(s, pt, t) == want  # default step 1e-4 r
+
+
+@given(st.floats(min_value=-9.0, max_value=4.0),
+       st.sampled_from([None] + [Perturbation(n, 1.001)
+                                 for n in ("B", "C", "f_a", "beta")]),
+       st.one_of(st.sampled_from([1.0, 1.00005]),
+                 st.floats(min_value=1.0, max_value=100.0)),
+       st.floats(min_value=-10.0, max_value=10.0),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=150, deadline=None)
+def test_residual_report_matches_reference_over_beta_a(log_ba, pert, rho, theta,
+                                                       phase):
+    # residual_report and the validate grid share one kernel, so the
+    # flow_state reference is what pins them: bit for bit for beta a in
+    # [1e-9, 1e4], clean and perturbed, one-sided (rho = 1, 1.00005) and
+    # central stencils, any angle and time in a period
+    f = 1000.0
+    a = 10.0 ** log_ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
+    s = scenario(a, f, perturbation=pert)
+    pt = PolarPoint(rho * a, theta)
+    t = phase / f
+    h = 1e-4 * pt.r
+    got = residual_report(s, pt, t, h)
+    assert got.one_sided or rho not in (1.0, 1.00005)
+    assert repr(got) == repr(reference_residual_report(s, pt, t, h))
+
+
 def test_checks_sample_once_per_block(monkeypatch):
     # boundary_suite takes one phase per (radius, time) block, 10 in all,
     # and a stencil one; neither samples a point through the public API
@@ -488,7 +547,7 @@ def test_validate_checks_rejects_step_outside_range(h_rel):
         validate_checks(S3, h_rel=h_rel)
 
 
-@pytest.mark.parametrize("ba", [1e-8, 1e-3, 1.0, 30.0, 1e3])
+@pytest.mark.parametrize("ba", [1e-8, 1e-3, 1.0, 30.0, 1e3, 1e4])
 def test_every_mutation_fails_a_validate_row(ba):
     # the clean scenario passes every row, and each 0.1% coefficient
     # mutation fails at least one, across the supported beta a range
