@@ -15,6 +15,12 @@ computation, so the row order never depends on input order.  force
 computes each row's terms once, serially, with |F_b + F_v| as the exact
 force_analytic column; --jobs (>= 1) is accepted but starts no threads.
 
+profile and field form each point as angle x flow._radial x phase, the
+products flow._fields forms for flow_state and the residual checks, in
+the same order (forces._stress builds the stress the same way); tests pin
+every row to flow_state bit for bit.  A radius, r/a or grid span that is
+NaN or overflows is refused with a message naming it.
+
 Exit codes: 0 success, 1 validation failure, 2 invalid input or I/O
 error.
 """
@@ -32,8 +38,7 @@ from functools import lru_cache
 
 from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
                      bessel_k1_minus_pole, BesselDomainError)
-from .flow import (AIR_20C, Fluid, Perturbation, Scenario, _check_radius,
-                   _fields, _phase)
+from .flow import AIR_20C, Fluid, Perturbation, Scenario, _phase, _radial
 from .forces import force_buoyancy, force_quadrature, force_viscous_approx
 from .residuals import validate_checks
 
@@ -285,19 +290,26 @@ def cmd_profile(cfg: RunConfig, nr: int, rmax_factor: float) -> int:
     unit = "[rad]" if mode == "phase" else "[-]"
     header = ["f [Hz]", "r [m]", "r_over_a [-]",
               f"{mode}_vr_over_v0 {unit}", f"{mode}_vtheta_over_v0 {unit}"]
+    a = cfg.a
+    if not a * rmax_factor < math.inf:
+        raise ValueError(f"--rmax-factor: the outer radius a * rmax_factor = "
+                         f"{a * rmax_factor!r} m is out of range (not finite)")
     vnorm = cfg.v0 if cfg.v0 > 0 else 1.0
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
-        ph = _phase(s, cfg.t)
+        # v_r at theta = 0 and v_theta at pi/2, where cos 0 == sin(pi/2) == 1.0
+        # makes the angle factor exact: v0 * 1.0 * ph == v0 * ph
+        vph = s.v0 * _phase(s, cfg.t)
         for j in range(nr):
-            # j = 0 gives exactly r = a, where the columns are exactly zero
-            r = cfg.a * rmax_factor ** (j / (nr - 1))
-            # v_r at theta = 0 and v_theta at pi/2: cos 0 == sin(pi/2) == 1.0
-            vr, vt, _ = _fields(s, _check_radius(s, r), ((1.0, 1.0),), ph)[0]
-            rows.append(f"{f:.16e},{r:.16e},{r / cfg.a:.16e},"
-                        f"{_mode_value(vr / vnorm, mode):.16e},"
-                        f"{_mode_value(vt / vnorm, mode):.16e}\n")
+            # j = 0 gives exactly r = a, where the columns are exactly zero;
+            # a <= r <= a * rmax_factor, so r and rho are finite
+            r = a * rmax_factor ** (j / (nr - 1))
+            rho = r / a
+            br, bth, _, _, _ = _radial(s, rho)
+            rows.append(f"{f:.16e},{r:.16e},{rho:.16e},"
+                        f"{_mode_value(vph * br / vnorm, mode):.16e},"
+                        f"{_mode_value(vph * bth / vnorm, mode):.16e}\n")
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -309,9 +321,17 @@ def cmd_field(cfg: RunConfig, grid) -> int:
         y0, y1, ny = -4.0 * cfg.a, 4.0 * cfg.a, 41
     else:
         x0, x1, nx, y0, y1, ny = grid
-    f = cfg.frequencies[0]
-    s = cfg.scenario(f)
+    for name, lo, hi in (("X", x0, x1), ("Y", y0, y1)):
+        if not hi - lo < math.inf:
+            raise ValueError(f"field grid span {name}MAX - {name}MIN = {hi!r} - "
+                             f"({lo!r}) is out of range (not finite)")
+    a = cfg.a
+    s = cfg.scenario(cfg.frequencies[0])
     ph = _phase(s, cfg.t)
+    v0 = s.v0
+    pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
+    radial, inf = _radial, math.inf
+    hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
     header = ["x [m]", "y [m]", "masked [-]",
               "re_p [Pa]", "abs_p [Pa]", "re_vx [m/s]", "re_vy [m/s]"]
     columns = [(x, f"{x:.16e}") for x in
@@ -321,13 +341,21 @@ def cmd_field(cfg: RunConfig, grid) -> int:
         y = y0 + (y1 - y0) * iy / (ny - 1)
         ys = f"{y:.16e}"
         for x, xs in columns:
-            r = math.hypot(x, y)
-            if r < cfg.a:
+            r = hypot(x, y)
+            if r < a:
                 rows.append(f"{xs},{ys},1,,,,\n")
                 continue
-            theta = math.atan2(y, x)
-            c, sn = math.cos(theta), math.sin(theta)
-            vr, vt, p = _fields(s, _check_radius(s, r), ((c, sn),), ph)[0]
+            rho = r / a
+            if not rho < inf:  # NaN, or r or r/a overflowed
+                raise ValueError(f"field point ({x!r}, {y!r}): radius r = {r!r} m, "
+                                 f"r/a = {rho!r} is out of range (not finite)")
+            theta = atan2(y, x)
+            c, sn = cos(theta), sin(theta)
+            # flow._fields' products, angle x _radial x phase, as in forces._stress
+            br, bth, _, _, pb = radial(s, rho)
+            vr = v0 * c * ph * br
+            vt = v0 * sn * ph * bth
+            p = pv * c * ph * pb
             vx = vr * c - vt * sn
             vy = vr * sn + vt * c
             rows.append(f"{xs},{ys},0,{p.real:.16e},{abs(p):.16e},"

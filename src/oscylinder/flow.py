@@ -24,11 +24,14 @@ Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface.  _radial(s, rho) returns
 B_r, B_theta, their rho-derivatives and P, memoised per rho.  _fields, the
-one sampling kernel (flow_state passes it a single angle), is angle x
-_radial x phase for v_r, v_theta and p over a block: one rho, one phase
-and a sequence of angles, with one _radial lookup per block.
-Stress, traction and force are angle x _radial x phase products too, so
-a Perturbation reaches every field the same way.
+block sampler, is angle x _radial x phase for v_r, v_theta and p over one
+rho, one phase and a sequence of angles, with one _radial lookup per
+block; it serves flow_state (a single angle) and the residual and boundary
+checks in residuals.  The field and profile commands in cli form the same
+products per point from _radial, as forces._stress does for the stress,
+and a test pins their rows to flow_state bit for bit.  Stress, traction
+and force are angle x _radial x phase products too, so a Perturbation
+reaches every field the same way.
 
 Two evaluation branches keep the brackets well-conditioned:
 

@@ -2,9 +2,11 @@
 equations, plus boundary-condition spot checks.
 
 The closed-form fields are treated as a black box: residuals are formed
-by differencing samples of flow._fields, the block kernel that
+by differencing samples of flow._fields, the block sampler that
 flow_state, velocity() and pressure() call one point at a time (a test
-pins the two together bitwise), on small stencils and substituting into
+pins the two together bitwise; the field and profile commands form the
+same products per point from flow._radial, and a test pins their rows to
+flow_state), on small stencils and substituting into
 the continuity equation, both linearized momentum equations, and the
 pressure Laplace equation.  Samples are taken by block, one kernel call
 per (radius, time): _stencils samples the points sharing a radius with one

@@ -7,6 +7,7 @@ converted by ``main`` into a return value of 2.
 """
 
 import argparse
+import cmath
 import csv
 import math
 import os
@@ -17,12 +18,13 @@ import sys
 
 import pytest
 
+import oscylinder.cli
 import oscylinder.flow
 import oscylinder.forces
 from oscylinder import bessel_k0
 from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
-                        boundary_suite, force_analytic, force_quadrature,
-                        residual_report, residual_tolerance)
+                        boundary_suite, flow_state, force_analytic,
+                        force_quadrature, residual_report, residual_tolerance)
 from oscylinder.cli import build_parser, main
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
                                   SYMMETRY_TOL, nan_rank)
@@ -150,6 +152,69 @@ def test_field_custom_grid_no_mask(tmp_path):
     assert len({r[1] for r in rows[:5]}) == 1
 
 
+# field and profile form angle x _radial x phase per point themselves; every
+# row must print, bit for bit, the values formatted from flow_state (whose
+# kernel, flow._fields, the residual and boundary checks sample) at its point
+PINNED_RUNS = [  # a, f, v0, t, perturbation
+    (1e-6, 100.0, 1.0, 0.0, None),                      # the default run
+    (1e-3, 1000.0, 1.0, 0.0, None),                     # beta a ~ 20 >= 1
+    (1e-6, 100.0, 1.0, 0.0, Perturbation("B", 1.001)),
+    (1e-4, 1000.0, 2.5, 0.00037, None),                 # beta a ~ 2, t != 0
+]
+
+
+def _pinned_run(capsys, command, a, f, v0, t, pert, *extra):
+    """The run's CSV data lines and its Scenario."""
+    argv = [command, "--a", repr(a), "--f", repr(f), "--v0", repr(v0),
+            "--t", repr(t), *extra]
+    if pert is not None:
+        argv += ["--mutate", f"{pert.coefficient}:{pert.factor!r}"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return lines, Scenario.from_frequency(AIR_20C, a, v0, f, pert)
+
+
+def _mode_reference(z, mode):
+    return {"re": z.real, "im": z.imag, "abs": abs(z), "phase": cmath.phase(z)}[mode]
+
+
+@pytest.mark.parametrize("a, f, v0, t, pert", PINNED_RUNS)
+def test_field_rows_match_flow_state(a, f, v0, t, pert, capsys):
+    lines, s = _pinned_run(capsys, "field", a, f, v0, t, pert)
+    assert len(lines) == 41 * 41
+    live = 0
+    for line in lines:
+        xs, ys = line.split(",")[:2]
+        x, y = float(xs), float(ys)
+        r = math.hypot(x, y)
+        if r < s.a:
+            assert line == f"{xs},{ys},1,,,,"
+            continue
+        theta = math.atan2(y, x)
+        c, sn = math.cos(theta), math.sin(theta)
+        vr, vt, p = flow_state(s, PolarPoint(r, theta), t)
+        vx, vy = vr * c - vt * sn, vr * sn + vt * c
+        assert line == (f"{xs},{ys},0,{p.real:.16e},{abs(p):.16e},"
+                        f"{vx.real:.16e},{vy.real:.16e}"), line
+        live += 1
+    assert live > 1500
+
+
+@pytest.mark.parametrize("mode", ["re", "im", "abs", "phase"])
+@pytest.mark.parametrize("a, f, v0, t, pert", PINNED_RUNS)
+def test_profile_rows_match_flow_state(a, f, v0, t, pert, mode, capsys):
+    lines, s = _pinned_run(capsys, "profile", a, f, v0, t, pert, "--mode", mode)
+    assert len(lines) == 200
+    for line in lines:
+        fs, rs = line.split(",")[:2]
+        r = float(rs)
+        vr = flow_state(s, PolarPoint(r, 0.0), t).vr / s.v0
+        vt = flow_state(s, PolarPoint(r, 0.5 * math.pi), t).vtheta / s.v0
+        assert line == (f"{fs},{rs},{r / s.a:.16e},"
+                        f"{_mode_reference(vr, mode):.16e},"
+                        f"{_mode_reference(vt, mode):.16e}"), line
+
+
 # ----------------------------------------------------------------------
 # force
 # ----------------------------------------------------------------------
@@ -269,8 +334,8 @@ def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
         s._coefficients.memo.clear()
         return radial(s, rho)
 
-    monkeypatch.setattr(oscylinder.flow, "_radial", without_memo)
-    monkeypatch.setattr(oscylinder.forces, "_radial", without_memo)
+    for module in (oscylinder.flow, oscylinder.forces, oscylinder.cli):
+        monkeypatch.setattr(module, "_radial", without_memo)
     assert main(argv) == code
     # a bool, so that a failure does not diff thousands of CSV lines
     moved = capsys.readouterr().out != with_memo
@@ -427,6 +492,26 @@ def test_parse_errors_exit_2(argv, capsys):
 def test_semantic_errors_return_2(argv, capsys):
     assert main(argv) == 2
     assert "oscylinder: error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # XMAX - XMIN overflows, so every x would be NaN
+    (["field", "--a", "1e-6", "--grid=-1e308:1e308:3,-1e308:1e308:3"],
+     "field grid span XMAX - XMIN = 1e+308 - (-1e+308) is out of range (not finite)"),
+    # the outer radius a * rmax_factor overflows
+    (["profile", "--a", "1e10", "--rmax-factor", "1e300", "--nr", "3"],
+     "outer radius a * rmax_factor = inf m is out of range (not finite)"),
+    # r is finite but r/a overflows before it reaches the Bessel kernel
+    (["field", "--a", "1e-6", "--grid=0:1.7e308:2,0:1.7e308:2"],
+     "field point (1.7e+308, 0.0): radius r = 1.7e+308 m, r/a = inf "
+     "is out of range (not finite)"),
+])
+def test_radius_domain_edges_fail_clearly(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "below the cylinder surface" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [["field", "--a", "1e-300"],

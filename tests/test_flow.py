@@ -14,6 +14,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
                         recovery_radius, reynolds_number, validity_report,
                         velocity)
 from oscylinder import bessel_k1_minus_pole
+import oscylinder.cli
 import oscylinder.flow
 from oscylinder.cli import main
 from oscylinder.flow import _check_radius, _fields, _phase, _radial
@@ -374,7 +376,8 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
         evaluated.append(rho)
         return terms(self, rho)
 
-    monkeypatch.setattr(oscylinder.flow, "_radial", recording_radial)
+    for module in (oscylinder.flow, oscylinder.cli):
+        monkeypatch.setattr(module, "_radial", recording_radial)
     monkeypatch.setattr(oscylinder.flow._Coefficients, "terms", recording_terms)
     assert main(["field"]) == 0
     capsys.readouterr()
@@ -498,6 +501,50 @@ def test_terms_match_public_bessel_route(ba, abs_z):
     rho = abs_z / k.ba
     assert rho >= 1.0
     assert k.terms(rho) == _terms_public(k, rho)
+
+
+def _radial_reference(ba, b, c, fa, rho):
+    """(B_r, B_theta, B_r', B_theta', P) from the closed form with mpmath's
+    Bessel K at 40 digits; ba is beta a with the beta factor applied."""
+    with mpmath.workdps(40):
+        jp = mpmath.mpc(1, 1) / mpmath.sqrt(2)
+        jm = mpmath.mpc(1, -1) / mpmath.sqrt(2)
+        ba, rho = mpmath.mpf(ba), mpmath.mpf(rho)
+        k0a = mpmath.besselk(0, jm * ba)
+
+        def G(x):
+            return 2 * jp * mpmath.besselk(1, jm * ba * x) / (ba * k0a)
+
+        g, k0r = G(rho), mpmath.besselk(0, jm * ba * rho) / k0a
+        wall = c * (1 + fa * G(1))
+        br = 1 + b * g / rho - wall / rho**2
+        bth = -1 + b * (2 * k0r + g / rho) - wall / rho**2
+        dbr = b * (-2 * k0r / rho - 2 * g / rho**2) + 2 * wall / rho**3
+        dbth = dbr + 1j * b * ba**2 * g
+        return br, bth, dbr, dbth, rho + wall / rho
+
+
+# beta a over the supported range 1e-9 .. 1e4 (both bracket branches) and
+# rho = 1 .. 1e6, clean and under each 1.001 perturbation
+@given(st.floats(min_value=-9.0, max_value=4.0),
+       st.floats(min_value=0.0, max_value=6.0),
+       st.sampled_from([None, *oscylinder.flow.PERTURBABLE]))
+@settings(max_examples=60, deadline=None)
+def test_radial_matches_mpmath_closed_form(log_ba, log_rho, name):
+    beta = math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0)
+    s = scenario(10.0 ** log_ba / beta, 1000.0,
+                 None if name is None else Perturbation(name, 1.001))
+    weight = dict.fromkeys(oscylinder.flow.PERTURBABLE, 1.0)
+    if name is not None:
+        weight[name] = 1.001
+    rho = 10.0 ** log_rho
+    want = _radial_reference(s.ba * weight["beta"], weight["B"], weight["C"],
+                             weight["f_a"], rho)
+    with mpmath.workdps(40):
+        for got, ref, label in zip(_radial(s, rho), want,
+                                   ("B_r", "B_theta", "B_r'", "B_theta'", "P")):
+            err = abs(mpmath.mpc(got.real, got.imag) - ref) / max(1, abs(ref))
+            assert err < 1e-13, label
 
 
 @pytest.mark.parametrize("f", [100.0, 1e9])
