@@ -19,7 +19,8 @@ profile and field form each point as angle x flow._radial x phase, the
 products flow._fields forms for flow_state and the residual checks, in
 the same order (forces._stress builds the stress the same way); tests pin
 every row to flow_state bit for bit.  A radius, r/a or grid span that is
-NaN or overflows is refused with a message naming it.
+NaN or overflows is refused with a message naming it, as are a Bessel
+argument beta a r/a and a field pressure |p| that leave double range.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input or I/O
 error.
@@ -356,9 +357,13 @@ def cmd_field(cfg: RunConfig, grid) -> int:
             vr = v0 * c * ph * br
             vt = v0 * sn * ph * bth
             p = pv * c * ph * pb
+            ap = abs(p)
+            if not ap < inf:  # p grows like r/a and can leave double range
+                raise ValueError(f"field point ({x!r}, {y!r}): the pressure |p| = "
+                                 f"{ap!r} Pa at r/a = {rho!r} is not finite")
             vx = vr * c - vt * sn
             vy = vr * sn + vt * c
-            rows.append(f"{xs},{ys},0,{p.real:.16e},{abs(p):.16e},"
+            rows.append(f"{xs},{ys},0,{p.real:.16e},{ap:.16e},"
                         f"{vx.real:.16e},{vy.real:.16e}\n")
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)

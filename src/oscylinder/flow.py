@@ -23,15 +23,17 @@ at rho = 1.  Physical fields are the real parts.
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface.  _radial(s, rho) returns
-B_r, B_theta, their rho-derivatives and P, memoised per rho.  _fields, the
-block sampler, is angle x _radial x phase for v_r, v_theta and p over one
-rho, one phase and a sequence of angles, with one _radial lookup per
-block; it serves flow_state (a single angle) and the residual and boundary
-checks in residuals.  The field and profile commands in cli form the same
-products per point from _radial, as forces._stress does for the stress,
-and a test pins their rows to flow_state bit for bit.  Stress, traction
-and force are angle x _radial x phase products too, so a Perturbation
-reaches every field the same way.
+B_r, B_theta, their rho-derivatives and P, memoised per rho; a rho whose
+Bessel argument ba rho is not finite is refused there, naming rho and
+ba.  _fields, the block sampler, is angle x _radial x phase for v_r,
+v_theta and p over one rho, one phase and a sequence of angles, with one
+_radial lookup per block; it serves flow_state (a single angle) and the
+residual stencils in residuals.  residuals.boundary_suite, the field and
+profile commands in cli and forces._stress form the same products from
+_radial themselves, each only the columns it reads; tests pin the
+boundary checks to a flow_state reference and the cli rows to flow_state,
+bit for bit.  Stress, traction and force are angle x _radial x phase
+products too, so a Perturbation reaches every field the same way.
 
 Two evaluation branches keep the brackets well-conditioned:
 
@@ -57,7 +59,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .bessel import bessel_k1, bessel_k_pair
+from .bessel import BesselDomainError, bessel_k1, bessel_k_pair
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 J_PLUS = complex(_SQRT1_2, _SQRT1_2)    # (1+i)/sqrt(2)
@@ -196,7 +198,12 @@ class _Coefficients:
     def terms(self, rho: float) -> tuple[complex, complex]:
         """Regular part of G(rho) and K0(j- ba rho)/K0(j- ba), underflow-safe."""
         ba = self.ba
-        z = J_MINUS * (ba * rho)
+        x = ba * rho
+        if not x < math.inf:  # r/a is inf or NaN, or a finite r/a overflows here
+            raise BesselDomainError(f"r/a = {rho!r} is out of range at beta a = "
+                                    f"{ba:g}: the Bessel argument must be finite, "
+                                    f"got beta a * r/a = {x!r}")
+        z = J_MINUS * x
         if self.small:
             k0, k1m = bessel_k_pair(z)
             return 2.0 * J_PLUS * k1m / (ba * self.k0_za), k0 / self.k0_za

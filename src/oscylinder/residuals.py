@@ -10,9 +10,13 @@ flow_state), on small stencils and substituting into
 the continuity equation, both linearized momentum equations, and the
 pressure Laplace equation.  Samples are taken by block, one kernel call
 per (radius, time): _stencils samples the points sharing a radius with one
-call at r for all their angles plus one per off-radius point, _reports
-forms every difference from those samples inline, and boundary_suite
-makes 10 calls in all.  Every residual is reported dimensionless:
+call at r for all their angles plus one per off-radius point, and _reports
+forms every difference from those samples inline.  boundary_suite makes
+one flow._radial call at each of its four radii and forms only the
+columns each check reads, with _fields' products in _fields' order (no
+slip and far field v_r, v_theta; pressure form and symmetry p); tests pin
+it bit for bit to a reference built on velocity() and pressure().  Every
+residual is reported dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -33,7 +37,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase
+from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase, _radial
 from .forces import force_analytic, force_quadrature
 
 #: boundary_suite thresholds, then its four checks in BoundaryReport order
@@ -283,39 +287,54 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     * pressure form: p/cos(theta) is theta-independent to 1e-13;
     * pressure symmetry: p even under theta -> -theta and odd under
       theta -> pi - theta, to 1e-13.
+
+    One _radial call per radius (rho = 1, far, 1.5, 3) and one phase per
+    (radius, time) block.  Each maximum is taken over the undivided values
+    and divided once, by v0 or by its block's reference pressure.
     """
-    vnorm = s.v0 if s.v0 > 0 else 1.0
+    v0, hypot = s.v0, math.hypot
+    vnorm = v0 if v0 > 0 else 1.0
     period = 2.0 * math.pi / s.omega
-    # one kernel call, so one radius check and one phase, per (radius, time)
+    # flow._fields' products in its order: v0 * c, v0 * sn and pv * c are
+    # their first factors, so hoisting them once per ring keeps every bit
     no_slip = []
-    wall = _check_radius(s, s.a)  # exactly 1.0
+    br, bth, _, _, _ = _radial(s, _check_radius(s, s.a))  # rho exactly 1.0
+    ring = [(v0 * c, v0 * sn) for c, sn in _RING64]
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
-        no_slip += [math.hypot(abs(vr), abs(vt)) / vnorm
-                    for vr, vt, _ in _fields(s, wall, _RING64, _phase(s, t))]
+        ph = _phase(s, t)
+        no_slip += [hypot(abs(vc * ph * br), abs(vs * ph * bth)) for vc, vs in ring]
 
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
-    far_rho = _check_radius(s, far_radius)
     far = []
+    br, bth, _, _, _ = _radial(s, _check_radius(s, far_radius))
+    ring = [(v0 * c, v0 * sn, -v0 * sn) for c, sn in _RING32]
     for t in (0.0, period / 5.0):
+        ph = _phase(s, t)
         ph_inf = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
-        samples = _fields(s, far_rho, _RING32, _phase(s, t))
-        for (c, sn), (vr, vt, _) in zip(_RING32, samples):
-            vinf_r = s.v0 * c * ph_inf
-            vinf_t = -s.v0 * sn * ph_inf
-            far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)) / vnorm)
+        far += [hypot(abs(vc * ph * br - vc * ph_inf), abs(vs * ph * bth - vns * ph_inf))
+                for vc, vs, vns in ring]
 
     form = []
     sym = []
+    pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
+    ring = [pv * c for c, _ in _FORM_ANGLES]
     for rr in (1.5 * s.a, 3.0 * s.a):
-        rho = _check_radius(s, rr)
+        pb = _radial(s, _check_radius(s, rr))[4]
         for t in (0.0, period / 5.0):
-            p0, *ps = (p for _, _, p in _fields(s, rho, _FORM_ANGLES, _phase(s, t)))
+            ph = _phase(s, t)
+            p0, *ps = [pc * ph * pb for pc in ring]
             pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
+            block_form, block_sym = [], []
             for k in range(0, len(ps), 3):
                 p, p_neg, p_sup = ps[k:k + 3]
-                form.append(abs(p / _FORM_ANGLES[k + 1][0] - p0) / pnorm)
-                sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
-    maxima = [_nan_max(v) for v in (no_slip, far, form, sym)]
+                block_form.append(abs(p / _FORM_ANGLES[k + 1][0] - p0))
+                block_sym += [abs(p_neg - p), abs(p_sup + p)]
+            form.append(_nan_max(block_form) / pnorm)
+            sym.append(_nan_max(block_sym) / pnorm)
+    # correctly rounded division by a positive float is monotone and keeps
+    # NaN, so the max of the quotients is the quotient of the max, bit for bit
+    maxima = [_nan_max(no_slip) / vnorm, _nan_max(far) / vnorm,
+              _nan_max(form), _nan_max(sym)]
     return BoundaryReport(*maxima, far_radius,
                           *(m <= tol for m, (_, tol) in zip(maxima, _BOUNDARY_CHECKS)))
 

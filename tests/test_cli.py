@@ -21,6 +21,7 @@ import pytest
 import oscylinder.cli
 import oscylinder.flow
 import oscylinder.forces
+import oscylinder.residuals
 from oscylinder import bessel_k0
 from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
                         boundary_suite, flow_state, force_analytic,
@@ -310,8 +311,8 @@ def test_validate_detects_B_mutation_at_large_ba(capsys):
 
 
 def test_validate_fails_on_nan_field(monkeypatch, capsys):
-    monkeypatch.setattr(oscylinder.flow, "_radial",
-                        lambda s, rho: (complex("nan"),) * 5)
+    for module in (oscylinder.flow, oscylinder.residuals):
+        monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 5)
     assert main(["validate"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "boundary no_slip max=nan tol=1.000e-12 FAIL" in lines
@@ -334,7 +335,8 @@ def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
         s._coefficients.memo.clear()
         return radial(s, rho)
 
-    for module in (oscylinder.flow, oscylinder.forces, oscylinder.cli):
+    for module in (oscylinder.flow, oscylinder.forces, oscylinder.cli,
+                   oscylinder.residuals):
         monkeypatch.setattr(module, "_radial", without_memo)
     assert main(argv) == code
     # a bool, so that a failure does not diff thousands of CSV lines
@@ -505,6 +507,16 @@ def test_semantic_errors_return_2(argv, capsys):
     (["field", "--a", "1e-6", "--grid=0:1.7e308:2,0:1.7e308:2"],
      "field point (1.7e+308, 0.0): radius r = 1.7e+308 m, r/a = inf "
      "is out of range (not finite)"),
+    # r/a is finite but beta a * r/a (beta a ~ 20) overflows in the kernel
+    (["profile", "--a", "1e-6", "--f", "1e9", "--rmax-factor", "1e308", "--nr", "2"],
+     "r/a = 1e+308 is out of range at beta a = 20.3919: the Bessel argument "
+     "must be finite, got beta a * r/a = inf"),
+    (["field", "--a", "1e-6", "--f", "1e9", "--grid=0:1e302:2,0:1:2"],
+     "r/a = 1.0000000000000002e+308 is out of range at beta a = 20.3919"),
+    # the Bessel argument is finite, but |p| ~ r/a leaves double range
+    (["field", "--a", "1e-6", "--f", "1e9", "--grid=0:1e300:2,0:1e300:2"],
+     "field point (1e+300, 0.0): the pressure |p| = inf Pa at "
+     "r/a = 1.0000000000000002e+306 is not finite"),
 ])
 def test_radius_domain_edges_fail_clearly(argv, message, capsys):
     assert main(argv) == 2
@@ -512,6 +524,19 @@ def test_radius_domain_edges_fail_clearly(argv, message, capsys):
     assert captured.out == ""
     assert message in captured.err
     assert "below the cylinder surface" not in captured.err
+    assert "(inf-infj)" not in captured.err  # the kernel's raw argument
+
+
+@pytest.mark.parametrize("argv", [
+    # a decade inside each refused edge above: every value written is finite
+    ["profile", "--a", "1e-6", "--f", "1e9", "--rmax-factor", "1e306", "--nr", "4"],
+    ["field", "--a", "1e-6", "--f", "1e9", "--grid=0:1e298:2,0:1:2"],
+])
+def test_radius_domain_edges_inside_write_finite_rows(argv, capsys):
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    values = [float(v) for row in rows for v in row.split(",") if v]
+    assert len(rows) == 4 and all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("argv", [["field", "--a", "1e-300"],

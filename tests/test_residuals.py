@@ -280,8 +280,8 @@ def test_no_slip_detects_coefficient_mutation(name):
 def test_boundary_suite_fails_on_nan(monkeypatch):
     # a NaN field must fail the check and show in the reported maximum,
     # not vanish in the reduction
-    monkeypatch.setattr(oscylinder.flow, "_radial",
-                        lambda s, rho: (complex("nan"),) * 5)
+    for module in (oscylinder.flow, oscylinder.residuals):
+        monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 5)
     rep = boundary_suite(S3)
     assert not rep.passed
     assert not rep.no_slip_ok and math.isnan(rep.no_slip_max)
@@ -302,8 +302,9 @@ def test_momentum_detects_beta_mutation():
 # the checks against a public-API reference
 # ----------------------------------------------------------------------
 #
-# residual_report and boundary_suite sample flow._fields directly, one
-# phase per stencil or boundary block.  The references below sample every
+# residual_report samples flow._fields, one phase per stencil; boundary_suite
+# forms angle x flow._radial x phase itself, one _radial call per radius, and
+# only the columns each check reads.  The references below sample every
 # point through velocity(), pressure() and flow_state() alone, with the
 # same arithmetic, so the checks still treat the fields as a black box.
 
@@ -408,6 +409,21 @@ def reference_boundary_suite(s):
 @pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
 def test_boundary_suite_matches_public_reference(s):
     assert boundary_suite(s) == reference_boundary_suite(s)
+
+
+@given(st.floats(min_value=-9.0, max_value=4.0),
+       st.sampled_from([0.0, 1e-3, 1.0, 2.5]),
+       st.sampled_from([None] + [Perturbation(n, 1.001)
+                                 for n in ("B", "C", "f_a", "beta")]))
+@settings(max_examples=60, deadline=None)
+def test_boundary_suite_matches_reference_over_beta_a(log_ba, v0, pert):
+    # bit for bit for beta a in [1e-9, 1e4], clean and perturbed; v0 != 1
+    # makes vnorm != 1, so the reference's divide-then-max order is tested
+    # against boundary_suite's max-then-divide
+    f = 1000.0
+    a = 10.0 ** log_ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
+    s = scenario(a, f, v0=v0, perturbation=pert)
+    assert repr(boundary_suite(s)) == repr(reference_boundary_suite(s))
 
 
 @pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
@@ -516,7 +532,7 @@ def test_checks_sample_once_per_block(monkeypatch):
 def test_validate_checks_nan_fails_every_row(monkeypatch):
     # NaN fields reach all ten rows: residual and boundary maxima keep the
     # NaN, and the force ratios' != 0 guards let it through to <=
-    for module in (oscylinder.flow, oscylinder.forces):
+    for module in (oscylinder.flow, oscylinder.forces, oscylinder.residuals):
         monkeypatch.setattr(module, "_radial",
                             lambda s, rho: (complex("nan"),) * 5)
     checks = validate_checks(S3)
@@ -601,8 +617,19 @@ def test_validate_grid_reports_match_residual_report(monkeypatch, s, t, h_rel):
 
 @pytest.mark.parametrize("h_rel", [1e-4, 0.095])
 def test_checks_sample_by_block(monkeypatch, h_rel):
-    # boundary_suite makes one kernel call per (radius, time) block, and the
-    # residual grid one at each radius plus one per off-radius stencil point
+    # boundary_suite makes exactly one _radial call at each of its radii
+    # (wall, far field, 1.5a, 3a), and the residual grid one kernel call at
+    # each radius plus one per off-radius stencil point
+    rhos = []
+    radial = oscylinder.residuals._radial
+
+    def counted_radial(s, rho):
+        rhos.append(rho)
+        return radial(s, rho)
+
+    monkeypatch.setattr(oscylinder.residuals, "_radial", counted_radial)
+    far_radius = boundary_suite(S3).far_radius
+    assert rhos == [r / S3.a for r in (S3.a, far_radius, 1.5 * S3.a, 3.0 * S3.a)]
     calls = []
     fields = oscylinder.residuals._fields
 
@@ -611,8 +638,6 @@ def test_checks_sample_by_block(monkeypatch, h_rel):
         return fields(*args)
 
     monkeypatch.setattr(oscylinder.residuals, "_fields", counted)
-    boundary_suite(S3)
-    assert len(calls) <= 10
     per_radius = []
     reports = oscylinder.residuals._reports
 
