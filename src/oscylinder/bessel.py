@@ -9,9 +9,9 @@ Everything is plain complex double arithmetic.
 
 Algorithm split:
 
-* |z| < 2, K: Temme's series (Temme 1975, J. Comput. Phys. 19:324) at
+* |z| < 2.5, K: Temme's series (Temme 1975, J. Comput. Phys. 19:324) at
   order 0.  It yields K0 and K1 - 1/z with the pole removed exactly.
-* 2 <= |z| <= 17, K: Steed's continued fraction CF2 (Thompson & Barnett
+* 2.5 <= |z| <= 17, K: Steed's continued fraction CF2 (Thompson & Barnett
   1986, J. Comput. Phys. 64:490; Numerical Recipes section 6.7), which
   gives e^z K0 and e^z K1 directly.  CF2 needs Re z >= 0; the left
   half-plane is reached by reflection (DLMF 10.34.2), K's only use of I.
@@ -41,8 +41,8 @@ from functools import lru_cache
 
 #: series/asymptotic crossover radius
 SERIES_RADIUS = 17.0
-#: Temme series / Steed CF2 crossover radius for K
-_TEMME_RADIUS = 2.0
+#: Temme/CF2 crossover for K; Temme's K0 error passes 2e-14 near |z| = 2.83
+_TEMME_RADIUS = 2.5
 
 # exp(x) overflows above this (unscaled I impossible to represent)
 _EXP_OVERFLOW = 709.782712893384
@@ -71,7 +71,7 @@ def _check_domain(z: complex) -> None:
 
 
 def _temme(z: complex) -> tuple[complex, complex]:
-    """(K0, K1 - 1/z) by Temme's series at order 0, for |z| < 2.
+    """(K0, K1 - 1/z) by Temme's series at order 0, for |z| < 2.5.
 
     With x = z^2/4, f_0 = -(ln(z/2) + gamma) and p_0 = 1/2,
         f_k = (f_{k-1} + 2 p_{k-1}/k)/k,   p_k = p_{k-1}/k,
@@ -152,7 +152,7 @@ def _miller(w: complex) -> tuple[complex, complex]:
 @lru_cache(maxsize=4096)
 def _k_values(z: complex):
     """(K0, K1, K1 - 1/z) for |z| <= 17, unscaled: Temme's series below
-    |z| = 2, CF2 above.  In the left half-plane CF2 runs on w = -z and
+    |z| = 2.5, CF2 above.  In the left half-plane CF2 runs on w = -z and
     DLMF 10.34.2 with m = sign(Im z) reflects it back, with Miller's I:
         K0(z) = K0(w) - m pi i I0(w),   K1(z) = -K1(w) - m pi i I1(w).
     """

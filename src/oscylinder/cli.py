@@ -16,11 +16,13 @@ computes each row's terms once, serially, with |F_b + F_v| as the exact
 force_analytic column; --jobs (>= 1) is accepted but starts no threads.
 
 profile and field form each point as angle x flow._radial x phase, the
-products flow._fields forms for flow_state and the residual checks, in
-the same order (forces._stress builds the stress the same way); tests pin
-every row to flow_state bit for bit.  A radius, r/a or grid span that is
+products flow._fields forms for flow_state and the residual checks, in the
+same order (forces._stress builds the stress the same way); tests pin
+every row to flow_state bit for bit.  field formats each grid row with one
+"%" (x in a per-column prefix, y in the row template, masked points
+literal): "%.16e" % v is f"{v:.16e}".  A radius, r/a or grid span that is
 NaN or overflows is refused with a message naming it, as are a Bessel
-argument beta a r/a and a field pressure |p| that leave double range.
+argument beta a r/a and a field pressure |p| beyond double range.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input or I/O
 error.
@@ -90,9 +92,9 @@ def _open_out(path: str | None):
 
 
 def _write_csv(stream, header: list[str], lines) -> None:
-    """Header, then the pre-joined "\\n"-terminated rows one write each: a
-    single large write to a pipe whose reader left can come back short
-    without raising BrokenPipeError."""
+    """Header, then the pre-joined "\\n"-terminated lines, one write per
+    string (a field grid row is one string): a single large write to a pipe
+    whose reader left can come back short without raising BrokenPipeError."""
     stream.write(",".join(header) + "\n")
     stream.writelines(lines)
 
@@ -302,15 +304,15 @@ def cmd_profile(cfg: RunConfig, nr: int, rmax_factor: float) -> int:
         # v_r at theta = 0 and v_theta at pi/2, where cos 0 == sin(pi/2) == 1.0
         # makes the angle factor exact: v0 * 1.0 * ph == v0 * ph
         vph = s.v0 * _phase(s, cfg.t)
+        row = f"{f:.16e},%.16e,%.16e,%.16e,%.16e\n"
         for j in range(nr):
             # j = 0 gives exactly r = a, where the columns are exactly zero;
             # a <= r <= a * rmax_factor, so r and rho are finite
             r = a * rmax_factor ** (j / (nr - 1))
             rho = r / a
             br, bth, _, _, _ = _radial(s, rho)
-            rows.append(f"{f:.16e},{r:.16e},{rho:.16e},"
-                        f"{_mode_value(vph * br / vnorm, mode):.16e},"
-                        f"{_mode_value(vph * bth / vnorm, mode):.16e}\n")
+            rows.append(row % (r, rho, _mode_value(vph * br / vnorm, mode),
+                               _mode_value(vph * bth / vnorm, mode)))
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -335,16 +337,18 @@ def cmd_field(cfg: RunConfig, grid) -> int:
     hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
     header = ["x [m]", "y [m]", "masked [-]",
               "re_p [Pa]", "abs_p [Pa]", "re_vx [m/s]", "re_vy [m/s]"]
-    columns = [(x, f"{x:.16e}") for x in
+    columns = [(x, f"{x:.16e},") for x in
                (x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx))]
     rows = []
     for iy in range(ny):
         y = y0 + (y1 - y0) * iy / (ny - 1)
         ys = f"{y:.16e}"
+        point, masked = ys + ",0,%.16e,%.16e,%.16e,%.16e\n", ys + ",1,,,,\n"
+        template, values = [], []
         for x, xs in columns:
             r = hypot(x, y)
             if r < a:
-                rows.append(f"{xs},{ys},1,,,,\n")
+                template += (xs, masked)
                 continue
             rho = r / a
             if not rho < inf:  # NaN, or r or r/a overflowed
@@ -363,8 +367,9 @@ def cmd_field(cfg: RunConfig, grid) -> int:
                                  f"{ap!r} Pa at r/a = {rho!r} is not finite")
             vx = vr * c - vt * sn
             vy = vr * sn + vt * c
-            rows.append(f"{xs},{ys},0,{p.real:.16e},{ap:.16e},"
-                        f"{vx.real:.16e},{vy.real:.16e}\n")
+            template += (xs, point)
+            values += (p.real, ap, vx.real, vy.real)
+        rows.append("".join(template) % tuple(values))
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0

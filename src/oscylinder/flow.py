@@ -64,6 +64,7 @@ from .bessel import BesselDomainError, bessel_k1, bessel_k_pair
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 J_PLUS = complex(_SQRT1_2, _SQRT1_2)    # (1+i)/sqrt(2)
 J_MINUS = complex(_SQRT1_2, -_SQRT1_2)  # (1-i)/sqrt(2)
+_2J_PLUS = 2.0 * J_PLUS
 
 #: bracket-evaluation branch switch (see module docstring)
 SMALL_BA = 1.0
@@ -160,23 +161,29 @@ class _Coefficients:
     which _radial reuses there; pole = i ba^2 q is the pole part of
     i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
     term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
+    ba_k0, c2, iba2, c_g1r, c2_g1r, c_g1 and excess2 hold ba k0_za, 2c,
+    i ba^2, c g1r, 2c g1r, c g1 and 2 excess, the first products of terms()
+    and _radial's expressions, so every float is as when formed inline.
     `memo` maps rho to its _radial result, so terms() runs once per
     distinct rho; it is emptied when it reaches 4096 entries.
     """
 
-    __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
-                 "k0r1", "g1", "excess", "memo")
+    __slots__ = ("ba", "small", "za", "k0_za", "ba_k0", "b", "c", "c2", "iba2",
+                 "q", "pole", "g1r", "k0r1", "c_g1r", "c2_g1r", "g1", "c_g1",
+                 "excess", "excess2", "memo")
 
     def __init__(self, s: Scenario):
         weight = dict.fromkeys(PERTURBABLE, 1.0)
         if s.perturbation is not None:
             weight[s.perturbation.coefficient] = s.perturbation.factor
         ba = self.ba = s.ba * weight["beta"]
-        self.b, self.c = weight["B"], weight["C"]
+        c = self.c = weight["C"]
+        self.b, self.c2, self.iba2 = weight["B"], 2.0 * c, 1j * (ba * ba)
         self.za = J_MINUS * ba
         self.small = ba < SMALL_BA
         try:
             self.k0_za = bessel_k_pair(self.za, scaled=not self.small)[0]
+            self.ba_k0 = ba * self.k0_za
             if self.small:
                 self.q = 2j / (ba * ba * self.k0_za)
                 self.pole = -(2.0 / self.k0_za)
@@ -186,13 +193,15 @@ class _Coefficients:
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"the solution cannot be evaluated at "
                              f"beta a = {ba:g}: {exc}") from None
+        self.c_g1r, self.c2_g1r = c * self.g1r, self.c2 * self.g1r
         g1 = self.q + self.g1r
         fa = weight["f_a"]
         self.g1 = g1 * fa
         if not cmath.isfinite(self.g1):
             raise ValueError(f"f(a)/(beta a) = {self.g1} is not finite at "
                              f"beta a = {ba:g}")
-        self.excess = self.c * ((fa - 1.0) * g1) + (self.c - self.b) * self.q
+        self.excess = c * ((fa - 1.0) * g1) + (c - self.b) * self.q
+        self.c_g1, self.excess2 = c * self.g1, 2.0 * self.excess
         self.memo = {}
 
     def terms(self, rho: float) -> tuple[complex, complex]:
@@ -206,11 +215,10 @@ class _Coefficients:
         z = J_MINUS * x
         if self.small:
             k0, k1m = bessel_k_pair(z)
-            return 2.0 * J_PLUS * k1m / (ba * self.k0_za), k0 / self.k0_za
+            return _2J_PLUS * k1m / self.ba_k0, k0 / self.k0_za
         k0s, k1s = bessel_k_pair(z, scaled=True)
         decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
-        return (2.0 * J_PLUS * k1s * decay / (ba * self.k0_za),
-                k0s * decay / self.k0_za)
+        return _2J_PLUS * k1s * decay / self.ba_k0, k0s * decay / self.k0_za
 
 
 class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
@@ -289,15 +297,15 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
     inv = 1.0 / rho
     inv2 = 1.0 / (rho * rho)
     inv3 = inv2 * inv
-    tail = b * gr / rho - c * k.g1r * inv2
+    tail = b * gr / rho - k.c_g1r * inv2
     wall = k.excess * inv2
     br = (1.0 - c * inv2) + tail - wall
     bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
-    dbr = (2.0 * c * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
-           + 2.0 * c * k.g1r * inv3)
-    dbth = dbr + b * (1j * (k.ba * k.ba) * gr) + b * (k.pole * inv)
-    dwall = 2.0 * k.excess * inv3
-    pb = (rho + c / rho) + c * k.g1 / rho
+    dbr = (k.c2 * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
+           + k.c2_g1r * inv3)
+    dbth = dbr + b * (k.iba2 * gr) + b * (k.pole * inv)
+    dwall = k.excess2 * inv3
+    pb = (rho + c / rho) + k.c_g1 / rho
     result = br, bth, dbr + dwall, dbth + dwall, pb
     if len(k.memo) >= 4096:  # as many entries as each Bessel cache holds
         k.memo.clear()

@@ -225,7 +225,7 @@ def residual_tolerance(s: Scenario, rho: float, h_rel: float = 1e-4) -> float:
       of size v0, i.e. ~40 eps/((beta a) rho h_rel)^2 after the
       momentum normalization by v0 omega.
 
-    An infinite envelope would pass anything, so it raises ValueError.
+    An envelope that is infinite or leaves double range raises ValueError.
     """
     ba = s.ba
     eps = sys.float_info.epsilon
@@ -233,10 +233,11 @@ def residual_tolerance(s: Scenario, rho: float, h_rel: float = 1e-4) -> float:
         truncation = 3e-7 * (h_rel / 1e-4) ** 2 / ((ba * ba) * rho ** 4)
         roundoff = 40.0 * eps / ((ba * rho * h_rel) ** 2)
         tol = max(1e-6, truncation, roundoff)
-    except ZeroDivisionError:  # a power of beta a underflowed to 0
+    except (ZeroDivisionError, OverflowError):  # a power under- or overflowed
         tol = math.inf
     if tol == math.inf:
-        raise ValueError(f"residual tolerance overflows at beta a = {ba:g}")
+        raise ValueError(f"residual tolerance is out of range at beta a = "
+                         f"{ba:g}, r/a = {rho:g}")
     return tol
 
 
@@ -266,14 +267,8 @@ class BoundaryReport(namedtuple("BoundaryReport", "no_slip_max far_field_max "
                 and self.pressure_form_ok and self.symmetry_ok)
 
 
-def nan_rank(value: float) -> tuple[bool, float]:
-    """Sort key ranking NaN above every number: max(..., key=nan_rank)
-    keeps a NaN that plain max() would drop, so `<= tol` then fails."""
-    return math.isnan(value), value
-
-
 def _nan_max(values: list[float] | tuple[float, ...]) -> float:
-    """max(values, key=nan_rank) without a per-element key call."""
+    """max(values), but NaN if any value is NaN (plain max() can drop it)."""
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
@@ -295,6 +290,8 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     v0, hypot = s.v0, math.hypot
     vnorm = v0 if v0 > 0 else 1.0
     period = 2.0 * math.pi / s.omega
+    if not period < math.inf:
+        raise ValueError(f"the period 2 pi/omega overflows at f = {s.frequency:g} Hz")
     # flow._fields' products in its order: v0 * c, v0 * sn and pv * c are
     # their first factors, so hoisting them once per ring keeps every bit
     no_slip = []

@@ -2,7 +2,7 @@
 
 Expected values were computed with mpmath at 50 significant digits and
 frozen here (scripts/reference_values.py regenerates them).  The point
-set covers every evaluation branch (Temme series below |z| = 2, CF2
+set covers every evaluation branch (Temme series below |z| = 2.5, CF2
 and Miller recurrence up to |z| = 17, asymptotic expansion above), the
 arg(z) = -pi/4 ray the flow solution lives on, near-imaginary
 arguments, and the deep-decay regime.  A hypothesis property compares
@@ -15,13 +15,13 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscylinder import (SERIES_RADIUS, BesselDomainError, bessel_i0,
                         bessel_i1, bessel_k0, bessel_k1,
                         bessel_k1_minus_pole)
-from oscylinder.bessel import bessel_k_pair
+from oscylinder.bessel import _TEMME_RADIUS, bessel_k_pair
 
 # name: (z, K0, K1, I0, I1)  [unscaled]
 BESSEL_REFERENCE = {
@@ -291,12 +291,12 @@ def test_scaled_unscaled_consistency(radius, phi):
 
 
 def test_branch_agreement_at_crossover():
-    # Temme's series (below |z| = 2) and CF2 (above) must agree where K
-    # hands over, and so must the |z| <= 17 kernel and the asymptotic
-    # expansion (above 17)
+    # Temme's series (below |z| = _TEMME_RADIUS) and CF2 (above) must agree
+    # where K hands over, and so must the |z| <= 17 kernel and the
+    # asymptotic expansion (above 17)
     from oscylinder.bessel import _asym_k_scaled, _k_values, _steed, _temme
     for phi in (-math.pi / 4, 0.0, math.pi / 3, -1.4):
-        z = cmath.rect(2.0, phi)
+        z = cmath.rect(_TEMME_RADIUS, phi)
         k0, k1m = _temme(z)
         k1 = k1m + 1.0 / z
         k0s, k1s = _steed(z)
@@ -314,7 +314,8 @@ def test_branch_agreement_at_crossover():
 
 def test_k_runs_miller_only_to_reflect(monkeypatch):
     # K on Re z >= 0 never needs I: with Miller's recurrence disabled it
-    # still returns Temme's series (|z| < 2) or CF2 (above), bitwise
+    # still returns Temme's series (|z| < _TEMME_RADIUS) or CF2 (above),
+    # bitwise
     from oscylinder import bessel
     from oscylinder.bessel import _steed, _temme
 
@@ -323,11 +324,12 @@ def test_k_runs_miller_only_to_reflect(monkeypatch):
 
     monkeypatch.setattr(bessel, "_miller", no_miller)
     bessel._k_values.cache_clear()
-    ray = [cmath.rect(r, -math.pi / 4) for r in (1e-8, 0.5, 1.99, 2.0, 7.0, 17.0)]
+    ray = [cmath.rect(r, -math.pi / 4)
+           for r in (1e-8, 0.5, _TEMME_RADIUS - 0.01, _TEMME_RADIUS, 7.0, 17.0)]
     others = [cmath.rect(r, phi) for r in (0.3, 3.0, 16.0)
               for phi in (0.0, math.pi / 3, -1.4, math.pi / 2)]
     for z in ray + others:
-        if abs(z) < 2.0:
+        if abs(z) < _TEMME_RADIUS:
             k0, k1m = _temme(z)
             k1 = k1m + 1.0 / z
         else:
@@ -383,6 +385,27 @@ def test_kernel_matches_mpmath(log_radius, phi):
             assert err < 2e-14 * max(1.0, float(kappa) / 10.0), fn.__name__
 
 
+# K on 2 <= |z| < 3, |arg z| <= pi/2, against the kernel's 2e-14: Temme's
+# series below _TEMME_RADIUS, CF2 above.  Temme's cancellation grows with
+# |z|: near the real axis its K0 error passes 2e-14 from about |z| = 2.83
+# and reaches 2.4e-14 at the example point, so the crossover sits lower.
+@given(st.floats(min_value=2.0, max_value=3.0, exclude_max=True),
+       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+@example(2.9325030776005447, 0.11613561330857913)
+@settings(max_examples=100, deadline=None)
+def test_k_matches_mpmath_around_temme_crossover(radius, phi):
+    from oscylinder.bessel import _k_values, _temme
+    z = cmath.rect(radius, phi)
+    k0, _, k1m = _k_values(z)
+    if radius < _TEMME_RADIUS:
+        assert (k0, k1m) == _temme(z)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        ref0, ref1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
+        for got, ref in ((k0, ref0), (k1m + 1.0 / z, ref1), (k1m, ref1 - 1 / zm)):
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
+
+
 def test_recurrence_i():
     # I0'(z) = I1(z) via central differences
     for z in (0.7 + 0.2j, 2.0 - 1.0j, 5.0 + 5.0j):
@@ -422,12 +445,14 @@ def test_unscaled_overflow_policy():
         bessel_i1(complex(710.0, 1.0))
 
 
-@pytest.mark.parametrize("radius", [1e-6, 1.999, 2.0, 2.001, 16.999, 17.0,
-                                    17.001, 60.0, 700.0])
+@pytest.mark.parametrize("radius", [1e-6, 1.999, 2.0, 2.001, _TEMME_RADIUS - 1e-3,
+                                    _TEMME_RADIUS, _TEMME_RADIUS + 1e-3, 16.999,
+                                    17.0, 17.001, 60.0, 700.0])
 @pytest.mark.parametrize("phi", [-math.pi / 2, -math.pi / 4, 0.0, 1.1, math.pi / 2])
 def test_k_pair_matches_public_functions(radius, phi):
     # the flow brackets' pair is, bit for bit, what the public K0, K1 and
-    # K1 - 1/z give, on both sides of the series switches at |z| = 2 and 17
+    # K1 - 1/z give, on both sides of the series switches at |z| =
+    # _TEMME_RADIUS and 17
     z = cmath.rect(radius, phi)
     assert bessel_k_pair(z) == (bessel_k0(z), bessel_k1_minus_pole(z))
     assert bessel_k_pair(z, scaled=True) == (bessel_k0(z, scaled=True),

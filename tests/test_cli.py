@@ -28,10 +28,16 @@ from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
                         force_quadrature, residual_report, residual_tolerance)
 from oscylinder.cli import build_parser, main
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
-                                  SYMMETRY_TOL, nan_rank)
+                                  SYMMETRY_TOL)
 
 AIR_RHO0 = 1.204
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def nan_rank(value):
+    """Reference sort key ranking NaN above every number: max(..., key=nan_rank)
+    keeps a NaN that plain max() would drop, so `<= tol` then fails."""
+    return math.isnan(value), value
 
 
 def run_to_file(tmp_path, name, argv):
@@ -571,6 +577,22 @@ def test_force_at_tiny_beta_a_is_finite(capsys):
     assert abs(quad - total) <= 1e-9 * total
 
 
+@pytest.mark.parametrize("f, message", [
+    # (beta a r/a h_rel)^2 overflows in the residual tolerance
+    ("1e-300", "residual tolerance is out of range at beta a = 6.44849e+158, "
+               "r/a = 1.1"),
+    # the boundary checks' period 2 pi/omega overflows
+    ("1e-310", "overflows at f = 1e-310 Hz"),
+], ids=["tolerance", "period"])
+def test_validate_at_huge_a_tiny_f_fails_clearly(f, message, capsys):
+    assert main(["validate", "--a", "1e306", "--f", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Numerical result out of range" not in captured.err
+    assert "math domain error" not in captured.err
+
+
 def test_validate_refuses_underflowing_step(capsys):
     # the default stencil step 1e-4 r is ~1e-162 m, and h*h underflows
     assert main(["validate", "--a", "1e-158", "--f", "1"]) == 2
@@ -666,6 +688,20 @@ def test_closed_stdout_pipe_exits_quietly(unbuffered):
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 2
+
+
+def test_closed_pipe_after_header_exits_quietly():
+    # a 301 x 301 map is ~9 MB in 301 writes of one grid row each; a reader
+    # that closes right after the header must still end the run quietly
+    grid = "--grid=-4e-6:4e-6:301,-4e-6:4e-6:301"
+    with subprocess.Popen([sys.executable, "-m", "oscylinder.cli", "field", grid],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"x [m],")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
     assert err == b""
     assert code == 2
 

@@ -31,6 +31,7 @@ from oscylinder import bessel_k1_minus_pole
 import oscylinder.cli
 import oscylinder.flow
 from oscylinder.cli import main
+from oscylinder.bessel import _TEMME_RADIUS
 from oscylinder.flow import _check_radius, _fields, _phase, _radial
 
 
@@ -490,10 +491,11 @@ def _terms_public(k, rho):
 
 
 @pytest.mark.parametrize("ba", [0.05, 0.7, 1.2, 1.9])
-@pytest.mark.parametrize("abs_z", [1.999, 2.001, 16.999, 17.001, 400.0])
+@pytest.mark.parametrize("abs_z", [1.999, 2.001, _TEMME_RADIUS - 1e-3,
+                                   _TEMME_RADIUS + 1e-3, 16.999, 17.001, 400.0])
 def test_terms_match_public_bessel_route(ba, abs_z):
     # one bessel_k_pair call per rho gives the public-function values bit
-    # for bit, on both branches and both sides of |z| = 2 and |z| = 17
+    # for bit, on both branches and both sides of |z| = _TEMME_RADIUS and |z| = 17
     s = scenario(ba / math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0), 1000.0)
     k = s._coefficients
     assert k.small == (ba < 1.0)
@@ -545,6 +547,55 @@ def test_radial_matches_mpmath_closed_form(log_ba, log_rho, name):
                                    ("B_r", "B_theta", "B_r'", "B_theta'", "P")):
             err = abs(mpmath.mpc(got.real, got.imag) - ref) / max(1, abs(ref))
             assert err < 1e-13, label
+
+
+def _radial_inline(s, weight, rho):
+    """_radial's five brackets with every per-scenario product written inline,
+    as the expressions stood before the coefficient set held them, and the
+    Bessel terms taken through the public functions (_terms_public)."""
+    k = s._coefficients
+    b, c, fa, ba, q = weight["B"], weight["C"], weight["f_a"], k.ba, k.q
+    g1r = _terms_public(k, 1.0)[0]
+    gr, k0r = _terms_public(k, rho)
+    pole = -(2.0 / k.k0_za) if k.small else 0j
+    g1 = (q + g1r) * fa
+    excess = c * ((fa - 1.0) * (q + g1r)) + (c - b) * q
+    inv = 1.0 / rho
+    inv2 = 1.0 / (rho * rho)
+    inv3 = inv2 * inv
+    tail = b * gr / rho - c * g1r * inv2
+    wall = excess * inv2
+    br = (1.0 - c * inv2) + tail - wall
+    bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
+    dbr = (2.0 * c * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
+           + 2.0 * c * g1r * inv3)
+    dbth = dbr + b * (1j * (ba * ba) * gr) + b * (pole * inv)
+    dwall = 2.0 * excess * inv3
+    pb = (rho + c / rho) + c * g1 / rho
+    return br, bth, dbr + dwall, dbth + dwall, pb
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+# the same range as the mpmath property above; rho = 1 (log_rho = 0) is
+# where _radial reuses the coefficient set's terms(1.0)
+@given(st.floats(min_value=-9.0, max_value=4.0),
+       st.floats(min_value=0.0, max_value=6.0),
+       st.sampled_from([None, *oscylinder.flow.PERTURBABLE]))
+@settings(max_examples=200, deadline=None)
+def test_radial_matches_inline_products_bitwise(log_ba, log_rho, name):
+    # hoisting ba k0_za, 2c, i ba^2, c g1r, 2c g1r, c g1 and 2 excess into
+    # the coefficient set must leave every bracket bit for bit as it was
+    beta = math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0)
+    s = scenario(10.0 ** log_ba / beta, 1000.0,
+                 None if name is None else Perturbation(name, 1.001))
+    weight = dict.fromkeys(oscylinder.flow.PERTURBABLE, 1.0)
+    if name is not None:
+        weight[name] = 1.001
+    rho = 10.0 ** log_rho
+    assert _bits(_radial(s, rho)) == _bits(_radial_inline(s, weight, rho))
 
 
 @pytest.mark.parametrize("f", [100.0, 1e9])

@@ -37,7 +37,13 @@ from oscylinder import (
     velocity,
 )
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
-                                  SYMMETRY_TOL, nan_rank)
+                                  SYMMETRY_TOL)
+
+
+def nan_rank(value):
+    """Reference sort key ranking NaN above every number: max(..., key=nan_rank)
+    keeps a NaN that plain max() would drop, so `<= tol` then fails."""
+    return math.isnan(value), value
 
 
 def scenario(a, f, v0=1.0, perturbation=None):
@@ -179,6 +185,21 @@ def test_tolerance_refuses_underflowing_beta_a(a):
     s = Scenario.from_frequency(AIR_20C, a, 1.0, 1000.0)
     with pytest.raises(ValueError, match="beta a"):
         residual_tolerance(s, 1.1)
+
+
+def test_tolerance_refuses_overflowing_power():
+    # beta a ~ 6.4e158: (beta a r/a h_rel)^2 leaves double range, where
+    # float ** raises OverflowError rather than giving inf
+    s = Scenario.from_frequency(AIR_20C, 1e306, 1.0, 1e-300)
+    with pytest.raises(ValueError, match=r"beta a = 6\.44849e\+158, r/a = 1\.1"):
+        residual_tolerance(s, 1.1)
+
+
+def test_boundary_suite_refuses_overflowing_period():
+    # omega ~ 6e-310 is subnormal, so the period 2 pi/omega is inf
+    s = Scenario.from_frequency(AIR_20C, 1e306, 1.0, 1e-310)
+    with pytest.raises(ValueError, match="f = 1e-310 Hz"):
+        boundary_suite(s)
 
 
 def test_tolerance_grows_for_thick_layers():
