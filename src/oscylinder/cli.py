@@ -22,7 +22,8 @@ every row to flow_state bit for bit.  field formats each grid row with one
 "%" (x in a per-column prefix, y in the row template, masked points
 literal): "%.16e" % v is f"{v:.16e}".  A radius, r/a or grid span that is
 NaN or overflows is refused with a message naming it, as are a Bessel
-argument beta a r/a and a field pressure |p| beyond double range.
+argument beta a r/a, a field pressure |p| and a force value beyond double
+range.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid input or I/O
 error.
@@ -391,8 +392,12 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
         fb = force_buoyancy(s, cfg.t).fx
         fv = force_viscous_approx(s, cfg.t).fx
         fq = force_quadrature(s, cfg.t, nodes).fx
-        rows.append(f"{f:.16e},{abs(fb + fv) / vnorm:.16e},{abs(fb) / vnorm:.16e},"
-                    f"{abs(fv) / vnorm:.16e},{abs(fq) / vnorm:.16e}\n")
+        row = (abs(fb + fv) / vnorm, abs(fb) / vnorm, abs(fv) / vnorm, abs(fq) / vnorm)
+        for name, v in zip(header[1:], row):
+            if not v < math.inf:
+                raise ValueError(f"force at f = {f!r} Hz, a = {s.a!r} m: the column "
+                                 f"{name} = {v!r} is not finite")
+        rows.append("%.16e,%.16e,%.16e,%.16e,%.16e\n" % (f, *row))
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0

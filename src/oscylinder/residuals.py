@@ -302,6 +302,9 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
         no_slip += [hypot(abs(vc * ph * br), abs(vs * ph * bth)) for vc, vs in ring]
 
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
+    if not far_radius < math.inf:
+        raise ValueError(f"the far radius max(1e3 a, 20 delta) = {far_radius!r} m overflows "
+                         f"at a = {s.a:g} m, delta = {s.delta:g} m")
     far = []
     br, bth, _, _, _ = _radial(s, _check_radius(s, far_radius))
     ring = [(v0 * c, v0 * sn, -v0 * sn) for c, sn in _RING32]

@@ -6,7 +6,10 @@ set covers every evaluation branch (Temme series below |z| = 2.5, CF2
 and Miller recurrence up to |z| = 17, asymptotic expansion above), the
 arg(z) = -pi/4 ray the flow solution lives on, near-imaginary
 arguments, and the deep-decay regime.  A hypothesis property compares
-the |z| <= 17 kernel with mpmath at 40 digits.
+the |z| <= 17 kernel with mpmath at 40 digits.  Pins tie the kernel's
+precomputed tables (Temme's rows and term counts, CF2's and the
+asymptotic sums' real factors) to exact rationals and to the loops that
+formed those factors step by step.
 """
 
 import cmath
@@ -404,6 +407,169 @@ def test_k_matches_mpmath_around_temme_crossover(radius, phi):
         ref0, ref1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
         for got, ref in ((k0, ref0), (k1m + 1.0 / z, ref1), (k1m, ref1 - 1 / zm)):
             assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
+
+
+# ----------------------------------------------------------------------
+# precomputed kernel factors
+# ----------------------------------------------------------------------
+
+def _steed_loop(z):
+    """Reference: Steed's CF2 loop forming its real factors step by step;
+    returns (e^z K0, e^z K1, last step)."""
+    eps = 2.0 ** -53
+    b = 2.0 * (1.0 + z)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0j, 1.0 + 0j
+    a1 = 0.25
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, 1001):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) <= eps * abs(s):
+            k0s = cmath.sqrt(0.5 * math.pi / z) / s
+            return k0s, k0s * (z + 0.5 - a1 * h) / z, i
+    raise ArithmeticError("CF2 did not converge")
+
+
+def _asym_loop(nu, z):
+    """Reference: the asymptotic sum forming its real factors step by step."""
+    mu = 4.0 * nu * nu
+    total = term = 1.0 + 0.0j
+    prev_mag = math.inf
+    for k in range(1, 41):
+        term = term * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
+        mag = abs(term)
+        if mag >= prev_mag:
+            break
+        total += term
+        if mag < 1e-17 * abs(total):
+            break
+        prev_mag = mag
+    return total
+
+
+@given(st.floats(min_value=_TEMME_RADIUS, max_value=SERIES_RADIUS),
+       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+@settings(max_examples=200, deadline=None)
+def test_steed_matches_inline_factors_bitwise(radius, phi):
+    from oscylinder.bessel import _steed
+    z = cmath.rect(radius, phi)
+    assert _steed(z) == _steed_loop(z)[:2]
+
+
+@given(st.floats(min_value=math.log10(SERIES_RADIUS), max_value=4.0),
+       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+@settings(max_examples=200, deadline=None)
+def test_asym_sum_matches_inline_factors_bitwise(log_radius, phi):
+    from oscylinder.bessel import _asym_sum
+    z = cmath.rect(10.0 ** log_radius, phi)
+    for nu in (0, 1):
+        for w in (z, -z):
+            assert _asym_sum(nu, w) == _asym_loop(nu, w)
+
+
+def test_temme_rows_are_correctly_rounded():
+    # each row (H_k, 1/k!^2, (H_k + H_{k+1})/2, 1/(k! (k+1)!)) is its exact
+    # rational rounded once to the nearest float
+    from fractions import Fraction
+    from oscylinder.bessel import _TEMME_ROWS
+    harmonic = [sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
+                for k in range(len(_TEMME_ROWS) + 1)]
+    for k, row in enumerate(_TEMME_ROWS):
+        fk, fk1 = math.factorial(k), math.factorial(k + 1)
+        exact = (harmonic[k], Fraction(1, fk * fk),
+                 (harmonic[k] + harmonic[k + 1]) / 2, Fraction(1, fk * fk1))
+        assert row == tuple(float(v) for v in exact), k
+
+
+def test_temme_term_table_covers_the_series_region():
+    from oscylinder.bessel import _TEMME_ROWS, _TEMME_TERMS
+    bounds = [bound for bound, _ in _TEMME_TERMS]
+    assert bounds == sorted(bounds)
+    assert bounds[-1] >= _TEMME_RADIUS ** 2 / 4
+    assert len(_TEMME_TERMS[-1][1]) == len(_TEMME_ROWS)
+    for bound, rows in _TEMME_TERMS:
+        assert rows == _TEMME_ROWS[len(rows) - 1::-1]
+        # the smallest n whose first omitted term bound^n/n!^2 (6 + H_n)
+        # falls below 2^-56
+        n = 1
+        while not bound ** n / math.factorial(n) ** 2 * (6.0 + sum(
+                1.0 / j for j in range(1, n + 1))) < 2.0 ** -56:
+            n += 1
+        assert len(rows) == n, bound
+
+
+def test_cf2_and_asym_factors_match_inline_recurrences():
+    # the tables hold exactly the floats the loops formed step by step
+    from oscylinder.bessel import _ASYM_FACTORS, _CF2_FACTORS, _MAX_CF2_TERMS
+    a, c, factors = -0.25, 0.25, []
+    for i in range(2, _MAX_CF2_TERMS + 1):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        factors.append((a, c))
+    assert list(_CF2_FACTORS) == factors
+    for nu in (0, 1):
+        mu = 4.0 * nu * nu
+        assert list(_ASYM_FACTORS[nu]) == [(mu - (2.0 * k - 1.0) ** 2, 8.0 * k)
+                                           for k in range(1, 41)]
+
+
+def _temme_bound_points():
+    from oscylinder.bessel import _TEMME_TERMS
+    bounds = [bound for bound, _ in _TEMME_TERMS]
+    radii = [2.0 * math.sqrt(b * (1.0 - 1e-9)) for b in bounds]
+    radii += [2.0 * math.sqrt(b * (1.0 + 1e-9)) for b in bounds[:-1]]
+    return [(r, phi) for r in radii
+            for phi in (-math.pi / 2, -math.pi / 4, 0.0, 0.1161, math.pi / 3, math.pi / 2)]
+
+
+@pytest.mark.parametrize("radius, phi", _temme_bound_points())
+def test_temme_matches_mpmath_at_term_table_bounds(radius, phi):
+    # just inside each |z^2/4| bound of the term table the series runs with
+    # the fewest terms for that |x|; just outside, with the next count
+    from oscylinder.bessel import _temme
+    z = cmath.rect(radius, phi)
+    k0, k1m = _temme(z)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        ref0 = mpmath.besselk(0, zm)
+        ref1 = mpmath.besselk(1, zm) - 1 / zm
+        for got, ref in ((k0, ref0), (k1m, ref1)):
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
+
+
+def test_temme_refuses_beyond_its_table():
+    from oscylinder.bessel import _TEMME_TERMS, _temme
+    with pytest.raises(ArithmeticError):
+        _temme(complex(2.0 * math.sqrt(_TEMME_TERMS[-1][0] * (1.0 + 1e-9)), 0.0))
+
+
+@pytest.mark.parametrize("phi", [-math.pi / 2, math.pi / 2])
+def test_cf2_steps_at_crossover_stay_below_cap(phi, monkeypatch):
+    # |z| = _TEMME_RADIUS on the imaginary axis is CF2's slowest point in
+    # the sector it serves; the kernel stops at the same step as the inline
+    # loop: a factor table ending there converges, one step shorter raises
+    from oscylinder import bessel
+    z = cmath.rect(_TEMME_RADIUS, phi)
+    k0s, k1s, steps = _steed_loop(z)
+    assert steps < bessel._MAX_CF2_TERMS
+    assert len(bessel._CF2_FACTORS) == bessel._MAX_CF2_TERMS - 1
+    monkeypatch.setattr(bessel, "_CF2_FACTORS", bessel._CF2_FACTORS[:steps - 1])
+    assert bessel._steed(z) == (k0s, k1s)
+    monkeypatch.setattr(bessel, "_CF2_FACTORS", bessel._CF2_FACTORS[:steps - 2])
+    with pytest.raises(ArithmeticError):
+        bessel._steed(z)
 
 
 def test_recurrence_i():

@@ -593,6 +593,30 @@ def test_validate_at_huge_a_tiny_f_fails_clearly(f, message, capsys):
     assert "math domain error" not in captured.err
 
 
+def test_validate_refuses_overflowing_far_radius(capsys):
+    # the boundary checks' far radius 1e3 a overflows at a = 1e306
+    assert main(["validate", "--a", "1e306", "--f", "1e-306"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "far radius max(1e3 a, 20 delta) = inf m overflows at a = 1e+306 m" in captured.err
+    assert "below the cylinder surface" not in captured.err
+
+
+def test_force_refuses_overflowing_force(capsys):
+    # the force scale 2 pi rho0 v0 omega a^2 overflows at a = 1e154
+    assert main(["force", "--a", "1e154", "--f", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("force at f = 1.0 Hz, a = 1e+154 m: the column abs_F_analytic_over_v0 "
+            "[N s/m^2] = nan is not finite") in captured.err
+
+
+def test_force_inside_overflow_edge_is_finite(capsys):
+    assert main(["force", "--a", "1e150", "--f", "1"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out.encode("ascii"))
+    assert len(rows) == 1 and all(math.isfinite(float(v)) for v in rows[0])
+
+
 def test_validate_refuses_underflowing_step(capsys):
     # the default stencil step 1e-4 r is ~1e-162 m, and h*h underflows
     assert main(["validate", "--a", "1e-158", "--f", "1"]) == 2

@@ -152,11 +152,12 @@ def test_validation_messages_are_unchanged(cls, args, message):
 
 
 def test_import_leaves_dataclasses_and_typing_unloaded():
-    """Startup cost: the package imports neither module.  -S keeps site
-    hooks (which may preload typing) out of the measurement."""
+    """Startup cost: the package imports none of these modules (the Bessel
+    tables are built from int / int, not fractions or decimal).  -S keeps
+    site hooks (which may preload typing) out of the measurement."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(oscylinder.__file__)))
-    code = ("import sys, oscylinder.cli; "
-            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, oscylinder.cli; print(sorted({'dataclasses', 'typing', "
+            "'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": src})

@@ -202,6 +202,21 @@ def test_boundary_suite_refuses_overflowing_period():
         boundary_suite(s)
 
 
+def test_boundary_suite_refuses_overflowing_far_radius():
+    # 1e3 a overflows at a = 1e306: the message names the far radius, a and
+    # delta instead of reporting radius inf as below the surface
+    s = Scenario.from_frequency(AIR_20C, 1e306, 1.0, 1e-306)
+    with pytest.raises(ValueError, match=r"far radius .* = inf m overflows at "
+                                         r"a = 1e\+306 m, delta = 2\.19\d*e\+150 m"):
+        boundary_suite(s)
+
+
+def test_boundary_suite_far_radius_finite_inside_edge():
+    # a decade inside the edge 1e3 a is still finite
+    rep = boundary_suite(Scenario.from_frequency(AIR_20C, 1e305, 1.0, 1e-305))
+    assert math.isfinite(rep.far_radius) and rep.far_radius == 1e3 * 1e305
+
+
 def test_tolerance_grows_for_thick_layers():
     # ba ~ 2e-3 amplifies the algebraic-tail truncation by ba^-2
     assert residual_tolerance(S1, 1.1) > 1e-6
