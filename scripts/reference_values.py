@@ -62,6 +62,8 @@ BESSEL_POINTS = [
     ("arg45_mid", JM * mpf("2.0394")),
     ("arg45_small", JM * mpf("2.0394e-3")),
     ("generic", mpc(3, 4)),
+    ("arg45_band4", JM * mpf(4)),
+    ("arg45_band8", JM * mpf(8)),
     ("cross_lo", JM * mpf("16.9")),
     ("cross_hi", JM * mpf("17.1")),
     ("deep", JM * mpf("120.0")),

@@ -12,12 +12,19 @@ Algorithm split:
 * |z| < 2.5, K: Temme's series (Temme 1975, J. Comput. Phys. 19:324) at
   order 0, in Horner form over rows of exact ratios, with the term count
   read from |z|^2/4.  It yields K0 and K1 - 1/z with the pole removed exactly.
-* 2.5 <= |z| <= 17, K: Steed's continued fraction CF2 (Thompson & Barnett
-  1986, J. Comput. Phys. 64:490; Numerical Recipes section 6.7), which
-  gives e^z K0 and e^z K1 directly.  CF2 needs Re z >= 0; the left
-  half-plane is reached by reflection (DLMF 10.34.2), K's only use of I.
-  CF2 and the asymptotic sums read their z-independent real factors from
-  tables built at import by the loops' own float operations.
+* 2.5 <= |z| <= 17, K: the trapezoidal rule (Trefethen & Weideman 2014,
+  SIAM Rev. 56:385) on DLMF 10.32.8 with t = 1 + s^2/z,
+      e^z K0(z) = sqrt(2/z) int_0^inf e^{-s^2} (1 + s^2/(2z))^{-1/2} ds,
+      e^z K1(z) = 2 sqrt(2/z) int_0^inf s^2 e^{-s^2} (1 + s^2/(2z))^{1/2} ds,
+  sampled at s_j = j h <= 6.2 with step h = 0.25, 0.34 or 0.44 for
+  |z| < 4, < 8 or <= 17.  The integrands are even in s and analytic in
+  |Im s| < sqrt(2|z|) cos(arg z/2) >= sqrt|z|, so the rule's error falls
+  like e^{-2 pi sqrt|z|/h}, below 2^-53 on each band; the first node
+  dropped past s = 6.2 weighs below 1e-15 of either integral.  The rule
+  matches mpmath to 1.3e-15 on the band.  It needs Re z >= 0; the
+  left half-plane is reached by reflection (DLMF 10.34.2), K's only use
+  of I.  The nodes and the asymptotic sums' real factors are tables
+  built at import.
 * |z| <= 17, I: Miller backward recurrence for the ratios I_k/I_{k-1},
   normalised by I0 + 2 sum_k I_k = e^z (DLMF 10.35.1 at t = 1).  I never
   uses K, so the Wronskian I0 K1 + I1 K0 = 1/z remains an independent
@@ -44,7 +51,7 @@ from functools import lru_cache
 
 #: series/asymptotic crossover radius
 SERIES_RADIUS = 17.0
-#: Temme/CF2 crossover for K; Temme's K0 error passes 2e-14 near |z| = 2.83
+#: Temme/trapezoid crossover for K; Temme's K0 error passes 2e-14 near |z| = 2.83
 _TEMME_RADIUS = 2.5
 
 # exp(x) overflows above this (unscaled I impossible to represent)
@@ -52,36 +59,44 @@ _EXP_OVERFLOW = 709.782712893384
 # exp(-x) flushes to zero above this (unscaled K loses all accuracy)
 _EXP_UNDERFLOW = 745.1332191019411
 
-_EPS = 2.0 ** -53
 _EULER_GAMMA = 0.57721566490153286
-_MAX_CF2_TERMS = 256  # CF2 takes at most 114 steps on |z| >= 2.5, |arg z| <= pi/2
 _MAX_ASYM_TERMS = 40
 
 
-def _factor_tables() -> tuple:
+def _temme_rows() -> tuple:
     """Temme's rows (H_k, 1/k!^2, (H_k + H_{k+1})/2, 1/(k! (k+1)!)), k < 14,
-    each an exact integer ratio rounded once by int / int, and CF2's real
-    factors (a_i, c_i), i = 2 .. _MAX_CF2_TERMS, by Steed's own float steps."""
-    rows, cf2 = [], []
+    each an exact integer ratio rounded once by int / int."""
+    rows = []
     hn, hd, fact = 0, 1, 1  # H_k = hn/hd, fact = k!
     for k1 in range(1, 15):
         rows.append((hn / hd, 1 / (fact * fact), (2 * k1 * hn + hd) / (2 * k1 * hd),
                      1 / (fact * fact * k1)))
         hn, hd, fact = hn * k1 + hd, hd * k1, fact * k1
-    a, c = -0.25, 0.25
-    for i in range(2, _MAX_CF2_TERMS + 1):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        cf2.append((a, c))
-    return tuple(rows), tuple(cf2)
+    return tuple(rows)
 
 
-_TEMME_ROWS, _CF2_FACTORS = _factor_tables()
+def _trapezoid_nodes(h: float) -> tuple:
+    """The rule's rows (s^2/2, h e^{-s^2}, 2 s^2 h e^{-s^2}) at s = j h for
+    1 <= j with j h <= 6.2; the j = 0 node is the half weight h/2 alone."""
+    rows = []
+    j = 1
+    while j * h <= 6.2:
+        s2 = (j * h) * (j * h)
+        w = h * math.exp(-s2)
+        rows.append((0.5 * s2, w, 2.0 * s2 * w))
+        j += 1
+    return tuple(rows)
+
+
+_TEMME_ROWS = _temme_rows()
 # (bound, rows k = n-1 .. 0) for |x| < bound: the smallest n with
 # bound^n/n!^2 (6 + H_n) < 2^-56; |x| < 1.5625 below _TEMME_RADIUS
 _TEMME_TERMS = tuple((bound, _TEMME_ROWS[n - 1::-1]) for bound, n in (
     (1e-8, 3), (1e-4, 4), (1e-3, 5), (3e-3, 6), (0.03, 7), (0.1, 9), (0.3, 10),
     (0.6, 12), (1.0, 13), (1.6, 14)))
+# (bound, h/2, rows) for |z| < bound: the rule's step h per band of |z|
+_TRAPEZOID_BANDS = tuple((bound, 0.5 * h + 0j, _trapezoid_nodes(h))
+                         for bound, h in ((4.0, 0.25), (8.0, 0.34), (math.inf, 0.44)))
 # the asymptotic sums' (4 nu^2 - (2k-1)^2, 8k), k = 1 .. _MAX_ASYM_TERMS, per order
 _ASYM_FACTORS = tuple(tuple((4.0 * nu * nu - (2.0 * k - 1.0) ** 2, 8.0 * k)
                             for k in range(1, _MAX_ASYM_TERMS + 1)) for nu in (0, 1))
@@ -126,31 +141,22 @@ def _temme(z: complex) -> tuple[complex, complex]:
     return k0, 0.5 * z * k1m
 
 
-def _steed(z: complex) -> tuple[complex, complex]:
-    """(e^z K0, e^z K1) by Steed's algorithm for CF2 at order 0.
-
-    Numerical Recipes `bessik` with mu = 0; needs Re z >= 0 and |z| >~ 2.
-    The real factors (a_i, c_i) of each step come from _CF2_FACTORS.
-    """
-    b = 2.0 * (1.0 + z)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0j, 1.0 + 0j
-    q = a1 = 0.25
-    s = 1.0 + q * delh
-    for a, c in _CF2_FACTORS:
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) <= _EPS * abs(s):
-            k0s = cmath.sqrt(0.5 * math.pi / z) / s
-            return k0s, k0s * (z + 0.5 - a1 * h) / z
-    raise ArithmeticError(f"continued fraction CF2 for {z!r} did not converge")
+def _trapezoid(w: complex) -> tuple[complex, complex]:
+    """(e^w K0, e^w K1) by the trapezoidal rule of the module docstring,
+    for 2.5 <= |w| <= 17 and Re w >= 0: one cmath.sqrt per node, the
+    K0 sum starting from the half-weighted node at s = 0."""
+    aw = abs(w)
+    for bound, sum0, rows in _TRAPEZOID_BANDS:
+        if aw < bound:
+            break
+    u = 1.0 / w
+    sum1 = 0j
+    for hs2, w0, w1 in rows:
+        q = cmath.sqrt(1.0 + hs2 * u)
+        sum0 += w0 / q
+        sum1 += w1 * q
+    p = cmath.sqrt(2.0 * u)
+    return p * sum0, p * sum1
 
 
 def _miller(w: complex) -> tuple[complex, complex]:
@@ -175,8 +181,9 @@ def _miller(w: complex) -> tuple[complex, complex]:
 @lru_cache(maxsize=4096)
 def _k_values(z: complex):
     """(K0, K1, K1 - 1/z) for |z| <= 17, unscaled: Temme's series below
-    |z| = 2.5, CF2 above.  In the left half-plane CF2 runs on w = -z and
-    DLMF 10.34.2 with m = sign(Im z) reflects it back, with Miller's I:
+    |z| = 2.5, the trapezoidal rule above.  In the left half-plane the rule
+    runs on w = -z and DLMF 10.34.2 with m = sign(Im z) reflects it back,
+    with Miller's I:
         K0(z) = K0(w) - m pi i I0(w),   K1(z) = -K1(w) - m pi i I1(w).
     """
     if abs(z) < _TEMME_RADIUS:
@@ -184,7 +191,7 @@ def _k_values(z: complex):
         return k0, k1m + 1.0 / z, k1m
     reflect = z.real < 0.0
     w = -z if reflect else z
-    k0s, k1s = _steed(w)
+    k0s, k1s = _trapezoid(w)
     emw = cmath.exp(-w)
     k0, k1 = k0s * emw, k1s * emw
     if reflect:

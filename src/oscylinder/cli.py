@@ -311,7 +311,7 @@ def cmd_profile(cfg: RunConfig, nr: int, rmax_factor: float) -> int:
             # a <= r <= a * rmax_factor, so r and rho are finite
             r = a * rmax_factor ** (j / (nr - 1))
             rho = r / a
-            br, bth, _, _, _ = _radial(s, rho)
+            br, bth, _ = _radial(s, rho)
             rows.append(row % (r, rho, _mode_value(vph * br / vnorm, mode),
                                _mode_value(vph * bth / vnorm, mode)))
     with _open_out(cfg.out) as stream:
@@ -358,7 +358,7 @@ def cmd_field(cfg: RunConfig, grid) -> int:
             theta = atan2(y, x)
             c, sn = cos(theta), sin(theta)
             # flow._fields' products, angle x _radial x phase, as in forces._stress
-            br, bth, _, _, pb = radial(s, rho)
+            br, bth, pb = radial(s, rho)
             vr = v0 * c * ph * br
             vt = v0 * sn * ph * bth
             p = pv * c * ph * pb

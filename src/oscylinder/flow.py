@@ -23,17 +23,19 @@ at rho = 1.  Physical fields are the real parts.
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface.  _radial(s, rho) returns
-B_r, B_theta, their rho-derivatives and P, memoised per rho; a rho whose
-Bessel argument ba rho is not finite is refused there, naming rho and
-ba.  _fields, the block sampler, is angle x _radial x phase for v_r,
-v_theta and p over one rho, one phase and a sequence of angles, with one
-_radial lookup per block; it serves flow_state (a single angle) and the
-residual stencils in residuals.  residuals.boundary_suite, the field and
-profile commands in cli and forces._stress form the same products from
-_radial themselves, each only the columns it reads; tests pin the
+B_r, B_theta and P, the brackets every field sampler reads, memoised per
+rho; _slopes(s, rho) forms the rho-derivatives B_r' and B_theta' that only
+the stress in forces reads.  A rho whose Bessel argument ba rho is not
+finite is refused in both, naming rho and ba.  _fields, the block
+sampler, is angle x _radial x phase for v_r, v_theta and p over one rho,
+one phase and a sequence of angles, with one _radial lookup per block; it
+serves flow_state (a single angle) and the residual stencils in
+residuals.  residuals.boundary_suite, the field and profile commands in
+cli and forces._stress form the same products from _radial themselves,
+each only the columns it reads; tests pin the
 boundary checks to a flow_state reference and the cli rows to flow_state,
-bit for bit.  Stress, traction and force are angle x _radial x phase
-products too, so a Perturbation reaches every field the same way.
+bit for bit.  Stress, traction and force are angle x (_radial, _slopes)
+x phase products too, so a Perturbation reaches every field the same way.
 
 Two evaluation branches keep the brackets well-conditioned:
 
@@ -158,13 +160,13 @@ class _Coefficients:
     K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
     splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r and
     k0r1 are terms(1.0), the regular part and the K0 ratio at rho = 1,
-    which _radial reuses there; pole = i ba^2 q is the pole part of
-    i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
+    which _radial and _slopes reuse there; pole = i ba^2 q is the pole part
+    of i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
     term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
     ba_k0, c2, iba2, c_g1r, c2_g1r, c_g1 and excess2 hold ba k0_za, 2c,
-    i ba^2, c g1r, 2c g1r, c g1 and 2 excess, the first products of terms()
-    and _radial's expressions, so every float is as when formed inline.
-    `memo` maps rho to its _radial result, so terms() runs once per
+    i ba^2, c g1r, 2c g1r, c g1 and 2 excess, the first products of terms(),
+    _radial and _slopes, so every float is as when formed inline.  `memo`
+    maps rho to its _radial brackets, so _radial runs terms() once per
     distinct rho; it is emptied when it reaches 4096 entries.
     """
 
@@ -276,14 +278,10 @@ class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
 # bracket evaluation
 # ----------------------------------------------------------------------
 
-def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
-                                              complex, complex]:
-    """(B_r, B_theta, dB_r/drho, dB_theta/drho, P) at rho = r/a.
+def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex]:
+    """(B_r, B_theta, P) at rho = r/a, the brackets every field sampler reads.
 
-    The derivatives use dK0/dz = -K1 and dK1/dz = -K0 - K1/z, which give
-    G'(rho) = -2 k0r(rho) - G(rho)/rho for the K0 ratio k0r, and
-    B_theta - B_r = 2 b k0r - 2, so B_theta' = B_r' + i b ba^2 G(rho).
-    At rho = 1 the brackets and B_r' vanish bitwise when unperturbed: every
+    At rho = 1 the velocity brackets vanish bitwise when unperturbed: every
     term evaluated there reuses the floats cached in the coefficient set.
     Results are kept in the set's memo by rho and returned on later calls;
     each dict get or set is atomic, so threads sharing a Scenario agree.
@@ -294,23 +292,38 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex,
         return hit
     b, c = k.b, k.c
     gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
-    inv = 1.0 / rho
     inv2 = 1.0 / (rho * rho)
-    inv3 = inv2 * inv
     tail = b * gr / rho - k.c_g1r * inv2
     wall = k.excess * inv2
     br = (1.0 - c * inv2) + tail - wall
     bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
-    dbr = (k.c2 * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
-           + k.c2_g1r * inv3)
-    dbth = dbr + b * (k.iba2 * gr) + b * (k.pole * inv)
-    dwall = k.excess2 * inv3
     pb = (rho + c / rho) + k.c_g1 / rho
-    result = br, bth, dbr + dwall, dbth + dwall, pb
+    result = br, bth, pb
     if len(k.memo) >= 4096:  # as many entries as each Bessel cache holds
         k.memo.clear()
     k.memo[rho] = result
     return result
+
+
+def _slopes(s: Scenario, rho: float) -> tuple[complex, complex]:
+    """(dB_r/drho, dB_theta/drho) at rho = r/a, for the stress in forces.
+
+    dK0/dz = -K1 and dK1/dz = -K0 - K1/z give G'(rho) = -2 k0r(rho) -
+    G(rho)/rho for the K0 ratio k0r, and B_theta - B_r = 2 b k0r - 2, so
+    B_theta' = B_r' + i b ba^2 G(rho).  At rho = 1, B_r' vanishes bitwise
+    when unperturbed, as the brackets do in _radial.
+    """
+    k = s._coefficients
+    b = k.b
+    gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
+    inv = 1.0 / rho
+    inv2 = 1.0 / (rho * rho)
+    inv3 = inv2 * inv
+    dbr = (k.c2 * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
+           + k.c2_g1r * inv3)
+    dbth = dbr + b * (k.iba2 * gr) + b * (k.pole * inv)
+    dwall = k.excess2 * inv3
+    return dbr + dwall, dbth + dwall
 
 
 def _check_radius(s: Scenario, r: float) -> float:
@@ -327,7 +340,7 @@ def _fields(s: Scenario, rho: float, angles,
             ph: complex) -> list[tuple[complex, complex, complex]]:
     """(v_r, v_theta, p) at rho = r/a and phase ph, one per (cos theta, sin
     theta) pair in angles: one _radial lookup for the whole block."""
-    br, bth, _, _, pb = _radial(s, rho)
+    br, bth, pb = _radial(s, rho)
     v0 = s.v0
     pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
     return [(v0 * c * ph * br, v0 * sn * ph * bth, pv * c * ph * pb)

@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
+from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial, _slopes
 
 
 class StressTensor(namedtuple("StressTensor", "pi_rr pi_rtheta pi_thetatheta")):
@@ -59,11 +59,12 @@ def _scales(s: Scenario) -> tuple[float, float]:
     return s.fluid.rho0 * s.omega * s.v0 * s.a, s.fluid.mu0 * s.v0 / s.a
 
 
-def _stress(s: Scenario, rho: float, radial: tuple, c: float, sn: float,
-            ph: complex) -> tuple[complex, complex, complex]:
-    """(Pi_rr, Pi_rtheta, Pi_thetatheta) from the radial brackets at rho,
-    the angle factors c = cos(theta), sn = sin(theta) and the phase."""
-    br, bth, dbr, dbth, pb = radial
+def _stress(s: Scenario, rho: float, brackets: tuple, slopes: tuple, c: float,
+            sn: float, ph: complex) -> tuple[complex, complex, complex]:
+    """(Pi_rr, Pi_rtheta, Pi_thetatheta) from the radial brackets and slopes
+    at rho, the angle factors c = cos(theta), sn = sin(theta) and the phase."""
+    br, bth, pb = brackets
+    dbr, dbth = slopes
     scale, visc = _scales(s)
     p = -1j * scale * pb
     sum_b = (br + bth) / rho
@@ -89,8 +90,8 @@ def stress_tensor(s: Scenario, pt: PolarPoint, t: float) -> StressTensor:
     scaled by mu0 v0/a itself, which stays finite where 1/ba^2 overflows.
     """
     rho = _check_radius(s, pt.r)
-    return StressTensor(*_stress(s, rho, _radial(s, rho), math.cos(pt.theta),
-                                 math.sin(pt.theta), _phase(s, t)))
+    return StressTensor(*_stress(s, rho, _radial(s, rho), _slopes(s, rho),
+                                 math.cos(pt.theta), math.sin(pt.theta), _phase(s, t)))
 
 
 def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
@@ -110,9 +111,10 @@ def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
     t_y carries no roundoff from the large terms.
     """
     k = s._coefficients
-    radial = _radial(s, 1.0)
-    br, bth, dbr, _, _ = radial
-    a, bv, _ = _stress(s, 1.0, radial, 1.0, 1.0, 1.0)
+    brackets, slopes = _radial(s, 1.0), _slopes(s, 1.0)
+    br, bth, _ = brackets
+    dbr = slopes[0]
+    a, bv, _ = _stress(s, 1.0, brackets, slopes, 1.0, 1.0, 1.0)
     beta_factor = k.ba / s.ba
     g1_parts = k.c * k.g1 - k.b * (beta_factor * beta_factor) * (k.q + k.g1r)
     scale, visc = _scales(s)

@@ -295,7 +295,7 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     # flow._fields' products in its order: v0 * c, v0 * sn and pv * c are
     # their first factors, so hoisting them once per ring keeps every bit
     no_slip = []
-    br, bth, _, _, _ = _radial(s, _check_radius(s, s.a))  # rho exactly 1.0
+    br, bth, _ = _radial(s, _check_radius(s, s.a))  # rho exactly 1.0
     ring = [(v0 * c, v0 * sn) for c, sn in _RING64]
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
         ph = _phase(s, t)
@@ -306,7 +306,7 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
         raise ValueError(f"the far radius max(1e3 a, 20 delta) = {far_radius!r} m overflows "
                          f"at a = {s.a:g} m, delta = {s.delta:g} m")
     far = []
-    br, bth, _, _, _ = _radial(s, _check_radius(s, far_radius))
+    br, bth, _ = _radial(s, _check_radius(s, far_radius))
     ring = [(v0 * c, v0 * sn, -v0 * sn) for c, sn in _RING32]
     for t in (0.0, period / 5.0):
         ph = _phase(s, t)
@@ -319,7 +319,7 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
     ring = [pv * c for c, _ in _FORM_ANGLES]
     for rr in (1.5 * s.a, 3.0 * s.a):
-        pb = _radial(s, _check_radius(s, rr))[4]
+        pb = _radial(s, _check_radius(s, rr))[2]
         for t in (0.0, period / 5.0):
             ph = _phase(s, t)
             p0, *ps = [pc * ph * pb for pc in ring]
@@ -354,7 +354,9 @@ def validate_checks(s: Scenario, t: float = 0.0,
     """The ten rows `oscylinder validate` prints, in order: each equation's
     largest residual (step h_rel r) on 5 radii in [1.1a, 100a] x 5 angles,
     passing only if each meets the residual_tolerance of its own radius; the
-    boundary_suite maxima; the force_quadrature-vs-analytic and |Fy/Fx| ratios."""
+    boundary_suite maxima; the force_quadrature-vs-analytic and |Fy/Fx| ratios.
+    A (beta a)^2 that overflows would turn the quadrature force into NaN
+    through the wall stress, so it is refused by name before the force rows."""
     if not (math.isfinite(h_rel) and 0.0 < h_rel < 0.1):
         raise ValueError(f"h_rel must lie in (0, 0.1), got {h_rel!r}")
     s._coefficients  # an unusable beta a fails here, naming it, before any tol
@@ -379,6 +381,11 @@ def validate_checks(s: Scenario, t: float = 0.0,
         checks.append(Check(f"boundary {q} max", getattr(b, f"{q}_max"), tol,
                             getattr(b, f"{q}_ok")))
 
+    ba = s._coefficients.ba
+    if not ba * ba < math.inf:  # B_theta' = B_r' + i b ba^2 G in the wall stress
+        raise ValueError(f"force at f = {s.frequency:g} Hz, a = {s.a:g} m: the "
+                         f"shear stress scale (beta a)^2 = {ba * ba!r} overflows "
+                         f"at beta a = {ba:g}")
     fq, fa = force_quadrature(s, t, 512), force_analytic(s, t)
     # != 0 rather than abs() > 0, so that NaN reaches the <= checks below
     rel = abs(fq.fx - fa.fx) / abs(fa.fx) if fa.fx != 0 else 0.0

@@ -2,14 +2,16 @@
 
 Expected values were computed with mpmath at 50 significant digits and
 frozen here (scripts/reference_values.py regenerates them).  The point
-set covers every evaluation branch (Temme series below |z| = 2.5, CF2
-and Miller recurrence up to |z| = 17, asymptotic expansion above), the
-arg(z) = -pi/4 ray the flow solution lives on, near-imaginary
-arguments, and the deep-decay regime.  A hypothesis property compares
-the |z| <= 17 kernel with mpmath at 40 digits.  Pins tie the kernel's
-precomputed tables (Temme's rows and term counts, CF2's and the
-asymptotic sums' real factors) to exact rationals and to the loops that
-formed those factors step by step.
+set covers every evaluation branch (Temme series below |z| = 2.5, the
+trapezoidal rule for K and Miller recurrence for I up to |z| = 17, with
+points at the rule's step changes |z| = 4 and 8, asymptotic expansion
+above), the arg(z) = -pi/4 ray the flow solution lives on,
+near-imaginary arguments, and the deep-decay regime.  Hypothesis
+properties compare the |z| <= 17 kernel, and the rule on its own band,
+with mpmath at 40 digits.  Pins tie the kernel's precomputed tables
+(Temme's rows and term counts, the rule's nodes, the asymptotic sums'
+real factors) to exact rationals and to the float operations that form
+them.
 """
 
 import cmath
@@ -58,6 +60,16 @@ BESSEL_REFERENCE = {
         complex(1.9568023190446622e-6, -4.1402908152211205e-7),
         complex(7976.6763058791884, 12826.131120785631),
         complex(8084.1402500163303, 12387.562834758734)),
+    "arg45_band4": (complex(2.8284271247461901, -2.8284271247461901),
+        complex(-0.036178847899547611, -0.0021983992949725199),
+        complex(-0.039166010769171331, -0.0053512964602774479),
+        complex(-2.5634165572585798, -2.2926903226992998),
+        complex(-2.5638216885610780, -1.8692484590318993)),
+    "arg45_band8": (complex(5.6568542494923802, -5.6568542494923802),
+        complex(0.0014858340685189625, -0.00036958395612595959),
+        complex(0.0015669747999600444, -0.00032285704780772092),
+        complex(20.973955610730256, 35.016725164881512),
+        complex(21.673535103011481, 32.506861295691418)),
     "cross_hi": (complex(12.091525958289963, -12.091525958289963),
         complex(1.6841770671958089e-6, -1.4708065068328088e-7),
         complex(1.7219529408009261e-6, -1.1598836426858910e-7),
@@ -122,6 +134,16 @@ BESSEL_REFERENCE_SCALED = {
         complex(0.28429555482428099, 0.12280622346480408),
         complex(0.089920608210121462, 0.037822669642881929),
         complex(0.088849818967381907, 0.035110052294032435)),
+    "arg45_band4": (complex(2.8284271247461901, -2.8284271247461901),
+        complex(0.57087439328969065, 0.22395718706235093),
+        complex(0.60252204512501331, 0.29027579071456832),
+        complex(0.18589071127612197, 0.082243567711848191),
+        complex(0.17820311964567638, 0.058425619486211855)),
+    "arg45_band8": (complex(5.6568542494923802, -5.6568542494923802),
+        complex(0.40659627185805798, 0.16359852606740645),
+        complex(0.41757345996218697, 0.18804976470963074),
+        complex(0.13107126547621602, 0.056159737475396801),
+        complex(0.12791163285051057, 0.047623300719033413)),
     "cross_hi": (complex(12.091525958289963, -12.091525958289963),
         complex(0.27914039906333587, 0.11400356826591593),
         complex(0.28259709521558880, 0.12201585569403650),
@@ -169,6 +191,10 @@ BESSEL_K1M_REFERENCE = {
                     complex(-0.0054773024263130650, 0.0043447061620007103)),
     "generic": (complex(3.0, 4.0),
                 complex(-0.12567342040132331, 0.18866693657900782)),
+    "arg45_band4": (complex(2.8284271247461901, -2.8284271247461901),
+                    complex(-0.21594270606580821, -0.18212799175691433)),
+    "arg45_band8": (complex(5.6568542494923802, -5.6568542494923802),
+                    complex(-0.086821372848358396, -0.088711204696126161)),
     "cross_lo": (complex(11.950104602052653, -11.950104602052653),
                  complex(-0.041838681137713353, -0.041841051969113920)),
     "tiny": (complex(0.0001, 0.0), complex(-0.00049131359504274675, 0.0)),
@@ -294,15 +320,15 @@ def test_scaled_unscaled_consistency(radius, phi):
 
 
 def test_branch_agreement_at_crossover():
-    # Temme's series (below |z| = _TEMME_RADIUS) and CF2 (above) must agree
-    # where K hands over, and so must the |z| <= 17 kernel and the
-    # asymptotic expansion (above 17)
-    from oscylinder.bessel import _asym_k_scaled, _k_values, _steed, _temme
+    # Temme's series (below |z| = _TEMME_RADIUS) and the trapezoidal rule
+    # (above) must agree where K hands over, and so must the |z| <= 17
+    # kernel and the asymptotic expansion (above 17)
+    from oscylinder.bessel import _asym_k_scaled, _k_values, _temme, _trapezoid
     for phi in (-math.pi / 4, 0.0, math.pi / 3, -1.4):
         z = cmath.rect(_TEMME_RADIUS, phi)
         k0, k1m = _temme(z)
         k1 = k1m + 1.0 / z
-        k0s, k1s = _steed(z)
+        k0s, k1s = _trapezoid(z)
         ez = cmath.exp(-z)
         assert abs(k0s * ez - k0) < 5e-14 * abs(k0)
         assert abs(k1s * ez - k1) < 5e-14 * abs(k1)
@@ -317,10 +343,10 @@ def test_branch_agreement_at_crossover():
 
 def test_k_runs_miller_only_to_reflect(monkeypatch):
     # K on Re z >= 0 never needs I: with Miller's recurrence disabled it
-    # still returns Temme's series (|z| < _TEMME_RADIUS) or CF2 (above),
-    # bitwise
+    # still returns Temme's series (|z| < _TEMME_RADIUS) or the trapezoidal
+    # rule (above), bitwise
     from oscylinder import bessel
-    from oscylinder.bessel import _steed, _temme
+    from oscylinder.bessel import _temme, _trapezoid
 
     def no_miller(w):
         raise AssertionError("K used Miller's recurrence")
@@ -328,7 +354,8 @@ def test_k_runs_miller_only_to_reflect(monkeypatch):
     monkeypatch.setattr(bessel, "_miller", no_miller)
     bessel._k_values.cache_clear()
     ray = [cmath.rect(r, -math.pi / 4)
-           for r in (1e-8, 0.5, _TEMME_RADIUS - 0.01, _TEMME_RADIUS, 7.0, 17.0)]
+           for r in (1e-8, 0.5, _TEMME_RADIUS - 0.01, _TEMME_RADIUS, 4.0, 7.0,
+                     8.0, 17.0)]
     others = [cmath.rect(r, phi) for r in (0.3, 3.0, 16.0)
               for phi in (0.0, math.pi / 3, -1.4, math.pi / 2)]
     for z in ray + others:
@@ -336,7 +363,7 @@ def test_k_runs_miller_only_to_reflect(monkeypatch):
             k0, k1m = _temme(z)
             k1 = k1m + 1.0 / z
         else:
-            k0s, k1s = _steed(z)
+            k0s, k1s = _trapezoid(z)
             k0, k1 = k0s * cmath.exp(-z), k1s * cmath.exp(-z)
             k1m = k1 - 1.0 / z
         assert bessel_k0(z) == k0
@@ -389,9 +416,10 @@ def test_kernel_matches_mpmath(log_radius, phi):
 
 
 # K on 2 <= |z| < 3, |arg z| <= pi/2, against the kernel's 2e-14: Temme's
-# series below _TEMME_RADIUS, CF2 above.  Temme's cancellation grows with
-# |z|: near the real axis its K0 error passes 2e-14 from about |z| = 2.83
-# and reaches 2.4e-14 at the example point, so the crossover sits lower.
+# series below _TEMME_RADIUS, the trapezoidal rule above.  Temme's
+# cancellation grows with |z|: near the real axis its K0 error passes 2e-14
+# from about |z| = 2.83 and reaches 2.4e-14 at the example point, so the
+# crossover sits lower.
 @given(st.floats(min_value=2.0, max_value=3.0, exclude_max=True),
        st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
 @example(2.9325030776005447, 0.11613561330857913)
@@ -413,35 +441,6 @@ def test_k_matches_mpmath_around_temme_crossover(radius, phi):
 # precomputed kernel factors
 # ----------------------------------------------------------------------
 
-def _steed_loop(z):
-    """Reference: Steed's CF2 loop forming its real factors step by step;
-    returns (e^z K0, e^z K1, last step)."""
-    eps = 2.0 ** -53
-    b = 2.0 * (1.0 + z)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0j, 1.0 + 0j
-    a1 = 0.25
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 1001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) <= eps * abs(s):
-            k0s = cmath.sqrt(0.5 * math.pi / z) / s
-            return k0s, k0s * (z + 0.5 - a1 * h) / z, i
-    raise ArithmeticError("CF2 did not converge")
-
-
 def _asym_loop(nu, z):
     """Reference: the asymptotic sum forming its real factors step by step."""
     mu = 4.0 * nu * nu
@@ -457,15 +456,6 @@ def _asym_loop(nu, z):
             break
         prev_mag = mag
     return total
-
-
-@given(st.floats(min_value=_TEMME_RADIUS, max_value=SERIES_RADIUS),
-       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
-@settings(max_examples=200, deadline=None)
-def test_steed_matches_inline_factors_bitwise(radius, phi):
-    from oscylinder.bessel import _steed
-    z = cmath.rect(radius, phi)
-    assert _steed(z) == _steed_loop(z)[:2]
 
 
 @given(st.floats(min_value=math.log10(SERIES_RADIUS), max_value=4.0),
@@ -510,15 +500,9 @@ def test_temme_term_table_covers_the_series_region():
         assert len(rows) == n, bound
 
 
-def test_cf2_and_asym_factors_match_inline_recurrences():
-    # the tables hold exactly the floats the loops formed step by step
-    from oscylinder.bessel import _ASYM_FACTORS, _CF2_FACTORS, _MAX_CF2_TERMS
-    a, c, factors = -0.25, 0.25, []
-    for i in range(2, _MAX_CF2_TERMS + 1):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        factors.append((a, c))
-    assert list(_CF2_FACTORS) == factors
+def test_asym_factors_match_inline_recurrence():
+    # the table holds exactly the floats the loop formed step by step
+    from oscylinder.bessel import _ASYM_FACTORS
     for nu in (0, 1):
         mu = 4.0 * nu * nu
         assert list(_ASYM_FACTORS[nu]) == [(mu - (2.0 * k - 1.0) ** 2, 8.0 * k)
@@ -555,21 +539,58 @@ def test_temme_refuses_beyond_its_table():
         _temme(complex(2.0 * math.sqrt(_TEMME_TERMS[-1][0] * (1.0 + 1e-9)), 0.0))
 
 
-@pytest.mark.parametrize("phi", [-math.pi / 2, math.pi / 2])
-def test_cf2_steps_at_crossover_stay_below_cap(phi, monkeypatch):
-    # |z| = _TEMME_RADIUS on the imaginary axis is CF2's slowest point in
-    # the sector it serves; the kernel stops at the same step as the inline
-    # loop: a factor table ending there converges, one step shorter raises
-    from oscylinder import bessel
-    z = cmath.rect(_TEMME_RADIUS, phi)
-    k0s, k1s, steps = _steed_loop(z)
-    assert steps < bessel._MAX_CF2_TERMS
-    assert len(bessel._CF2_FACTORS) == bessel._MAX_CF2_TERMS - 1
-    monkeypatch.setattr(bessel, "_CF2_FACTORS", bessel._CF2_FACTORS[:steps - 1])
-    assert bessel._steed(z) == (k0s, k1s)
-    monkeypatch.setattr(bessel, "_CF2_FACTORS", bessel._CF2_FACTORS[:steps - 2])
-    with pytest.raises(ArithmeticError):
-        bessel._steed(z)
+def test_trapezoid_nodes_are_built_by_documented_operations():
+    # per band of |z| (below 4, 8 and up to 17) the step h, the half weight
+    # h/2 of the node s = 0, and for s = j h <= 6.2, j >= 1, the row
+    # (s^2/2, h e^{-s^2}, 2 s^2 h e^{-s^2}) with s^2 = (j h)(j h)
+    from oscylinder.bessel import _TRAPEZOID_BANDS
+    assert [b[0] for b in _TRAPEZOID_BANDS] == [4.0, 8.0, math.inf]
+    for (bound, half, rows), h, nodes in zip(_TRAPEZOID_BANDS, (0.25, 0.34, 0.44),
+                                             (25, 19, 15)):
+        assert half == complex(0.5 * h, 0.0)
+        want = []
+        for j in range(1, nodes):
+            s2 = (j * h) * (j * h)
+            w = h * math.exp(-s2)
+            want.append((0.5 * s2, w, 2.0 * s2 * w))
+        assert list(rows) == want, bound
+        # the rule stops at the last node with s <= 6.2; the first node past
+        # it weighs below 1e-15 of the K1 integral int_0^inf s^2 e^{-s^2} ds
+        # = sqrt(pi)/4, and less of the K0 one
+        assert (nodes - 1) * h <= 6.2 < nodes * h
+        s2 = (nodes * h) ** 2
+        assert 2.0 * s2 * h * math.exp(-s2) < 1e-15 * math.sqrt(math.pi) / 4
+
+
+# the trapezoidal rule on its whole band 2.5 <= |z| <= 17, |arg z| <= pi/2,
+# scaled and unscaled, against the kernel's 2e-14; the examples straddle the
+# step changes at |z| = 4 and 8 and lie on the imaginary axis, where the
+# integrands' singularities s = +-i sqrt(2z) come nearest the real line
+@given(st.floats(min_value=_TEMME_RADIUS, max_value=SERIES_RADIUS),
+       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+@example(_TEMME_RADIUS, 0.5 * math.pi)
+@example(4.0 - 1e-12, 0.5 * math.pi)
+@example(4.0, 0.5 * math.pi)
+@example(4.0 - 1e-12, -0.5 * math.pi)
+@example(4.0, -0.25 * math.pi)
+@example(8.0 - 1e-12, -0.5 * math.pi)
+@example(8.0, -0.5 * math.pi)
+@example(8.0 - 1e-12, 0.5 * math.pi)
+@example(8.0, -0.25 * math.pi)
+@example(SERIES_RADIUS, -0.5 * math.pi)
+@settings(max_examples=200, deadline=None)
+def test_trapezoid_matches_mpmath(radius, phi):
+    from oscylinder.bessel import _k_values, _trapezoid
+    z = cmath.rect(radius, phi)
+    k0s, k1s = _trapezoid(z)
+    k0, k1, k1m = _k_values(z)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        ref0, ref1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
+        ez = mpmath.exp(zm)
+        for got, ref in ((k0s, ref0 * ez), (k1s, ref1 * ez), (k0, ref0),
+                         (k1, ref1), (k1m, ref1 - 1 / zm)):
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
 
 
 def test_recurrence_i():

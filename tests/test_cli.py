@@ -318,7 +318,7 @@ def test_validate_detects_B_mutation_at_large_ba(capsys):
 
 def test_validate_fails_on_nan_field(monkeypatch, capsys):
     for module in (oscylinder.flow, oscylinder.residuals):
-        monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 5)
+        monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 3)
     assert main(["validate"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "boundary no_slip max=nan tol=1.000e-12 FAIL" in lines
@@ -600,6 +600,25 @@ def test_validate_refuses_overflowing_far_radius(capsys):
     assert captured.out == ""
     assert "far radius max(1e3 a, 20 delta) = inf m overflows at a = 1e+306 m" in captured.err
     assert "below the cylinder surface" not in captured.err
+
+
+def test_validate_refuses_overflowing_shear_scale(capsys):
+    # beta a ~ 2e155 at a = 1e305, f = 1e-305: every residual and boundary
+    # row passes, but (beta a)^2 overflows in the wall stress and would print
+    # NaN force rows
+    assert main(["validate", "--a", "1e305", "--f", "1e-305"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("force at f = 1e-305 Hz, a = 1e+305 m: the shear stress scale "
+            "(beta a)^2 = inf overflows at beta a = 2.03919e+155") in captured.err
+
+
+def test_validate_inside_shear_scale_edge_passes(capsys):
+    # a decade inside the edge: (beta a)^2 ~ 1.7e307 at f = 4e-308
+    assert main(["validate", "--a", "1e305", "--f", "4e-308"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and lines[-1] == "RESULT PASS"
+    assert all(ln.endswith("PASS") for ln in lines)
 
 
 def test_force_refuses_overflowing_force(capsys):

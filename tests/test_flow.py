@@ -16,7 +16,7 @@ import threading
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
@@ -32,7 +32,7 @@ import oscylinder.cli
 import oscylinder.flow
 from oscylinder.cli import main
 from oscylinder.bessel import _TEMME_RADIUS
-from oscylinder.flow import _check_radius, _fields, _phase, _radial
+from oscylinder.flow import _check_radius, _fields, _phase, _radial, _slopes
 
 
 def scenario(a, f, pert=None):
@@ -542,17 +542,20 @@ def test_radial_matches_mpmath_closed_form(log_ba, log_rho, name):
     rho = 10.0 ** log_rho
     want = _radial_reference(s.ba * weight["beta"], weight["B"], weight["C"],
                              weight["f_a"], rho)
+    br, bth, pb = _radial(s, rho)
+    dbr, dbth = _slopes(s, rho)
     with mpmath.workdps(40):
-        for got, ref, label in zip(_radial(s, rho), want,
+        for got, ref, label in zip((br, bth, dbr, dbth, pb), want,
                                    ("B_r", "B_theta", "B_r'", "B_theta'", "P")):
             err = abs(mpmath.mpc(got.real, got.imag) - ref) / max(1, abs(ref))
             assert err < 1e-13, label
 
 
 def _radial_inline(s, weight, rho):
-    """_radial's five brackets with every per-scenario product written inline,
-    as the expressions stood before the coefficient set held them, and the
-    Bessel terms taken through the public functions (_terms_public)."""
+    """(B_r, B_theta, B_r', B_theta', P) with every per-scenario product
+    written inline, as the five expressions stood before the coefficient set
+    held them and before _slopes took the derivatives out of _radial, and
+    the Bessel terms taken through the public functions (_terms_public)."""
     k = s._coefficients
     b, c, fa, ba, q = weight["B"], weight["C"], weight["f_a"], k.ba, k.q
     g1r = _terms_public(k, 1.0)[0]
@@ -580,14 +583,17 @@ def _bits(values):
 
 
 # the same range as the mpmath property above; rho = 1 (log_rho = 0) is
-# where _radial reuses the coefficient set's terms(1.0)
+# where _radial and _slopes reuse the coefficient set's terms(1.0)
 @given(st.floats(min_value=-9.0, max_value=4.0),
        st.floats(min_value=0.0, max_value=6.0),
        st.sampled_from([None, *oscylinder.flow.PERTURBABLE]))
+@example(-3.0, 0.0, None)
+@example(2.0, 0.0, "B")
 @settings(max_examples=200, deadline=None)
 def test_radial_matches_inline_products_bitwise(log_ba, log_rho, name):
     # hoisting ba k0_za, 2c, i ba^2, c g1r, 2c g1r, c g1 and 2 excess into
-    # the coefficient set must leave every bracket bit for bit as it was
+    # the coefficient set, and splitting the slopes from the brackets, must
+    # leave every value bit for bit as it was
     beta = math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0)
     s = scenario(10.0 ** log_ba / beta, 1000.0,
                  None if name is None else Perturbation(name, 1.001))
@@ -595,7 +601,9 @@ def test_radial_matches_inline_products_bitwise(log_ba, log_rho, name):
     if name is not None:
         weight[name] = 1.001
     rho = 10.0 ** log_rho
-    assert _bits(_radial(s, rho)) == _bits(_radial_inline(s, weight, rho))
+    br, bth, dbr, dbth, pb = _radial_inline(s, weight, rho)
+    assert _bits(_radial(s, rho)) == _bits((br, bth, pb))
+    assert _bits(_slopes(s, rho)) == _bits((dbr, dbth))
 
 
 @pytest.mark.parametrize("f", [100.0, 1e9])

@@ -317,7 +317,7 @@ def test_boundary_suite_fails_on_nan(monkeypatch):
     # a NaN field must fail the check and show in the reported maximum,
     # not vanish in the reduction
     for module in (oscylinder.flow, oscylinder.residuals):
-        monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 5)
+        monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 3)
     rep = boundary_suite(S3)
     assert not rep.passed
     assert not rep.no_slip_ok and math.isnan(rep.no_slip_max)
@@ -570,7 +570,9 @@ def test_validate_checks_nan_fails_every_row(monkeypatch):
     # NaN, and the force ratios' != 0 guards let it through to <=
     for module in (oscylinder.flow, oscylinder.forces, oscylinder.residuals):
         monkeypatch.setattr(module, "_radial",
-                            lambda s, rho: (complex("nan"),) * 5)
+                            lambda s, rho: (complex("nan"),) * 3)
+    monkeypatch.setattr(oscylinder.forces, "_slopes",
+                        lambda s, rho: (complex("nan"),) * 2)
     checks = validate_checks(S3)
     assert len(checks) == 10
     assert [c.ok for c in checks] == [False] * 10
