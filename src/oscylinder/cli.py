@@ -9,11 +9,13 @@ validate  prints residuals.validate_checks; exit 0 on pass, 1 on fail
 
 All CSV output is byte-deterministic: floats are written with 17
 significant digits (round-trip exact), rows are emitted in a fixed
-order, and line endings are always "\\n".  Frequencies given through
---f/--f-list/--f-range are deduplicated and sorted ascending before any
-computation, so the row order never depends on input order.  force
-computes each row's terms once, serially, with |F_b + F_v| as the exact
-force_analytic column; --jobs (>= 1) is accepted but starts no threads.
+order, and line endings are always "\\n".  Each subcommand accepts only
+the options it reads: field and validate evaluate the one frequency --f,
+while profile and force also take --f-list/--f-range, deduplicated and
+sorted ascending before any computation, so the row order never depends
+on input order; --mode belongs to profile.  force computes each row's
+terms once, serially, with |F_b + F_v| as the exact force_analytic
+column; --jobs (>= 1) is accepted but starts no threads.
 
 profile and field form each point as angle x flow._radial x phase, the
 products flow._fields forms for flow_state and the residual checks, in the
@@ -40,8 +42,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .bessel import (bessel_i0, bessel_i1, bessel_k0, bessel_k1,
-                     bessel_k1_minus_pole, BesselDomainError)
+from .bessel import BesselDomainError
 from .flow import AIR_20C, Fluid, Perturbation, Scenario, _phase, _radial
 from .forces import force_buoyancy, force_quadrature, force_viscous_approx
 from .residuals import validate_checks
@@ -54,7 +55,7 @@ _DEFAULT_F = {"profile": 10.0, "field": 100.0, "validate": 1000.0}
 _DEFAULT_F_RANGE = "1:1e4:200"  # force command: log-spaced sweep
 
 
-class RunConfig(namedtuple("RunConfig", "fluid a v0 t mode frequencies out perturbation")):
+class RunConfig(namedtuple("RunConfig", "fluid a v0 t frequencies out perturbation")):
     """Scenario and I/O settings shared by every subcommand."""
 
     __slots__ = ()
@@ -62,7 +63,6 @@ class RunConfig(namedtuple("RunConfig", "fluid a v0 t mode frequencies out pertu
     a: float
     v0: float
     t: float
-    mode: str
     frequencies: tuple[float, ...]
     out: str | None
     perturbation: Perturbation | None
@@ -171,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oscylinder",
         description="Oscillatory creeping flow around a circular cylinder: "
                     "closed-form fields, forces, and residual checks.")
-    sub = parser.add_subparsers(dest="command",
-                                metavar="{profile,field,force,validate}")
+    sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
     fluid_group = common.add_argument_group("fluid")
@@ -186,36 +185,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cylinder radius [m]")
     common.add_argument("--v0", type=float, default=1.0,
                         help="far-field speed amplitude [m/s] (default 1)")
-    freq = common.add_mutually_exclusive_group()
-    freq.add_argument("--f", type=float, default=None, help="frequency [Hz]")
-    freq.add_argument("--f-list", default=None,
-                      help="comma-separated frequencies [Hz]")
-    freq.add_argument("--f-range", default=None,
-                      help="LO:HI:N log-spaced frequencies [Hz]")
     common.add_argument("--t", type=float, default=0.0, help="time [s] (default 0)")
-    common.add_argument("--mode", choices=_MODES, default="abs",
-                        help="complex-to-real reduction for profile columns")
     common.add_argument("--out", default=None,
                         help="output CSV path (default: stdout)")
     common.add_argument("--mutate", default=None, metavar="COEFF:FACTOR",
                         help="multiply one solution coefficient (B, C, fa, beta) "
                              "by FACTOR before evaluating")
 
-    p_profile = sub.add_parser("profile", parents=[common],
+    # field and validate evaluate one frequency; profile and force sweep a list
+    single = argparse.ArgumentParser(add_help=False, parents=[common])
+    single.add_argument("--f", type=float, default=None, help="frequency [Hz]")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    freq = sweep.add_mutually_exclusive_group()
+    freq.add_argument("--f", type=float, default=None, help="frequency [Hz]")
+    freq.add_argument("--f-list", default=None,
+                      help="comma-separated frequencies [Hz]")
+    freq.add_argument("--f-range", default=None,
+                      help="LO:HI:N log-spaced frequencies [Hz]")
+
+    p_profile = sub.add_parser("profile", parents=[sweep],
                                help="radial velocity-magnitude profile CSV")
+    p_profile.add_argument("--mode", choices=_MODES, default="abs",
+                           help="complex-to-real reduction of the velocity "
+                                "columns (default abs)")
     p_profile.add_argument("--rmax-factor", type=float, default=1e4,
                            help="outer radius as multiple of a (default 1e4)")
     p_profile.add_argument("--nr", type=int, default=200,
                            help="number of log-spaced radii (default 200)")
 
-    p_field = sub.add_parser("field", parents=[common],
+    p_field = sub.add_parser("field", parents=[single],
                              help="Cartesian field-map CSV")
     p_field.add_argument("--grid", default=None,
                          metavar="XMIN:XMAX:NX,YMIN:YMAX:NY",
                          help="grid bounds [m] and point counts "
                               "(default: +-4a, 41x41)")
 
-    p_force = sub.add_parser("force", parents=[common],
+    p_force = sub.add_parser("force", parents=[sweep],
                              help="force per unit length vs frequency CSV")
     p_force.add_argument("--nodes", type=int, default=512,
                          help="quadrature nodes on the surface (default 512)")
@@ -223,17 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accepted for compatibility (>= 1); rows are "
                               "computed serially (default 1)")
 
-    p_validate = sub.add_parser("validate", parents=[common],
+    p_validate = sub.add_parser("validate", parents=[single],
                                 help="equation residuals and boundary checks")
     p_validate.add_argument("--h-rel", type=float, default=1e-4,
                             help="radial FD step as fraction of r (default 1e-4)")
-
-    p_bessel = sub.add_parser("bessel-eval", parents=[],
-                              help=argparse.SUPPRESS)
-    p_bessel.add_argument("z_re", type=float)
-    p_bessel.add_argument("z_im", type=float)
-    p_bessel.add_argument("--scaled", action="store_true",
-                          help="emit K e^{z} and I e^{-z} instead")
 
     return parser
 
@@ -264,9 +262,9 @@ def _resolve_config(parser, args) -> RunConfig:
         if not (math.isfinite(args.f) and args.f > 0):
             parser.error(f"--f: must be positive, got {args.f}")
         fs = [args.f]
-    elif args.f_list is not None:
+    elif getattr(args, "f_list", None) is not None:  # profile and force only
         fs = _parse_f_list(parser, args.f_list)
-    elif args.f_range is not None:
+    elif getattr(args, "f_range", None) is not None:
         fs = _parse_f_range(parser, args.f_range)
     elif args.command == "force":
         fs = _parse_f_range(parser, _DEFAULT_F_RANGE)
@@ -276,7 +274,7 @@ def _resolve_config(parser, args) -> RunConfig:
 
     perturbation = _parse_mutate(parser, args.mutate) if args.mutate else None
 
-    return RunConfig(fluid=fluid, a=a, v0=args.v0, t=args.t, mode=args.mode,
+    return RunConfig(fluid=fluid, a=a, v0=args.v0, t=args.t,
                      frequencies=frequencies, out=args.out,
                      perturbation=perturbation)
 
@@ -285,12 +283,11 @@ def _resolve_config(parser, args) -> RunConfig:
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_profile(cfg: RunConfig, nr: int, rmax_factor: float) -> int:
+def cmd_profile(cfg: RunConfig, mode: str, nr: int, rmax_factor: float) -> int:
     if nr < 2:
         raise ValueError(f"--nr must be >= 2, got {nr}")
     if not (math.isfinite(rmax_factor) and rmax_factor > 1.0):
         raise ValueError(f"--rmax-factor must exceed 1, got {rmax_factor}")
-    mode = cfg.mode
     unit = "[rad]" if mode == "phase" else "[-]"
     header = ["f [Hz]", "r [m]", "r_over_a [-]",
               f"{mode}_vr_over_v0 {unit}", f"{mode}_vtheta_over_v0 {unit}"]
@@ -414,22 +411,6 @@ def cmd_validate(cfg: RunConfig, h_rel: float) -> int:
     return 0 if ok_all else 1
 
 
-def cmd_bessel_eval(z_re: float, z_im: float, scaled: bool) -> int:
-    z = complex(z_re, z_im)
-    values = [
-        ("K0", bessel_k0(z, scaled=scaled)),
-        ("K1", bessel_k1(z, scaled=scaled)),
-        ("I0", bessel_i0(z, scaled=scaled)),
-        ("I1", bessel_i1(z, scaled=scaled)),
-    ]
-    if not scaled:
-        values.append(("K1_minus_pole", bessel_k1_minus_pole(z)))
-    with _open_out(None) as stream:
-        _write_csv(stream, ["function", "re", "im"],
-                   [f"{name},{v.real:.16e},{v.imag:.16e}\n" for name, v in values])
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -437,11 +418,9 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        if args.command == "bessel-eval":
-            return cmd_bessel_eval(args.z_re, args.z_im, args.scaled)
         cfg = _resolve_config(parser, args)
         if args.command == "profile":
-            return cmd_profile(cfg, args.nr, args.rmax_factor)
+            return cmd_profile(cfg, args.mode, args.nr, args.rmax_factor)
         if args.command == "field":
             grid = _parse_grid(parser, args.grid) if args.grid else None
             return cmd_field(cfg, grid)

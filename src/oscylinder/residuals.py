@@ -25,7 +25,8 @@ residual is reported dimensionless:
 Radial steps use central second-order differences, switching to
 one-sided second-order stencils (into the fluid) when r - h would fall
 below the surface, so no stencil ever crosses r = a.  Azimuthal steps
-use the arc-length-matched h_theta = h/r.
+use the arc-length-matched h_theta = h/r.  Lengths are measured in a
+power of two near r (_length_unit), so h^2 and 1/r^2 stay in range.
 
 validate_checks is the self-check as one table of Check rows (name,
 value, tol, ok), the rows `oscylinder validate` prints; NaN fails a row.
@@ -78,6 +79,14 @@ _RESIDUALS = slice(4, 8)  # the residual columns of a ResidualReport
 _QUANTITIES = ResidualReport._fields[_RESIDUALS]
 
 
+def _length_unit(r: float) -> float:
+    """The largest power of two not above max(r, 1 m).  Scaling by it is
+    exact, so each residual keeps its bits in metres wherever those are in
+    double range, while h*h and 1/r^2 stay in range at any r (in metres
+    1/r^2 underflows from r ~ 6.7e153 and (1e-4 r)^2 overflows from 1.3e158)."""
+    return math.ldexp(1.0, max(0, math.frexp(r)[1] - 1))
+
+
 def _resolve_step(r: float, thetas, h: float | None) -> float:
     if h is None:
         h = 1e-4 * r
@@ -86,7 +95,10 @@ def _resolve_step(r: float, thetas, h: float | None) -> float:
     if h * h < sys.float_info.min:
         raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
                          f"so second differences cannot be formed")
-    ht = h / r
+    ht, hl = h / r, h / _length_unit(r)
+    if not (ht * ht < math.inf and hl * hl < math.inf):
+        raise ValueError(f"step h = {h!r} m is too large at r = {r!r} m: its "
+                         f"square overflows, so second differences cannot be formed")
     for theta in thetas:
         if r + h == r or theta + ht == theta or theta - ht == theta:
             raise ValueError(f"step h = {h!r} m is too small: the stencil points "
@@ -116,14 +128,18 @@ def _stencils(s: Scenario, pts, t: float, h: float | None):
 
 def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
     """residual_report at each of pts, which share one radius: one _stencils
-    block, then second-order differences formed inline, point by point."""
+    block, then second-order differences formed inline, point by point, in
+    lengths of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
     h, ht, one_sided, ring, off = _stencils(s, pts, t, h)
-    inv_r = 1.0 / pts[0].r
+    r = pts[0].r
+    L = _length_unit(r)
+    hl = h / L
+    inv_r = L / r
     inv_r2 = inv_r * inv_r
-    h2, hh, ht2, htht = 2.0 * h, h * h, 2.0 * ht, ht * ht
-    a, nu0, rho0, iw = s.a, s.fluid.nu0, s.fluid.rho0, -1j * s.omega
+    h2, hh, ht2, htht = 2.0 * hl, hl * hl, 2.0 * ht, ht * ht
+    a, nu0, rho0, iw = s.a / L, s.fluid.nu0 / L / L, s.fluid.rho0, -1j * s.omega
     vnorm = s.v0 if s.v0 > 0 else 1.0
-    mnorm, pnorm = vnorm * s.omega, rho0 * s.omega * vnorm
+    mnorm, pnorm = vnorm * s.omega, rho0 * s.omega * vnorm * L
     reports = []
     for pt, (vr0, vt0, p0), (vr_w, vt_w, p_w), (vr_e, vt_e, p_e), radial in zip(
             pts, ring[::3], ring[1::3], ring[2::3], off):
@@ -154,8 +170,8 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
                   - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
         lap_vt = (d2r_vt + d2t_vt * inv_r2 + d1r_vt * inv_r
                   + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
-        mom_r = iw * vr0 + d1r_p / rho0 - nu0 * lap_vr
-        mom_t = iw * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
+        mom_r = iw * vr0 + d1r_p / L / rho0 - nu0 * lap_vr
+        mom_t = iw * vt0 + d1t_p * inv_r / L / rho0 - nu0 * lap_vt
         lap_p = d2r_p + d1r_p * inv_r + d2t_p * inv_r2
         reports.append(ResidualReport(pt, t, h, one_sided, abs(cont) * a / vnorm,
                                       abs(mom_r) / mnorm, abs(mom_t) / mnorm,

@@ -22,7 +22,6 @@ import oscylinder.cli
 import oscylinder.flow
 import oscylinder.forces
 import oscylinder.residuals
-from oscylinder import bessel_k0
 from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
                         boundary_suite, flow_state, force_analytic,
                         force_quadrature, residual_report, residual_tolerance)
@@ -430,45 +429,32 @@ def test_validate_writes_file(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# bessel-eval
-# ----------------------------------------------------------------------
-
-def test_bessel_eval_values(capsys):
-    assert main(["bessel-eval", "1.0", "0.0"]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0] == "function,re,im"
-    assert [ln.split(",")[0] for ln in lines[1:]] == [
-        "K0", "K1", "I0", "I1", "K1_minus_pole"]
-    k0_cells = lines[1].split(",")
-    want = bessel_k0(complex(1.0, 0.0))
-    assert float(k0_cells[1]) == want.real
-    assert float(k0_cells[2]) == want.imag
-
-
-def test_bessel_eval_scaled(capsys):
-    assert main(["bessel-eval", "1.0", "-1.0", "--scaled"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    # no pole-subtracted row in scaled mode
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["K0", "K1", "I0", "I1"]
-    want = bessel_k0(complex(1.0, -1.0), scaled=True)
-    cells = lines[1].split(",")
-    assert float(cells[1]) == want.real
-    assert float(cells[2]) == want.imag
-
-
-def test_bessel_eval_domain_error(capsys):
-    assert main(["bessel-eval", "0.0", "0.0"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
 # error handling and exit codes
 # ----------------------------------------------------------------------
 
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # field and validate evaluate one frequency; --mode is profile's alone
+    (["field", "--f-list", "100,10"], "unrecognized arguments: --f-list 100,10"),
+    (["field", "--f-range", "1:1e4:5"], "unrecognized arguments: --f-range 1:1e4:5"),
+    (["field", "--mode", "phase"], "unrecognized arguments: --mode phase"),
+    (["validate", "--f-list", "100,10"], "unrecognized arguments: --f-list 100,10"),
+    (["validate", "--f-range", "1:1e4:5"], "unrecognized arguments: --f-range 1:1e4:5"),
+    (["validate", "--mode", "phase"], "unrecognized arguments: --mode phase"),
+    (["force", "--mode", "phase"], "unrecognized arguments: --mode phase"),
+    (["bessel-eval", "2.0", "1.0"], "invalid choice: 'bessel-eval'"),
+])
+def test_options_a_subcommand_does_not_read_are_refused(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -621,6 +607,22 @@ def test_validate_inside_shear_scale_edge_passes(capsys):
     assert all(ln.endswith("PASS") for ln in lines)
 
 
+@pytest.mark.parametrize("a, f", [("1e150", "1e-100"), ("1e172", "1e-100"),
+                                  ("1e305", "4e-308")])
+def test_validate_at_huge_a_forms_pressure_laplacian(a, f, capsys):
+    # in metres 1/r^2 underflows from r ~ 6.7e153 and h*h overflows from
+    # r ~ 1.3e158, which dropped terms of the pressure Laplacian: a false
+    # max=2.562e-01 FAIL at a = 1e172 and a vacuous max=0 at a = 1e305;
+    # residuals._reports measures lengths in a power of two near r instead
+    assert main(["validate", "--a", a, "--f", f]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and lines[-1] == "RESULT PASS"
+    row, name, value, tol, verdict = lines[3].split()
+    assert (row, name, verdict) == ("residual", "pressure_laplacian", "PASS")
+    assert tol == "tol=1.000e-06"
+    assert 0.0 < float(value.removeprefix("max=")) < 1e-6
+
+
 def test_force_refuses_overflowing_force(capsys):
     # the force scale 2 pi rho0 v0 omega a^2 overflows at a = 1e154
     assert main(["force", "--a", "1e154", "--f", "1"]) == 2
@@ -711,10 +713,10 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "oscylinder.cli", "bessel-eval", "2.0", "1.0"],
+        [sys.executable, "-m", "oscylinder.cli", "force", "--f", "10", "--nodes", "8"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.startswith("function,re,im")
+    assert proc.stdout.startswith("f [Hz],abs_F_analytic_over_v0 [N s/m^2],")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

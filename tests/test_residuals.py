@@ -253,6 +253,14 @@ def test_bad_step_rejected(h):
         residual_report(S2, PolarPoint(3.0 * S2.a, 0.4), h=h)
 
 
+@pytest.mark.parametrize("h", [1e160, 1e300])
+def test_overflowing_step_rejected(h):
+    # h*h (and (h/r)^2) overflow, so both second differences would be 0
+    with pytest.raises(ValueError, match="step h = .* is too large at r = .*: its "
+                                         "square overflows"):
+        residual_report(S2, PolarPoint(3.0 * S2.a, 0.4), h=h)
+
+
 @pytest.mark.parametrize("theta, h_rel", [(0.4, 1e-20), (1e6, 1e-12)])
 def test_collapsed_stencil_rejected(theta, h_rel):
     # a step below half an ulp of r (or h/r below half an ulp of theta)
@@ -534,6 +542,19 @@ def test_residual_report_matches_reference_over_beta_a(log_ba, pert, rho, theta,
     got = residual_report(s, pt, t, h)
     assert got.one_sided or rho not in (1.0, 1.00005)
     assert repr(got) == repr(reference_residual_report(s, pt, t, h))
+
+
+@pytest.mark.parametrize("a", [0.7, 3.7, 1e10, 1e100, 1e150])
+@pytest.mark.parametrize("rho, theta", [(1.0, 4.0), (1.5, 0.7), (30.0, 2.9)])
+def test_residual_report_in_length_units_matches_metres(a, rho, theta):
+    # _reports measures lengths in a power of two L <= max(r, 1 m); scaling
+    # by it is exact, so wherever the stencil in metres stays inside double
+    # range (here up to r = 4.5e151) the reference's bits are kept
+    s = scenario(a, 1e-3)
+    pt = PolarPoint(rho * a, theta)
+    h = 1e-4 * pt.r
+    assert repr(residual_report(s, pt, 0.0, h)) == \
+        repr(reference_residual_report(s, pt, 0.0, h))
 
 
 def test_checks_sample_once_per_block(monkeypatch):
