@@ -11,15 +11,14 @@ from .bessel import (SERIES_RADIUS, BesselDomainError, bessel_i0, bessel_i1,
 from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
                    PolarPoint, RecoveryNotFoundError, Scenario, ValidityReport,
                    coefficient_B, coefficient_C, f_of_r, far_field_pressure,
-                   far_field_velocity, flow_state, pressure,
-                   radial_velocity_from_constants, recovery_radius,
+                   far_field_velocity, flow_state, pressure, recovery_radius,
                    reynolds_number, validity_report, velocity)
 from .forces import (ForceResult, StressTensor, force_analytic,
                      force_buoyancy, force_quadrature, force_viscous_approx,
                      stress_tensor, traction)
 from .residuals import (BoundaryReport, Check, ResidualReport, boundary_suite,
-                        continuity_pair, convergence_order, residual_report,
-                        residual_tolerance, validate_checks)
+                        convergence_order, residual_report, residual_tolerance,
+                        validate_checks)
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "boundary_suite",
     "coefficient_B",
     "coefficient_C",
-    "continuity_pair",
     "convergence_order",
     "f_of_r",
     "far_field_pressure",
@@ -60,7 +58,6 @@ __all__ = [
     "force_quadrature",
     "force_viscous_approx",
     "pressure",
-    "radial_velocity_from_constants",
     "recovery_radius",
     "residual_report",
     "residual_tolerance",

@@ -61,7 +61,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .bessel import BesselDomainError, bessel_k1, bessel_k_pair
+from .bessel import BesselDomainError, bessel_k_pair
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 J_PLUS = complex(_SQRT1_2, _SQRT1_2)    # (1+i)/sqrt(2)
@@ -400,24 +400,6 @@ def coefficient_B(s: Scenario) -> complex:
         raise OverflowError(f"coefficient B ~ e^(beta a/sqrt 2) exceeds double "
                             f"range at beta a = {k.ba:g}")
     return value
-
-
-def radial_velocity_from_constants(s: Scenario, pt: PolarPoint, t: float) -> complex:
-    """v_r rebuilt from the constants form
-    [v0 + B K1(j- beta r)/(rho0 omega r) + iC/(rho0 omega r^2)] cos(theta) e^{-iwt}.
-
-    Exists as an independent consistency path for tests; production
-    evaluation goes through the conditioned brackets of velocity().
-    """
-    rho = _check_radius(s, pt.r)
-    B = coefficient_B(s)
-    C = coefficient_C(s)
-    r = pt.r
-    rho0, omega = s.fluid.rho0, s.omega
-    z = J_MINUS * (s._coefficients.ba * rho)
-    k1 = bessel_k1(z, scaled=True) * cmath.exp(-z)
-    bracket = s.v0 + B * k1 / (rho0 * omega * r) + 1j * C / (rho0 * omega * r * r)
-    return bracket * math.cos(pt.theta) * _phase(s, t)
 
 
 def far_field_velocity(s: Scenario, t: float) -> tuple[complex, complex]:

@@ -9,9 +9,9 @@ same products per point from flow._radial, and a test pins their rows to
 flow_state), on small stencils and substituting into
 the continuity equation, both linearized momentum equations, and the
 pressure Laplace equation.  Samples are taken by block, one kernel call
-per (radius, time): _stencils samples the points sharing a radius with one
-call at r for all their angles plus one per off-radius point, and _reports
-forms every difference from those samples inline.  boundary_suite makes
+per (radius, time): _reports samples the points sharing a radius with one
+call at r for all their angles plus one per off radius, and forms every
+difference from those samples inline.  boundary_suite makes
 one flow._radial call at each of its four radii and forms only the
 columns each check reads, with _fields' products in _fields' order (no
 slip and far field v_r, v_theta; pressure form and symmetry p); tests pin
@@ -26,7 +26,8 @@ Radial steps use central second-order differences, switching to
 one-sided second-order stencils (into the fluid) when r - h would fall
 below the surface, so no stencil ever crosses r = a.  Azimuthal steps
 use the arc-length-matched h_theta = h/r.  Lengths are measured in a
-power of two near r (_length_unit), so h^2 and 1/r^2 stay in range.
+power of two (_length_unit), so h^2, 1/r^2 and the pressure's second
+differences stay in range at huge and at tiny r.
 
 validate_checks is the self-check as one table of Check rows (name,
 value, tol, ok), the rows `oscylinder validate` prints; NaN fails a row.
@@ -80,11 +81,15 @@ _QUANTITIES = ResidualReport._fields[_RESIDUALS]
 
 
 def _length_unit(r: float) -> float:
-    """The largest power of two not above max(r, 1 m).  Scaling by it is
-    exact, so each residual keeps its bits in metres wherever those are in
-    double range, while h*h and 1/r^2 stay in range at any r (in metres
-    1/r^2 underflows from r ~ 6.7e153 and (1e-4 r)^2 overflows from 1.3e158)."""
-    return math.ldexp(1.0, max(0, math.frexp(r)[1] - 1))
+    """1 m for 2**-64 m <= r < 1 m, else the largest power of two not above
+    r.  Scaling by a power of two is exact, so the residuals keep their metre
+    bits wherever those are in double range, while h*h and 1/r^2 stay in
+    range at huge r (in metres 1/r^2 underflows from r ~ 6.7e153 and
+    (1e-4 r)^2 overflows from 1.3e158) and p/h^2 at tiny r.  Metres are kept
+    down to 2**-64 m because a scaled-down product of a subnormal sample
+    rounds differently."""
+    e = math.frexp(r)[1] - 1
+    return math.ldexp(1.0, e if e < -64 else max(0, e))
 
 
 def _resolve_step(r: float, thetas, h: float | None) -> float:
@@ -106,11 +111,14 @@ def _resolve_step(r: float, thetas, h: float | None) -> float:
     return h
 
 
-def _stencils(s: Scenario, pts, t: float, h: float | None):
-    """(h, ht, one_sided, ring, off) for points sharing one radius r: the
-    steps, whether the wall forces one-sided radial stencils, the (v_r,
-    v_theta, p) samples at theta, theta -+ ht of each point in turn, and per
-    point its samples at r -+ h, or r + h, 2h, 3h when one-sided."""
+def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
+    """residual_report at each of pts, which share one radius r.
+
+    One _fields call at r samples (v_r, v_theta, p) at theta, theta -+ ht of
+    each point in turn, then one call per off radius samples every point at
+    r -+ h, or at r + h, 2h, 3h when the wall forces one-sided stencils.
+    Second-order differences are formed inline, point by point, in lengths
+    of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
     r = pts[0].r
     rho = _check_radius(s, r)
     h = _resolve_step(r, [pt.theta for pt in pts], h)
@@ -123,15 +131,6 @@ def _stencils(s: Scenario, pts, t: float, h: float | None):
     radii = (r + h, r + 2.0 * h, r + 3.0 * h) if one_sided else (r - h, r + h)
     off = list(zip(*[_fields(s, _check_radius(s, rr), angles[::3], ph)
                      for rr in radii]))
-    return h, ht, one_sided, ring, off
-
-
-def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
-    """residual_report at each of pts, which share one radius: one _stencils
-    block, then second-order differences formed inline, point by point, in
-    lengths of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
-    h, ht, one_sided, ring, off = _stencils(s, pts, t, h)
-    r = pts[0].r
     L = _length_unit(r)
     hl = h / L
     inv_r = L / r
@@ -183,28 +182,6 @@ def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
                     h: float | None = None) -> ResidualReport:
     """All four equation residuals at one point (default step 1e-4 r)."""
     return _reports(s, [pt], t, h)[0]
-
-
-def continuity_pair(s: Scenario, pt: PolarPoint, t: float = 0.0,
-                    h: float | None = None) -> tuple[float, float]:
-    """Continuity residual by two groupings of the same stencil values.
-
-    The mass balance can be written div v = dv_r/dr + v_r/r
-    + (1/r) dv_theta/dtheta, or regrouped through d(r v_r)/dr
-    + dv_theta/dtheta = 0.  Both forms are evaluated from the same
-    field samples, so they agree to regrouping roundoff (~1e-15); a
-    larger gap would mean the two code paths diverged.
-    """
-    h, ht, one_sided, ((vr0, _, _), (_, vt_w, _), (_, vt_e, _)), (radial,) = \
-        _stencils(s, [pt], t, h)
-    vr1, vr2 = radial[0][0], radial[1][0]
-    d1r_vr = ((-3.0 * vr0 + 4.0 * vr1 - vr2) if one_sided else (vr2 - vr1)) / (2.0 * h)
-    d1t_vt = (vt_e - vt_w) / (2.0 * ht)
-    r = pt.r
-    vnorm = s.v0 if s.v0 > 0 else 1.0
-    expanded = abs(d1r_vr + vr0 / r + d1t_vt / r) * s.a / vnorm
-    regrouped = abs(vr0 + r * d1r_vr + d1t_vt) * s.a / (r * vnorm)
-    return expanded, regrouped
 
 
 def convergence_order(s: Scenario, pt: PolarPoint, t: float = 0.0,

@@ -623,6 +623,21 @@ def test_validate_at_huge_a_forms_pressure_laplacian(a, f, capsys):
     assert 0.0 < float(value.removeprefix("max=")) < 1e-6
 
 
+@pytest.mark.parametrize("f", ["1e-6", "1", "1e9"])
+def test_validate_at_tiny_a_prints_no_nan(f, capsys):
+    # in metres the pressure's second differences overflowed at a = 1e-148,
+    # printing a NaN pressure_laplacian row; residuals._reports measures
+    # lengths in a power of two near r instead.  The tolerance there is
+    # still the vacuous small beta a envelope (~1e284), so PASS is not
+    # asserted, only that the rows are finite and every mutation still fails
+    assert main(["validate", "--a", "1e-148", "--f", f]) in (0, 1)
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+    for mutate in ("B:1.001", "C:1.001", "fa:1.001", "beta:1.001"):
+        assert main(["validate", "--a", "1e-148", "--f", f, "--mutate", mutate]) == 1
+        capsys.readouterr()
+
+
 def test_force_refuses_overflowing_force(capsys):
     # the force scale 2 pi rho0 v0 omega a^2 overflows at a = 1e154
     assert main(["force", "--a", "1e154", "--f", "1"]) == 2

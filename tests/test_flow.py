@@ -24,9 +24,8 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
                         PolarPoint, RecoveryNotFoundError, Scenario,
                         bessel_k0, bessel_k1, coefficient_B, coefficient_C,
                         f_of_r, far_field_pressure, far_field_velocity,
-                        flow_state, pressure, radial_velocity_from_constants,
-                        recovery_radius, reynolds_number, validity_report,
-                        velocity)
+                        flow_state, pressure, recovery_radius, reynolds_number,
+                        validity_report, velocity)
 from oscylinder import bessel_k1_minus_pole
 import oscylinder.cli
 import oscylinder.flow
@@ -242,6 +241,24 @@ def test_f_of_r_decays():
 # ----------------------------------------------------------------------
 # consistency between evaluation forms
 # ----------------------------------------------------------------------
+
+def radial_velocity_from_constants(s: Scenario, pt: PolarPoint, t: float) -> complex:
+    """v_r rebuilt from the constants form
+    [v0 + B K1(j- beta r)/(rho0 omega r) + iC/(rho0 omega r^2)] cos(theta) e^{-iwt}.
+
+    Exists as an independent consistency path for tests; production
+    evaluation goes through the conditioned brackets of velocity().
+    """
+    rho = _check_radius(s, pt.r)
+    B = coefficient_B(s)
+    C = coefficient_C(s)
+    r = pt.r
+    rho0, omega = s.fluid.rho0, s.omega
+    z = J_MINUS * (s._coefficients.ba * rho)
+    k1 = bessel_k1(z, scaled=True) * cmath.exp(-z)
+    bracket = s.v0 + B * k1 / (rho0 * omega * r) + 1j * C / (rho0 * omega * r * r)
+    return bracket * math.cos(pt.theta) * _phase(s, t)
+
 
 def test_constants_form_matches_brackets_direct_branch():
     # beta a ~ 2: the B/C constants form is well conditioned and must

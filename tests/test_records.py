@@ -1,6 +1,6 @@
 """Contract of the twelve record types: immutable named tuples that keep
 the constructors, checks, reprs and value semantics the package's callers
-rely on.
+rely on; and of the package's public names, which __all__ lists exactly.
 
 The expected reprs and messages are the strings the records printed when
 they were frozen dataclasses, so a change of record machinery that shows
@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -162,3 +163,17 @@ def test_import_leaves_dataclasses_and_typing_unloaded():
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"
+
+
+def test_all_lists_exactly_the_public_names():
+    names = oscylinder.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(oscylinder, name) for name in names)
+    bound = {name for name, value in vars(oscylinder).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == bound
+    assert len(names) == 44
+    # reference routes that only the tests read live in the tests
+    for name in ("continuity_pair", "radial_velocity_from_constants"):
+        with pytest.raises(ImportError):
+            exec(f"from oscylinder import {name}", {})

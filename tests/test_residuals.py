@@ -27,7 +27,6 @@ from oscylinder import (
     ResidualReport,
     Scenario,
     boundary_suite,
-    continuity_pair,
     convergence_order,
     flow_state,
     pressure,
@@ -150,9 +149,32 @@ def test_convergence_order_undefined_for_null_field():
 # continuity regrouping identity
 # ----------------------------------------------------------------------
 
+def reference_continuity_pair(s, pt, t, h):
+    r, theta = pt.r, pt.theta
+    ht = h / r
+    vr0 = flow_state(s, pt, t).vr
+    vt_w, vt_e = (flow_state(s, PolarPoint(r, th), t).vtheta
+                  for th in (theta - ht, theta + ht))
+    one_sided = (r - h) < s.a
+    vr1, vr2 = (flow_state(s, PolarPoint(rr, theta), t).vr
+                for rr in ((r + h, r + 2.0 * h) if one_sided else (r - h, r + h)))
+    if one_sided:
+        d1r_vr = (-3.0 * vr0 + 4.0 * vr1 - vr2) / (2.0 * h)
+    else:
+        d1r_vr = (vr2 - vr1) / (2.0 * h)
+    d1t_vt = (vt_e - vt_w) / (2.0 * ht)
+    vnorm = s.v0 if s.v0 > 0 else 1.0
+    return (abs(d1r_vr + vr0 / r + d1t_vt / r) * s.a / vnorm,
+            abs(vr0 + r * d1r_vr + d1t_vt) * s.a / (r * vnorm))
+
+
 @pytest.mark.parametrize("rho", [1.0, 1.00005, 1.1, 2.0, 20.0])
 def test_continuity_pair_agrees(rho):
-    expanded, regrouped = continuity_pair(S3, PolarPoint(rho * S3.a, 1.1))
+    # div v = dv_r/dr + v_r/r + (1/r) dv_theta/dtheta, and regrouped as
+    # (d(r v_r)/dr + dv_theta/dtheta)/r: both from the same field samples, so
+    # they agree to regrouping roundoff (~1e-15)
+    pt = PolarPoint(rho * S3.a, 1.1)
+    expanded, regrouped = reference_continuity_pair(S3, pt, 0.0, 1e-4 * pt.r)
     assert abs(expanded - regrouped) <= 1e-12
 
 
@@ -487,38 +509,6 @@ def test_residual_report_matches_public_reference(s, rho, theta, t):
     assert residual_report(s, pt, t) == want  # default step 1e-4 r
 
 
-def reference_continuity_pair(s, pt, t, h):
-    r, theta = pt.r, pt.theta
-    ht = h / r
-    vr0 = flow_state(s, pt, t).vr
-    vt_w, vt_e = (flow_state(s, PolarPoint(r, th), t).vtheta
-                  for th in (theta - ht, theta + ht))
-    one_sided = (r - h) < s.a
-    vr1, vr2 = (flow_state(s, PolarPoint(rr, theta), t).vr
-                for rr in ((r + h, r + 2.0 * h) if one_sided else (r - h, r + h)))
-    if one_sided:
-        d1r_vr = (-3.0 * vr0 + 4.0 * vr1 - vr2) / (2.0 * h)
-    else:
-        d1r_vr = (vr2 - vr1) / (2.0 * h)
-    d1t_vt = (vt_e - vt_w) / (2.0 * ht)
-    vnorm = s.v0 if s.v0 > 0 else 1.0
-    return (abs(d1r_vr + vr0 / r + d1t_vt / r) * s.a / vnorm,
-            abs(vr0 + r * d1r_vr + d1t_vt) * s.a / (r * vnorm))
-
-
-@pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
-@pytest.mark.parametrize("rho, theta, t", [
-    (1.0, 4.0, 1.7e-3),      # on the wall: one-sided stencil
-    (1.00005, 0.35, 0.0),    # r - h < a: one-sided stencil
-    (1.5, 0.7, 3.1e-4),      # central stencil
-])
-def test_continuity_pair_matches_public_reference(s, rho, theta, t):
-    pt = PolarPoint(rho * s.a, theta)
-    want = reference_continuity_pair(s, pt, t, 1e-4 * pt.r)
-    assert continuity_pair(s, pt, t, 1e-4 * pt.r) == want
-    assert continuity_pair(s, pt, t) == want  # default step 1e-4 r
-
-
 @given(st.floats(min_value=-9.0, max_value=4.0),
        st.sampled_from([None] + [Perturbation(n, 1.001)
                                  for n in ("B", "C", "f_a", "beta")]),
@@ -544,14 +534,27 @@ def test_residual_report_matches_reference_over_beta_a(log_ba, pert, rho, theta,
     assert repr(got) == repr(reference_residual_report(s, pt, t, h))
 
 
-@pytest.mark.parametrize("a", [0.7, 3.7, 1e10, 1e100, 1e150])
+@pytest.mark.parametrize("a", [1e-40, 1e-12, 0.7, 3.7, 1e10, 1e100, 1e150])
 @pytest.mark.parametrize("rho, theta", [(1.0, 4.0), (1.5, 0.7), (30.0, 2.9)])
 def test_residual_report_in_length_units_matches_metres(a, rho, theta):
-    # _reports measures lengths in a power of two L <= max(r, 1 m); scaling
-    # by it is exact, so wherever the stencil in metres stays inside double
-    # range (here up to r = 4.5e151) the reference's bits are kept
+    # _reports measures lengths in a power of two L (1 m, or L <= r outside
+    # [2**-64 m, 1 m)); scaling by it is exact, so wherever the stencil in
+    # metres stays inside double range (here from r = 1e-40 up to r = 4.5e151)
+    # the reference's bits are kept
     s = scenario(a, 1e-3)
     pt = PolarPoint(rho * a, theta)
+    h = 1e-4 * pt.r
+    assert repr(residual_report(s, pt, 0.0, h)) == \
+        repr(reference_residual_report(s, pt, 0.0, h))
+
+
+@pytest.mark.parametrize("a", [5e-14, 1e-6, 0.49])
+@pytest.mark.parametrize("rho", [1.0, 1.5, 30.0])
+def test_residual_report_keeps_metre_bits_at_subnormal_angle(a, rho):
+    # sin(theta) is subnormal here, and so are some products of v_theta;
+    # in a length unit below 1 m they would round differently from metres
+    s = scenario(a, 1000.0)
+    pt = PolarPoint(rho * a, 2.225073858507e-311)
     h = 1e-4 * pt.r
     assert repr(residual_report(s, pt, 0.0, h)) == \
         repr(reference_residual_report(s, pt, 0.0, h))
