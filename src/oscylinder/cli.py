@@ -13,9 +13,11 @@ order, and line endings are always "\\n".  Each subcommand accepts only
 the options it reads: field and validate evaluate the one frequency --f,
 while profile and force also take --f-list/--f-range, deduplicated and
 sorted ascending before any computation, so the row order never depends
-on input order; --mode belongs to profile.  force computes each row's
-terms once, serially, with |F_b + F_v| as the exact force_analytic
-column; --jobs (>= 1) is accepted but starts no threads.
+on input order; --mode belongs to profile.  force computes each row in
+one pass, serially: forces._force_row takes one phase, one common factor
+and one wall stress for the buoyancy, viscous and quadrature columns, and
+|F_b + F_v| is the exact force_analytic column; --jobs (>= 1) is accepted
+but starts no threads.
 
 profile and field form each point as angle x flow._radial x phase, the
 products flow._fields forms for flow_state and the residual checks, in the
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 from .bessel import BesselDomainError
 from .flow import AIR_20C, Fluid, Perturbation, Scenario, _phase, _radial
-from .forces import force_buoyancy, force_quadrature, force_viscous_approx
+from .forces import _force_row
 from .residuals import validate_checks
 
 _MODES = ("re", "im", "abs", "phase")
@@ -386,14 +388,13 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
-        fb = force_buoyancy(s, cfg.t).fx
-        fv = force_viscous_approx(s, cfg.t).fx
-        fq = force_quadrature(s, cfg.t, nodes).fx
+        fb, fv, fq = _force_row(s, cfg.t, nodes)
         row = (abs(fb + fv) / vnorm, abs(fb) / vnorm, abs(fv) / vnorm, abs(fq) / vnorm)
-        for name, v in zip(header[1:], row):
-            if not v < math.inf:
-                raise ValueError(f"force at f = {f!r} Hz, a = {s.a!r} m: the column "
-                                 f"{name} = {v!r} is not finite")
+        if not sum(row) < math.inf:  # inf or NaN in some column: name the first
+            for name, v in zip(header[1:], row):
+                if not v < math.inf:
+                    raise ValueError(f"force at f = {f!r} Hz, a = {s.a!r} m: the "
+                                     f"column {name} = {v!r} is not finite")
         rows.append("%.16e,%.16e,%.16e,%.16e,%.16e\n" % (f, *row))
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)

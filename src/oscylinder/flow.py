@@ -22,7 +22,8 @@ at rho = 1.  Physical fields are the real parts.
 
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
-applied, plus the Bessel values at the surface.  _radial(s, rho) returns
+applied, plus the Bessel values at the surface, from one Bessel lookup.
+_radial(s, rho) returns
 B_r, B_theta and P, the brackets every field sampler reads, memoised per
 rho; _slopes(s, rho) forms the rho-derivatives B_r' and B_theta' that only
 the stress in forces reads.  A rho whose Bessel argument ba rho is not
@@ -36,6 +37,9 @@ each only the columns it reads; tests pin the
 boundary checks to a flow_state reference and the cli rows to flow_state,
 bit for bit.  Stress, traction and force are angle x (_radial, _slopes)
 x phase products too, so a Perturbation reaches every field the same way.
+The phase e^{-i omega t} (_phase) refuses an omega t that is not finite,
+naming t, f and omega t; one phase serves each block, stress point or
+force row.
 
 Two evaluation branches keep the brackets well-conditioned:
 
@@ -160,9 +164,10 @@ class _Coefficients:
     K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
     splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r and
     k0r1 are terms(1.0), the regular part and the K0 ratio at rho = 1,
-    which _radial and _slopes reuse there; pole = i ba^2 q is the pole part
-    of i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall
-    term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
+    formed from k0_za's Bessel pair, which _radial and _slopes reuse
+    there; pole = i ba^2 q is the pole part of i ba^2 G(rho) rho, kept
+    exact as -2/K0(za).  `excess` is the wall term beyond c (1 + g1r):
+    c (f_a - 1) g1 + (c - b) q, zero unperturbed.
     ba_k0, c2, iba2, c_g1r, c2_g1r, c_g1 and excess2 hold ba k0_za, 2c,
     i ba^2, c g1r, 2c g1r, c g1 and 2 excess, the first products of terms(),
     _radial and _slopes, so every float is as when formed inline.  `memo`
@@ -175,29 +180,32 @@ class _Coefficients:
                  "excess", "excess2", "memo")
 
     def __init__(self, s: Scenario):
-        weight = dict.fromkeys(PERTURBABLE, 1.0)
-        if s.perturbation is not None:
-            weight[s.perturbation.coefficient] = s.perturbation.factor
-        ba = self.ba = s.ba * weight["beta"]
-        c = self.c = weight["C"]
-        self.b, self.c2, self.iba2 = weight["B"], 2.0 * c, 1j * (ba * ba)
+        p = s.perturbation
+        name, factor = (None, 1.0) if p is None else p
+        ba = self.ba = s.ba * (factor if name == "beta" else 1.0)
+        c = self.c = factor if name == "C" else 1.0
+        self.b = factor if name == "B" else 1.0
+        self.c2, self.iba2 = 2.0 * c, 1j * (ba * ba)
         self.za = J_MINUS * ba
-        self.small = ba < SMALL_BA
+        small = self.small = ba < SMALL_BA
         try:
-            self.k0_za = bessel_k_pair(self.za, scaled=not self.small)[0]
-            self.ba_k0 = ba * self.k0_za
-            if self.small:
-                self.q = 2j / (ba * ba * self.k0_za)
-                self.pole = -(2.0 / self.k0_za)
+            k0, k1 = bessel_k_pair(self.za, scaled=not small)
+            self.k0_za = k0
+            ba_k0 = self.ba_k0 = ba * k0
+            if small:
+                self.q = 2j / (ba * ba * k0)
+                self.pole = -(2.0 / k0)
+                self.g1r, self.k0r1 = _2J_PLUS * k1 / ba_k0, k0 / k0
             else:
                 self.q = self.pole = 0j
-            self.g1r, self.k0r1 = self.terms(1.0)
+                decay = cmath.exp(-J_MINUS * (ba * 0.0))  # terms()' decay at rho = 1
+                self.g1r, self.k0r1 = _2J_PLUS * k1 * decay / ba_k0, k0 * decay / k0
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"the solution cannot be evaluated at "
                              f"beta a = {ba:g}: {exc}") from None
         self.c_g1r, self.c2_g1r = c * self.g1r, self.c2 * self.g1r
         g1 = self.q + self.g1r
-        fa = weight["f_a"]
+        fa = factor if name == "f_a" else 1.0
         self.g1 = g1 * fa
         if not cmath.isfinite(self.g1):
             raise ValueError(f"f(a)/(beta a) = {self.g1} is not finite at "
@@ -333,7 +341,12 @@ def _check_radius(s: Scenario, r: float) -> float:
 
 
 def _phase(s: Scenario, t: float) -> complex:
-    return cmath.exp(complex(0.0, -s.omega * t))
+    """e^{-i omega t}; an omega t that is not finite is refused by name."""
+    wt = s.omega * t
+    if not -math.inf < wt < math.inf:
+        raise ValueError(f"the phase omega t = {wt!r} at t = {t!r} s, "
+                         f"f = {s.frequency:g} Hz is out of range (not finite)")
+    return cmath.exp(complex(0.0, -wt))
 
 
 def _fields(s: Scenario, rho: float, angles,

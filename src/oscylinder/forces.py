@@ -20,6 +20,10 @@ roundoff) for every n >= 4, and the node sum factors into three angular
 sums that depend on n alone.  The wall constants come from the stress
 tensor, so the quadrature-vs-analytic comparison tests the algebra
 connecting stress to force.
+
+Every force is built from one phase, the common factor and, for the
+quadrature, the wall stress; _force_row takes each once for a row of
+`oscylinder force`, bit for bit the public functions' values.
 """
 
 from __future__ import annotations
@@ -59,13 +63,14 @@ def _scales(s: Scenario) -> tuple[float, float]:
     return s.fluid.rho0 * s.omega * s.v0 * s.a, s.fluid.mu0 * s.v0 / s.a
 
 
-def _stress(s: Scenario, rho: float, brackets: tuple, slopes: tuple, c: float,
-            sn: float, ph: complex) -> tuple[complex, complex, complex]:
-    """(Pi_rr, Pi_rtheta, Pi_thetatheta) from the radial brackets and slopes
-    at rho, the angle factors c = cos(theta), sn = sin(theta) and the phase."""
+def _stress(scales: tuple[float, float], rho: float, brackets: tuple, slopes: tuple,
+            c: float, sn: float, ph: complex) -> tuple[complex, complex, complex]:
+    """(Pi_rr, Pi_rtheta, Pi_thetatheta) from the _scales pair, the radial
+    brackets and slopes at rho, the angle factors c = cos(theta), sn =
+    sin(theta) and the phase."""
     br, bth, pb = brackets
     dbr, dbth = slopes
-    scale, visc = _scales(s)
+    scale, visc = scales
     p = -1j * scale * pb
     sum_b = (br + bth) / rho
     return (c * ph * (p + 2.0 * visc * dbr),
@@ -90,7 +95,7 @@ def stress_tensor(s: Scenario, pt: PolarPoint, t: float) -> StressTensor:
     scaled by mu0 v0/a itself, which stays finite where 1/ba^2 overflows.
     """
     rho = _check_radius(s, pt.r)
-    return StressTensor(*_stress(s, rho, _radial(s, rho), _slopes(s, rho),
+    return StressTensor(*_stress(_scales(s), rho, _radial(s, rho), _slopes(s, rho),
                                  math.cos(pt.theta), math.sin(pt.theta), _phase(s, t)))
 
 
@@ -114,10 +119,10 @@ def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
     brackets, slopes = _radial(s, 1.0), _slopes(s, 1.0)
     br, bth, _ = brackets
     dbr = slopes[0]
-    a, bv, _ = _stress(s, 1.0, brackets, slopes, 1.0, 1.0, 1.0)
+    scales = scale, visc = _scales(s)
+    a, bv, _ = _stress(scales, 1.0, brackets, slopes, 1.0, 1.0, 1.0)
     beta_factor = k.ba / s.ba
     g1_parts = k.c * k.g1 - k.b * (beta_factor * beta_factor) * (k.q + k.g1r)
-    scale, visc = _scales(s)
     a_bv = -1j * scale * ((1.0 + k.c) + g1_parts) + visc * (3.0 * dbr - br - bth)
     return a, bv, a_bv
 
@@ -140,8 +145,32 @@ def _angular_sums(n: int) -> tuple[float, float, float]:
             math.fsum(sn * c for c, sn in nodes))
 
 
-def _common_factor(s: Scenario, t: float) -> complex:
-    return -1j * 2.0 * math.pi * s.fluid.rho0 * s.v0 * s.omega * s.a * s.a * _phase(s, t)
+def _common_factor(s: Scenario, ph: complex) -> complex:
+    """-i 2 pi rho0 v0 omega a^2 times the phase ph: the buoyancy force."""
+    return -1j * 2.0 * math.pi * s.fluid.rho0 * s.v0 * s.omega * s.a * s.a * ph
+
+
+def _quadrature(s: Scenario, ph: complex, n_nodes: int) -> tuple[complex, complex]:
+    """(F_x, F_y) of the n_nodes-point trapezoidal rule at phase ph."""
+    if not isinstance(n_nodes, int) or n_nodes < 8:
+        raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
+    a, bv, a_bv = _wall_stress(s)
+    s_cc, s_ss, s_sc = _angular_sums(n_nodes)
+    w_ph = s.a * (2.0 * math.pi / n_nodes) * ph
+    return w_ph * (s_cc * a - s_ss * bv), w_ph * (s_sc * a_bv)
+
+
+def _closed_form(s: Scenario, ph: complex) -> tuple[complex, complex]:
+    """(F_b, F_v) at phase ph: the buoyancy force and F_b f(a)/(beta a)."""
+    fb = _common_factor(s, ph)
+    return fb, fb * s._coefficients.g1
+
+
+def _force_row(s: Scenario, t: float, n_nodes: int) -> tuple[complex, complex, complex]:
+    """F_x of force_buoyancy, force_viscous_approx and force_quadrature(s, t,
+    n_nodes), from one phase, one common factor and one wall stress."""
+    ph = _phase(s, t)
+    return (*_closed_form(s, ph), _quadrature(s, ph, n_nodes)[0])
 
 
 def force_buoyancy(s: Scenario, t: float) -> ForceResult:
@@ -150,19 +179,19 @@ def force_buoyancy(s: Scenario, t: float) -> ForceResult:
     F_p = -i 2 pi rho0 v0 omega a^2 e^{-i omega t}; its magnitude is the
     displaced fluid mass per unit length times the flow acceleration.
     """
-    return ForceResult(fx=_common_factor(s, t), fy=0j, method="buoyancy")
+    return ForceResult(fx=_common_factor(s, _phase(s, t)), fy=0j, method="buoyancy")
 
 
 def force_viscous_approx(s: Scenario, t: float) -> ForceResult:
     """Viscous part of the force: F_v = F_p * f(a)/(beta a)."""
-    return ForceResult(fx=_common_factor(s, t) * s._coefficients.g1, fy=0j, method="viscous")
+    return ForceResult(fx=_closed_form(s, _phase(s, t))[1], fy=0j, method="viscous")
 
 
 def force_analytic(s: Scenario, t: float) -> ForceResult:
     """Total closed-form force, by construction the exact float sum of
     force_buoyancy and force_viscous_approx."""
-    fx = force_buoyancy(s, t).fx + force_viscous_approx(s, t).fx
-    return ForceResult(fx=fx, fy=0j, method="analytic")
+    fb, fv = _closed_form(s, _phase(s, t))
+    return ForceResult(fx=fb + fv, fy=0j, method="analytic")
 
 
 def force_quadrature(s: Scenario, t: float, n_nodes: int = 512) -> ForceResult:
@@ -173,13 +202,5 @@ def force_quadrature(s: Scenario, t: float, n_nodes: int = 512) -> ForceResult:
     F_y = w e^{-iwt} S_sc (A + Bv), with the angular sums S of
     _angular_sums(n) and the wall constants of _wall_stress.
     """
-    if not isinstance(n_nodes, int) or n_nodes < 8:
-        raise ValueError(f"n_nodes must be an integer >= 8, got {n_nodes!r}")
-    a, bv, a_bv = _wall_stress(s)
-    s_cc, s_ss, s_sc = _angular_sums(n_nodes)
-    w_ph = s.a * (2.0 * math.pi / n_nodes) * _phase(s, t)
-    return ForceResult(
-        fx=w_ph * (s_cc * a - s_ss * bv),
-        fy=w_ph * (s_sc * a_bv),
-        method=f"quadrature(n={n_nodes})",
-    )
+    fx, fy = _quadrature(s, _phase(s, t), n_nodes)
+    return ForceResult(fx=fx, fy=fy, method=f"quadrature(n={n_nodes})")

@@ -24,7 +24,8 @@ import oscylinder.forces
 import oscylinder.residuals
 from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
                         boundary_suite, flow_state, force_analytic,
-                        force_quadrature, residual_report, residual_tolerance)
+                        force_buoyancy, force_quadrature, force_viscous_approx,
+                        residual_report, residual_tolerance)
 from oscylinder.cli import build_parser, main
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
                                   SYMMETRY_TOL)
@@ -244,6 +245,51 @@ def test_force_csv_columns_consistent(tmp_path):
         assert total <= buoy + visc + 1e-30
 
 
+#: PINNED_RUNS, a run with beta a ~ 200 > 17 and an --f-list run whose
+#: beta a crosses 1 (about 0.2, 0.6 and 2 at a = 1e-4 m)
+FORCE_RUNS = [(a, [repr(f)], v0, t, pert, "512") for a, f, v0, t, pert in PINNED_RUNS] + [
+    (1e-2, ["1000.0"], 1.0, 0.0, None, "512"),
+    (1e-4, ["10.0", "100.0", "1000.0"], 2.5, 0.00037, None, "64"),
+]
+
+
+@pytest.mark.parametrize("a, fs, v0, t, pert, nodes", FORCE_RUNS)
+def test_force_rows_match_the_public_forces(a, fs, v0, t, pert, nodes, capsys):
+    # every force row prints, bit for bit, |F|/v0 of the four public force
+    # functions, whose single pass per row cmd_force shares
+    argv = ["force", "--a", repr(a), "--f-list", ",".join(fs), "--v0", repr(v0),
+            "--t", repr(t), "--nodes", nodes]
+    if pert is not None:
+        argv += ["--mutate", f"{pert.coefficient}:{pert.factor!r}"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == len(fs)
+    for line, f in zip(lines, map(float, fs)):
+        s = Scenario.from_frequency(AIR_20C, a, v0, f, pert)
+        parts = (force_analytic(s, t), force_buoyancy(s, t),
+                 force_viscous_approx(s, t), force_quadrature(s, t, int(nodes)))
+        assert line == "%.16e,%.16e,%.16e,%.16e,%.16e" % (
+            f, *(abs(part.fx) / v0 for part in parts)), line
+
+
+def test_force_takes_one_phase_and_wall_stress_per_row(monkeypatch, capsys):
+    calls = {"_phase": 0, "_wall_stress": 0}
+
+    def counted(name):
+        inner = getattr(oscylinder.forces, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oscylinder.forces, name, counted(name))
+    assert main(["force", "--f-range", "1:1e4:7"]) == 0
+    capsys.readouterr()
+    assert calls == {"_phase": 7, "_wall_stress": 7}
+
+
 def test_force_deduplicates_and_sorts(tmp_path):
     code, data = run_to_file(tmp_path, "force.csv", [
         "force", "--f-list", "100,10,100", "--nodes", "16"])
@@ -417,9 +463,43 @@ def test_validate_prints_the_reference_report(a, f, v0, t, mutate, capsys):
         name, factor = mutate.split(":")
         perturbation = Perturbation({"fa": "f_a"}.get(name, name), float(factor))
     code = main(argv)
-    s = Scenario.from_frequency(AIR_20C, a, v0, f, perturbation=perturbation)
+    # validate checks the unit-amplitude scenario whatever v0 is
+    s = Scenario.from_frequency(AIR_20C, a, 1.0, f, perturbation=perturbation)
     assert (capsys.readouterr().out.splitlines(), code) == \
         reference_validate_report(s, t)
+
+
+@pytest.mark.parametrize("v0", ["0", "1e-310", "2.5", "1e300"])
+@pytest.mark.parametrize("extra", [[], ["--a", "1e-125", "--f", "1"]])
+def test_validate_report_does_not_depend_on_v0(v0, extra, capsys):
+    # every row is relative to v0, so the report is that of v0 = 1: no
+    # ZeroDivisionError at subnormal v0 (where rho0 omega v0 a underflowed)
+    # and no inf or NaN rows near overflow
+    unit = main(["validate", "--v0", "1", *extra]), capsys.readouterr()
+    assert (main(["validate", "--v0", v0, *extra]), capsys.readouterr()) == unit
+    assert unit[1].out.endswith("RESULT PASS\n") and unit[1].err == ""
+
+
+@pytest.mark.parametrize("argv, t, f", [
+    (["force"], "1e+305", "296.73"),
+    (["field"], "1e+306", "100"),
+    (["validate"], "1e+306", "1000"),
+])
+def test_overflowing_phase_is_refused(argv, t, f, capsys):
+    # omega t overflows inside e^{-i omega t}; the refusal names t, f and omega t
+    assert main([*argv, "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"oscylinder: error: the phase omega t = inf at t = {t} s, "
+                            f"f = {f} Hz is out of range (not finite)\n")
+
+
+def test_profile_at_huge_finite_phase_writes_finite_rows(capsys):
+    # at 10 Hz, omega t = 6.3e307 is still finite
+    assert main(["profile", "--t", "1e306", "--f", "10"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out.encode("ascii"))
+    assert len(rows) == 200
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_validate_writes_file(tmp_path):

@@ -381,8 +381,9 @@ def test_radial_memo_is_per_scenario(a, f, name):
 
 
 def test_field_evaluates_each_radius_once(monkeypatch, capsys):
-    # the default 41 x 41 map runs terms() once per distinct rho it samples,
-    # plus rho = 1 when the coefficient set is built
+    # the default 41 x 41 map runs terms() once per distinct rho != 1 it
+    # samples, and never at rho = 1, whose values the coefficient set forms
+    # from its own Bessel pair
     sampled, evaluated = [], []
     radial, terms = oscylinder.flow._radial, oscylinder.flow._Coefficients.terms
 
@@ -400,7 +401,63 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
     assert main(["field"]) == 0
     capsys.readouterr()
     assert len(sampled) > len(set(sampled)) > 100
-    assert sorted(evaluated) == sorted([1.0, *set(sampled)])
+    assert sorted(evaluated) == sorted(set(sampled) - {1.0})
+
+
+def _coefficients_the_old_way(s):
+    """A _Coefficients built with a weight dict and g1r, k0r1 = terms(1.0),
+    a second lookup of the surface Bessel pair."""
+    k = object.__new__(oscylinder.flow._Coefficients)
+    weight = dict.fromkeys(oscylinder.flow.PERTURBABLE, 1.0)
+    if s.perturbation is not None:
+        weight[s.perturbation.coefficient] = s.perturbation.factor
+    ba = k.ba = s.ba * weight["beta"]
+    c = k.c = weight["C"]
+    k.b, k.c2, k.iba2 = weight["B"], 2.0 * c, 1j * (ba * ba)
+    k.za = J_MINUS * ba
+    k.small = ba < oscylinder.flow.SMALL_BA
+    k.k0_za = oscylinder.flow.bessel_k_pair(k.za, scaled=not k.small)[0]
+    k.ba_k0 = ba * k.k0_za
+    if k.small:
+        k.q = 2j / (ba * ba * k.k0_za)
+        k.pole = -(2.0 / k.k0_za)
+    else:
+        k.q = k.pole = 0j
+    k.g1r, k.k0r1 = k.terms(1.0)
+    k.c_g1r, k.c2_g1r = c * k.g1r, k.c2 * k.g1r
+    g1 = k.q + k.g1r
+    fa = weight["f_a"]
+    k.g1 = g1 * fa
+    k.excess = c * ((fa - 1.0) * g1) + (c - k.b) * k.q
+    k.c_g1, k.excess2 = c * k.g1, 2.0 * k.excess
+    return k
+
+
+_BETA_1KHZ = math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0)
+
+
+@pytest.mark.parametrize("pert", [None, Perturbation("B", 1.001), Perturbation("C", 1.001),
+                                  Perturbation("f_a", 1.001), Perturbation("beta", 1.001),
+                                  Perturbation("beta", 0.999)])
+@pytest.mark.parametrize("ba", [1e-9, 1e-5, 2e-3, 0.5, 0.9995, 1.0, 1.0005, 2.0, 17.5,
+                                300.0, 1e4])
+def test_coefficient_set_is_built_bit_for_bit(ba, pert):
+    # one bessel_k_pair lookup gives every slot the bits of the weight-dict
+    # plus terms(1.0) construction; beta a = 0.9995 and 1.0005 cross
+    # SMALL_BA under the beta perturbations
+    s = Scenario.from_frequency(AIR_20C, ba / _BETA_1KHZ, 1.0, 1000.0, pert)
+    new, old = s._coefficients, _coefficients_the_old_way(s)
+    for slot in oscylinder.flow._Coefficients.__slots__:
+        if slot != "memo":
+            assert repr(getattr(new, slot)) == repr(getattr(old, slot)), slot
+
+
+def test_coefficient_set_crosses_the_branch_switch_under_beta():
+    # beta a just below 1, perturbed to just above, and the other way round
+    up = scenario(0.9995 / _BETA_1KHZ, 1000.0, Perturbation("beta", 1.001))
+    down = scenario(1.0005 / _BETA_1KHZ, 1000.0, Perturbation("beta", 0.999))
+    assert up.ba < 1.0 and not up._coefficients.small
+    assert down.ba > 1.0 and down._coefficients.small
 
 
 def test_radial_memo_is_bounded_and_exact():
