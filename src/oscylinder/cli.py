@@ -13,11 +13,13 @@ order, and line endings are always "\\n".  Each subcommand accepts only
 the options it reads: field and validate evaluate the one frequency --f,
 while profile and force also take --f-list/--f-range, deduplicated and
 sorted ascending before any computation, so the row order never depends
-on input order; --mode belongs to profile.  force computes each row in
-one pass, serially: forces._force_row takes one phase, one common factor
-and one wall stress for the buoyancy, viscous and quadrature columns, and
-|F_b + F_v| is the exact force_analytic column; --jobs (>= 1) is accepted
-but starts no threads.
+on input order; --mode belongs to profile and --v0 to field: profile,
+force and validate print values relative to v0, formed at unit amplitude
+(RunConfig.scenario).  force computes each row in one pass, serially:
+forces._force_row takes one phase, one common factor and one wall stress
+for the buoyancy, viscous and quadrature columns, and |F_b + F_v| is the
+exact force_analytic column; --jobs (>= 1) is accepted but starts no
+threads.
 
 profile and field form each point as angle x flow._radial x phase, the
 products flow._fields forms for flow_state and the residual checks, in the
@@ -57,20 +59,20 @@ _DEFAULT_F = {"profile": 10.0, "field": 100.0, "validate": 1000.0}
 _DEFAULT_F_RANGE = "1:1e4:200"  # force command: log-spaced sweep
 
 
-class RunConfig(namedtuple("RunConfig", "fluid a v0 t frequencies out perturbation")):
+class RunConfig(namedtuple("RunConfig", "fluid a t frequencies out perturbation")):
     """Scenario and I/O settings shared by every subcommand."""
 
     __slots__ = ()
     fluid: Fluid
     a: float
-    v0: float
     t: float
     frequencies: tuple[float, ...]
     out: str | None
     perturbation: Perturbation | None
 
     def scenario(self, f: float) -> Scenario:
-        return Scenario.from_frequency(self.fluid, self.a, self.v0, f,
+        """The unit-amplitude (v0 = 1) scenario at frequency f."""
+        return Scenario.from_frequency(self.fluid, self.a, 1.0, f,
                                        perturbation=self.perturbation)
 
 
@@ -185,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="density [kg/m^3] (with --nu0)")
     common.add_argument("--a", type=float, default=None,
                         help="cylinder radius [m]")
-    common.add_argument("--v0", type=float, default=1.0,
-                        help="far-field speed amplitude [m/s] (default 1)")
     common.add_argument("--t", type=float, default=0.0, help="time [s] (default 0)")
     common.add_argument("--out", default=None,
                         help="output CSV path (default: stdout)")
@@ -217,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", parents=[single],
                              help="Cartesian field-map CSV")
+    p_field.add_argument("--v0", type=float, default=1.0,
+                         help="far-field speed amplitude [m/s] (default 1)")
     p_field.add_argument("--grid", default=None,
                          metavar="XMIN:XMAX:NX,YMIN:YMAX:NY",
                          help="grid bounds [m] and point counts "
@@ -255,7 +257,7 @@ def _resolve_config(parser, args) -> RunConfig:
     a = args.a if args.a is not None else _DEFAULT_A[args.command]
     if not (math.isfinite(a) and a > 0):
         parser.error(f"--a: must be positive, got {a}")
-    if not (math.isfinite(args.v0) and args.v0 >= 0):
+    if args.command == "field" and not (math.isfinite(args.v0) and args.v0 >= 0):
         parser.error(f"--v0: must be >= 0, got {args.v0}")
     if not math.isfinite(args.t):
         parser.error(f"--t: must be finite, got {args.t}")
@@ -276,7 +278,7 @@ def _resolve_config(parser, args) -> RunConfig:
 
     perturbation = _parse_mutate(parser, args.mutate) if args.mutate else None
 
-    return RunConfig(fluid=fluid, a=a, v0=args.v0, t=args.t,
+    return RunConfig(fluid=fluid, a=a, t=args.t,
                      frequencies=frequencies, out=args.out,
                      perturbation=perturbation)
 
@@ -297,12 +299,11 @@ def cmd_profile(cfg: RunConfig, mode: str, nr: int, rmax_factor: float) -> int:
     if not a * rmax_factor < math.inf:
         raise ValueError(f"--rmax-factor: the outer radius a * rmax_factor = "
                          f"{a * rmax_factor!r} m is out of range (not finite)")
-    vnorm = cfg.v0 if cfg.v0 > 0 else 1.0
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
         # v_r at theta = 0 and v_theta at pi/2, where cos 0 == sin(pi/2) == 1.0
-        # makes the angle factor exact: v0 * 1.0 * ph == v0 * ph
+        # makes flow._fields' v0 * c * ph exactly s.v0 * ph, with s.v0 = 1.0
         vph = s.v0 * _phase(s, cfg.t)
         row = f"{f:.16e},%.16e,%.16e,%.16e,%.16e\n"
         for j in range(nr):
@@ -311,14 +312,14 @@ def cmd_profile(cfg: RunConfig, mode: str, nr: int, rmax_factor: float) -> int:
             r = a * rmax_factor ** (j / (nr - 1))
             rho = r / a
             br, bth, _ = _radial(s, rho)
-            rows.append(row % (r, rho, _mode_value(vph * br / vnorm, mode),
-                               _mode_value(vph * bth / vnorm, mode)))
+            rows.append(row % (r, rho, _mode_value(vph * br, mode),
+                               _mode_value(vph * bth, mode)))
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0
 
 
-def cmd_field(cfg: RunConfig, grid) -> int:
+def cmd_field(cfg: RunConfig, grid, v0: float) -> int:
     if grid is None:
         x0, x1, nx = -4.0 * cfg.a, 4.0 * cfg.a, 41
         y0, y1, ny = -4.0 * cfg.a, 4.0 * cfg.a, 41
@@ -331,7 +332,6 @@ def cmd_field(cfg: RunConfig, grid) -> int:
     a = cfg.a
     s = cfg.scenario(cfg.frequencies[0])
     ph = _phase(s, cfg.t)
-    v0 = s.v0
     pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
     radial, inf = _radial, math.inf
     hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
@@ -378,7 +378,6 @@ def cmd_field(cfg: RunConfig, grid) -> int:
 def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    vnorm = cfg.v0 if cfg.v0 > 0 else 1.0
     header = ["f [Hz]",
               "abs_F_analytic_over_v0 [N s/m^2]",
               "abs_F_buoyancy_over_v0 [N s/m^2]",
@@ -389,7 +388,7 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
     for f in cfg.frequencies:
         s = cfg.scenario(f)
         fb, fv, fq = _force_row(s, cfg.t, nodes)
-        row = (abs(fb + fv) / vnorm, abs(fb) / vnorm, abs(fv) / vnorm, abs(fq) / vnorm)
+        row = (abs(fb + fv), abs(fb), abs(fv), abs(fq))
         if not sum(row) < math.inf:  # inf or NaN in some column: name the first
             for name, v in zip(header[1:], row):
                 if not v < math.inf:
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
             return cmd_profile(cfg, args.mode, args.nr, args.rmax_factor)
         if args.command == "field":
             grid = _parse_grid(parser, args.grid) if args.grid else None
-            return cmd_field(cfg, grid)
+            return cmd_field(cfg, grid, args.v0)
         if args.command == "force":
             return cmd_force(cfg, args.nodes, args.jobs)
         return cmd_validate(cfg, args.h_rel)

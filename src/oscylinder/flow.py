@@ -23,21 +23,23 @@ at rho = 1.  Physical fields are the real parts.
 Each Scenario builds one coefficient set (_Coefficients) on first use:
 ba with the beta factor applied, b, c, and g1 with the f_a factor
 applied, plus the Bessel values at the surface, from one Bessel lookup.
-_radial(s, rho) returns
-B_r, B_theta and P, the brackets every field sampler reads, memoised per
-rho; _slopes(s, rho) forms the rho-derivatives B_r' and B_theta' that only
-the stress in forces reads.  A rho whose Bessel argument ba rho is not
-finite is refused in both, naming rho and ba.  _fields, the block
-sampler, is angle x _radial x phase for v_r, v_theta and p over one rho,
-one phase and a sequence of angles, with one _radial lookup per block; it
-serves flow_state (a single angle) and the residual stencils in
-residuals.  residuals.boundary_suite, the field and profile commands in
-cli and forces._stress form the same products from _radial themselves,
-each only the columns it reads; tests pin the
-boundary checks to a flow_state reference and the cli rows to flow_state,
-bit for bit.  Stress, traction and force are angle x (_radial, _slopes)
-x phase products too, so a Perturbation reaches every field the same way.
-The phase e^{-i omega t} (_phase) refuses an omega t that is not finite,
+_radial(s, rho) returns B_r, B_theta and P, the brackets every field
+sampler reads, memoised per rho; _slopes(s, rho) forms the
+rho-derivatives B_r' and B_theta' that only the stress in forces reads.
+A rho whose Bessel argument ba rho is not finite is refused in both,
+naming rho and ba.  _fields, the block sampler, is angle x _radial x
+phase for v_r, v_theta and p over one rho, one phase and a sequence of
+angles, with one _radial lookup per block; it serves flow_state (a
+single angle) and the residual stencils in residuals.
+residuals.boundary_suite, the field and profile commands in cli and
+forces._stress form the same products from _radial themselves, each only
+the columns it reads; tests pin the boundary checks to a flow_state
+reference and the cli rows to flow_state, bit for bit.  Stress, traction
+and force are angle x (_radial, _slopes) x phase products too, so a
+Perturbation reaches every field the same way.  Every field is linear in
+v0, so what is relative to v0 (the residual and boundary checks, the
+profile and force columns) is formed at unit amplitude, v0 = 1.  The
+phase e^{-i omega t} (_phase) refuses an omega t that is not finite,
 naming t, f and omega t; one phase serves each block, stress point or
 force row.
 

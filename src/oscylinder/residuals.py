@@ -25,9 +25,11 @@ residual is reported dimensionless:
 Radial steps use central second-order differences, switching to
 one-sided second-order stencils (into the fluid) when r - h would fall
 below the surface, so no stencil ever crosses r = a.  Azimuthal steps
-use the arc-length-matched h_theta = h/r.  Lengths are measured in a
-power of two (_length_unit), so h^2, 1/r^2 and the pressure's second
-differences stay in range at huge and at tiny r.
+use the arc-length-matched h_theta = h/r.  The fields are sampled at
+unit amplitude (v0 = 1), since every residual above is relative to v0,
+and lengths are measured in the largest power of two not above r
+(_length_unit), so h^2, 1/r^2 and the pressure's second differences stay
+in range at every r.
 
 validate_checks is the self-check as one table of Check rows (name,
 value, tol, ok), the rows `oscylinder validate` prints; NaN fails a row.
@@ -81,15 +83,11 @@ _QUANTITIES = ResidualReport._fields[_RESIDUALS]
 
 
 def _length_unit(r: float) -> float:
-    """1 m for 2**-64 m <= r < 1 m, else the largest power of two not above
-    r.  Scaling by a power of two is exact, so the residuals keep their metre
-    bits wherever those are in double range, while h*h and 1/r^2 stay in
-    range at huge r (in metres 1/r^2 underflows from r ~ 6.7e153 and
-    (1e-4 r)^2 overflows from 1.3e158) and p/h^2 at tiny r.  Metres are kept
-    down to 2**-64 m because a scaled-down product of a subnormal sample
-    rounds differently."""
-    e = math.frexp(r)[1] - 1
-    return math.ldexp(1.0, e if e < -64 else max(0, e))
+    """The largest power of two not above r.  In it r lies in [1, 2), so
+    h*h, 1/r^2 and p/h^2 stay in range at every r; in metres 1/r^2
+    underflows from r ~ 6.7e153, (1e-4 r)^2 overflows from 1.3e158 and
+    p/h^2 overflows at tiny r and huge omega."""
+    return math.ldexp(1.0, math.frexp(r)[1] - 1)
 
 
 def _resolve_step(r: float, thetas, h: float | None) -> float:
@@ -112,13 +110,17 @@ def _resolve_step(r: float, thetas, h: float | None) -> float:
 
 
 def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
-    """residual_report at each of pts, which share one radius r.
+    """residual_report at each of pts, which share one radius r, formed on
+    the unit-amplitude scenario: every residual is relative to v0 and the
+    fields are linear in it, so v0 can be 0, subnormal or near overflow.
 
     One _fields call at r samples (v_r, v_theta, p) at theta, theta -+ ht of
     each point in turn, then one call per off radius samples every point at
     r -+ h, or at r + h, 2h, 3h when the wall forces one-sided stencils.
     Second-order differences are formed inline, point by point, in lengths
     of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
+    if s.v0 != 1.0:
+        s = s._replace(v0=1.0)
     r = pts[0].r
     rho = _check_radius(s, r)
     h = _resolve_step(r, [pt.theta for pt in pts], h)
@@ -137,8 +139,7 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
     inv_r2 = inv_r * inv_r
     h2, hh, ht2, htht = 2.0 * hl, hl * hl, 2.0 * ht, ht * ht
     a, nu0, rho0, iw = s.a / L, s.fluid.nu0 / L / L, s.fluid.rho0, -1j * s.omega
-    vnorm = s.v0 if s.v0 > 0 else 1.0
-    mnorm, pnorm = vnorm * s.omega, rho0 * s.omega * vnorm * L
+    omega, pnorm = s.omega, rho0 * s.omega * L
     reports = []
     for pt, (vr0, vt0, p0), (vr_w, vt_w, p_w), (vr_e, vt_e, p_e), radial in zip(
             pts, ring[::3], ring[1::3], ring[2::3], off):
@@ -172,8 +173,8 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
         mom_r = iw * vr0 + d1r_p / L / rho0 - nu0 * lap_vr
         mom_t = iw * vt0 + d1t_p * inv_r / L / rho0 - nu0 * lap_vt
         lap_p = d2r_p + d1r_p * inv_r + d2t_p * inv_r2
-        reports.append(ResidualReport(pt, t, h, one_sided, abs(cont) * a / vnorm,
-                                      abs(mom_r) / mnorm, abs(mom_t) / mnorm,
+        reports.append(ResidualReport(pt, t, h, one_sided, abs(cont) * a,
+                                      abs(mom_r) / omega, abs(mom_t) / omega,
                                       abs(lap_p) * a / pnorm))
     return reports
 
@@ -276,23 +277,21 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
     * pressure symmetry: p even under theta -> -theta and odd under
       theta -> pi - theta, to 1e-13.
 
-    One _radial call per radius (rho = 1, far, 1.5, 3) and one phase per
-    (radius, time) block.  Each maximum is taken over the undivided values
-    and divided once, by v0 or by its block's reference pressure.
+    The fields are sampled at unit amplitude, so s.v0 is not read.  One
+    _radial call per radius (rho = 1, far, 1.5, 3) and one phase per
+    (radius, time) block.  The pressure maxima are taken over the undivided
+    values and divided once, by their block's reference pressure.
     """
-    v0, hypot = s.v0, math.hypot
-    vnorm = v0 if v0 > 0 else 1.0
+    hypot = math.hypot
     period = 2.0 * math.pi / s.omega
     if not period < math.inf:
         raise ValueError(f"the period 2 pi/omega overflows at f = {s.frequency:g} Hz")
-    # flow._fields' products in its order: v0 * c, v0 * sn and pv * c are
-    # their first factors, so hoisting them once per ring keeps every bit
+    # flow._fields' products in its order, at v0 = 1
     no_slip = []
     br, bth, _ = _radial(s, _check_radius(s, s.a))  # rho exactly 1.0
-    ring = [(v0 * c, v0 * sn) for c, sn in _RING64]
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
         ph = _phase(s, t)
-        no_slip += [hypot(abs(vc * ph * br), abs(vs * ph * bth)) for vc, vs in ring]
+        no_slip += [hypot(abs(c * ph * br), abs(sn * ph * bth)) for c, sn in _RING64]
 
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
     if not far_radius < math.inf:
@@ -300,16 +299,16 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
                          f"at a = {s.a:g} m, delta = {s.delta:g} m")
     far = []
     br, bth, _ = _radial(s, _check_radius(s, far_radius))
-    ring = [(v0 * c, v0 * sn, -v0 * sn) for c, sn in _RING32]
+    ring = [(c, sn, -sn) for c, sn in _RING32]
     for t in (0.0, period / 5.0):
         ph = _phase(s, t)
         ph_inf = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
-        far += [hypot(abs(vc * ph * br - vc * ph_inf), abs(vs * ph * bth - vns * ph_inf))
-                for vc, vs, vns in ring]
+        far += [hypot(abs(c * ph * br - c * ph_inf), abs(sn * ph * bth - nsn * ph_inf))
+                for c, sn, nsn in ring]
 
     form = []
     sym = []
-    pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
+    pv = 1j * s.fluid.rho0 * s.omega * s.a
     ring = [pv * c for c, _ in _FORM_ANGLES]
     for rr in (1.5 * s.a, 3.0 * s.a):
         pb = _radial(s, _check_radius(s, rr))[2]
@@ -322,12 +321,11 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
                 p, p_neg, p_sup = ps[k:k + 3]
                 block_form.append(abs(p / _FORM_ANGLES[k + 1][0] - p0))
                 block_sym += [abs(p_neg - p), abs(p_sup + p)]
+            # correctly rounded division by a positive float is monotone and
+            # keeps NaN, so the max of the quotients is the quotient of the max
             form.append(_nan_max(block_form) / pnorm)
             sym.append(_nan_max(block_sym) / pnorm)
-    # correctly rounded division by a positive float is monotone and keeps
-    # NaN, so the max of the quotients is the quotient of the max, bit for bit
-    maxima = [_nan_max(no_slip) / vnorm, _nan_max(far) / vnorm,
-              _nan_max(form), _nan_max(sym)]
+    maxima = [_nan_max(no_slip), _nan_max(far), _nan_max(form), _nan_max(sym)]
     return BoundaryReport(*maxima, far_radius,
                           *(m <= tol for m, (_, tol) in zip(maxima, _BOUNDARY_CHECKS)))
 

@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -25,7 +26,7 @@ import oscylinder.residuals
 from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
                         boundary_suite, flow_state, force_analytic,
                         force_buoyancy, force_quadrature, force_viscous_approx,
-                        residual_report, residual_tolerance)
+                        residual_report, residual_tolerance, validate_checks)
 from oscylinder.cli import build_parser, main
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
                                   SYMMETRY_TOL)
@@ -161,7 +162,9 @@ def test_field_custom_grid_no_mask(tmp_path):
 
 # field and profile form angle x _radial x phase per point themselves; every
 # row must print, bit for bit, the values formatted from flow_state (whose
-# kernel, flow._fields, the residual and boundary checks sample) at its point
+# kernel, flow._fields, the residual and boundary checks sample) at its point;
+# v0 is field's: profile and force print values relative to v0, formed at
+# unit amplitude
 PINNED_RUNS = [  # a, f, v0, t, perturbation
     (1e-6, 100.0, 1.0, 0.0, None),                      # the default run
     (1e-3, 1000.0, 1.0, 0.0, None),                     # beta a ~ 20 >= 1
@@ -171,9 +174,8 @@ PINNED_RUNS = [  # a, f, v0, t, perturbation
 
 
 def _pinned_run(capsys, command, a, f, v0, t, pert, *extra):
-    """The run's CSV data lines and its Scenario."""
-    argv = [command, "--a", repr(a), "--f", repr(f), "--v0", repr(v0),
-            "--t", repr(t), *extra]
+    """The run's CSV data lines and its Scenario at amplitude v0."""
+    argv = [command, "--a", repr(a), "--f", repr(f), "--t", repr(t), *extra]
     if pert is not None:
         argv += ["--mutate", f"{pert.coefficient}:{pert.factor!r}"]
     assert main(argv) == 0
@@ -187,7 +189,7 @@ def _mode_reference(z, mode):
 
 @pytest.mark.parametrize("a, f, v0, t, pert", PINNED_RUNS)
 def test_field_rows_match_flow_state(a, f, v0, t, pert, capsys):
-    lines, s = _pinned_run(capsys, "field", a, f, v0, t, pert)
+    lines, s = _pinned_run(capsys, "field", a, f, v0, t, pert, "--v0", repr(v0))
     assert len(lines) == 41 * 41
     live = 0
     for line in lines:
@@ -210,13 +212,13 @@ def test_field_rows_match_flow_state(a, f, v0, t, pert, capsys):
 @pytest.mark.parametrize("mode", ["re", "im", "abs", "phase"])
 @pytest.mark.parametrize("a, f, v0, t, pert", PINNED_RUNS)
 def test_profile_rows_match_flow_state(a, f, v0, t, pert, mode, capsys):
-    lines, s = _pinned_run(capsys, "profile", a, f, v0, t, pert, "--mode", mode)
+    lines, s = _pinned_run(capsys, "profile", a, f, 1.0, t, pert, "--mode", mode)
     assert len(lines) == 200
     for line in lines:
         fs, rs = line.split(",")[:2]
         r = float(rs)
-        vr = flow_state(s, PolarPoint(r, 0.0), t).vr / s.v0
-        vt = flow_state(s, PolarPoint(r, 0.5 * math.pi), t).vtheta / s.v0
+        vr = flow_state(s, PolarPoint(r, 0.0), t).vr
+        vt = flow_state(s, PolarPoint(r, 0.5 * math.pi), t).vtheta
         assert line == (f"{fs},{rs},{r / s.a:.16e},"
                         f"{_mode_reference(vr, mode):.16e},"
                         f"{_mode_reference(vt, mode):.16e}"), line
@@ -255,9 +257,9 @@ FORCE_RUNS = [(a, [repr(f)], v0, t, pert, "512") for a, f, v0, t, pert in PINNED
 
 @pytest.mark.parametrize("a, fs, v0, t, pert, nodes", FORCE_RUNS)
 def test_force_rows_match_the_public_forces(a, fs, v0, t, pert, nodes, capsys):
-    # every force row prints, bit for bit, |F|/v0 of the four public force
-    # functions, whose single pass per row cmd_force shares
-    argv = ["force", "--a", repr(a), "--f-list", ",".join(fs), "--v0", repr(v0),
+    # every force row prints, bit for bit, |F| of the four public force
+    # functions at unit amplitude, whose single pass per row cmd_force shares
+    argv = ["force", "--a", repr(a), "--f-list", ",".join(fs),
             "--t", repr(t), "--nodes", nodes]
     if pert is not None:
         argv += ["--mutate", f"{pert.coefficient}:{pert.factor!r}"]
@@ -265,11 +267,11 @@ def test_force_rows_match_the_public_forces(a, fs, v0, t, pert, nodes, capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     assert len(lines) == len(fs)
     for line, f in zip(lines, map(float, fs)):
-        s = Scenario.from_frequency(AIR_20C, a, v0, f, pert)
+        s = Scenario.from_frequency(AIR_20C, a, 1.0, f, pert)
         parts = (force_analytic(s, t), force_buoyancy(s, t),
                  force_viscous_approx(s, t), force_quadrature(s, t, int(nodes)))
         assert line == "%.16e,%.16e,%.16e,%.16e,%.16e" % (
-            f, *(abs(part.fx) / v0 for part in parts)), line
+            f, *(abs(part.fx) for part in parts)), line
 
 
 def test_force_takes_one_phase_and_wall_stress_per_row(monkeypatch, capsys):
@@ -442,11 +444,11 @@ def reference_validate_report(s, t=0.0, h_rel=1e-4):
     return lines, 0 if ok_all else 1
 
 
-#: (a, f, v0, t, mutate): the default scenario, also with every residual
-#: exactly 0 (v0 = 0) and at a later time, a thick-layer scenario, then
-#: beta a from 1e-8 to 1e4 at 1 kHz, each clean and under every 0.1%
-#: coefficient mutation
-VALIDATE_CASES = [(1e-4, 1000.0, 1.0, 0.0, None), (1e-4, 1000.0, 0.0, 0.0, None),
+#: (a, f, v0, t, mutate): the default scenario, also at a later time, a
+#: thick-layer scenario, then beta a from 1e-8 to 1e4 at 1 kHz, each clean
+#: and under every 0.1% coefficient mutation; v0 is 1.0, the amplitude
+#: validate checks
+VALIDATE_CASES = [(1e-4, 1000.0, 1.0, 0.0, None),
                   (1e-4, 1000.0, 1.0, 3.1e-4, None), (1e-6, 10.0, 1.0, 0.0, None)] + [
     (ba / math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0), 1000.0, 1.0, 0.0, mutate)
     for ba in (1e-8, 1e-5, 1e-3, 0.1, 1.0, 30.0, 1e3, 1e4)
@@ -455,16 +457,14 @@ VALIDATE_CASES = [(1e-4, 1000.0, 1.0, 0.0, None), (1e-4, 1000.0, 0.0, 0.0, None)
 
 @pytest.mark.parametrize("a, f, v0, t, mutate", VALIDATE_CASES)
 def test_validate_prints_the_reference_report(a, f, v0, t, mutate, capsys):
-    argv = ["validate", "--a", repr(a), "--f", repr(f), "--v0", repr(v0),
-            "--t", repr(t)]
+    argv = ["validate", "--a", repr(a), "--f", repr(f), "--t", repr(t)]
     perturbation = None
     if mutate:
         argv += ["--mutate", mutate]
         name, factor = mutate.split(":")
         perturbation = Perturbation({"fa": "f_a"}.get(name, name), float(factor))
     code = main(argv)
-    # validate checks the unit-amplitude scenario whatever v0 is
-    s = Scenario.from_frequency(AIR_20C, a, 1.0, f, perturbation=perturbation)
+    s = Scenario.from_frequency(AIR_20C, a, v0, f, perturbation=perturbation)
     assert (capsys.readouterr().out.splitlines(), code) == \
         reference_validate_report(s, t)
 
@@ -472,12 +472,16 @@ def test_validate_prints_the_reference_report(a, f, v0, t, mutate, capsys):
 @pytest.mark.parametrize("v0", ["0", "1e-310", "2.5", "1e300"])
 @pytest.mark.parametrize("extra", [[], ["--a", "1e-125", "--f", "1"]])
 def test_validate_report_does_not_depend_on_v0(v0, extra, capsys):
-    # every row is relative to v0, so the report is that of v0 = 1: no
-    # ZeroDivisionError at subnormal v0 (where rho0 omega v0 a underflowed)
-    # and no inf or NaN rows near overflow
-    unit = main(["validate", "--v0", "1", *extra]), capsys.readouterr()
-    assert (main(["validate", "--v0", v0, *extra]), capsys.readouterr()) == unit
-    assert unit[1].out.endswith("RESULT PASS\n") and unit[1].err == ""
+    # validate takes no --v0: every row is relative to v0, so what it prints
+    # is validate_checks at any v0, subnormal and near overflow included
+    assert main(["validate", *extra]) == 0
+    captured = capsys.readouterr()
+    a, f = (float(x) for x in extra[1::2]) if extra else (1e-4, 1000.0)
+    checks = validate_checks(Scenario.from_frequency(AIR_20C, a, float(v0), f))
+    assert captured.out == "".join(
+        f"{c.name}={c.value:.3e} tol={c.tol:.3e} {'PASS' if c.ok else 'FAIL'}\n"
+        for c in checks) + "RESULT PASS\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, t, f", [
@@ -527,6 +531,10 @@ def test_no_subcommand_exits_2(capsys):
     (["validate", "--mode", "phase"], "unrecognized arguments: --mode phase"),
     (["force", "--mode", "phase"], "unrecognized arguments: --mode phase"),
     (["bessel-eval", "2.0", "1.0"], "invalid choice: 'bessel-eval'"),
+    # --v0 is field's: the other commands print values relative to v0
+    (["profile", "--v0", "2"], "unrecognized arguments: --v0 2"),
+    (["force", "--v0", "1e-310"], "unrecognized arguments: --v0 1e-310"),
+    (["validate", "--v0", "0"], "unrecognized arguments: --v0 0"),
 ])
 def test_options_a_subcommand_does_not_read_are_refused(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -609,6 +617,44 @@ def test_radius_domain_edges_inside_write_finite_rows(argv, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     values = [float(v) for row in rows for v in row.split(",") if v]
     assert len(rows) == 4 and all(math.isfinite(v) for v in values)
+
+
+#: (a, f) over double range: every 50 decades, a seeded sample, and the
+#: tiny-a, huge-f point where validate once printed a NaN pressure Laplacian
+_EDGE_RNG = random.Random(22)
+EDGE_SCAN = ([(10.0 ** ea, 10.0 ** ef) for ea in range(-300, 301, 50)
+              for ef in range(-300, 301, 50)]
+             + [(10.0 ** _EDGE_RNG.uniform(-300, 300), 10.0 ** _EDGE_RNG.uniform(-300, 300))
+                for _ in range(12)]
+             + [(1e-12, 1e300)])
+
+
+def _edge_argv(command, a, v0):
+    if command == "profile":
+        return ["--nr", "4"]
+    if command == "field":
+        return [f"--grid={-4 * a!r}:{4 * a!r}:3,{-4 * a!r}:{4 * a!r}:3", "--v0", repr(v0)]
+    return ["--nodes", "8"] if command == "force" else []
+
+
+@pytest.mark.parametrize("command, v0", [("profile", 1.0), ("force", 1.0), ("validate", 1.0)]
+                         + [("field", v0) for v0 in (0.0, 1e-310, 1.0, 1e300)])
+def test_domain_edge_scan(command, v0, capsys):
+    # over the whole double range each run ends in an exit code: 0 with no
+    # inf or NaN written, or 2 with one error line; a clean run never exits 1
+    problems = []
+    for a, f in EDGE_SCAN:
+        argv = [command, "--a", repr(a), "--f", repr(f), *_edge_argv(command, a, v0)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("oscylinder: error: ")]
+        if not (code == 0 and not re.search(r"\b(nan|inf)\b", out)
+                or code == 2 and len(errors) == 1):
+            problems.append((argv, code, out[-200:], err[-200:]))
+    assert problems == []
 
 
 @pytest.mark.parametrize("argv", [["field", "--a", "1e-300"],

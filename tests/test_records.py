@@ -50,9 +50,8 @@ CASES = {
                      "symmetry_ok=False)"),
     Check: (("residual continuity max", 1e-09, 1e-06, True),
             "Check(name='residual continuity max', value=1e-09, tol=1e-06, ok=True)"),
-    RunConfig: ((AIR_20C, 1e-06, 1.0, 0.0, (10.0, 100.0), None,
-                 Perturbation("C", 1.001)),
-                "RunConfig(fluid=Fluid(nu0=1.511e-05, rho0=1.204), a=1e-06, v0=1.0, "
+    RunConfig: ((AIR_20C, 1e-06, 0.0, (10.0, 100.0), None, Perturbation("C", 1.001)),
+                "RunConfig(fluid=Fluid(nu0=1.511e-05, rho0=1.204), a=1e-06, "
                 "t=0.0, frequencies=(10.0, 100.0), out=None, "
                 "perturbation=Perturbation(coefficient='C', factor=1.001))"),
 }

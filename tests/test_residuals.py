@@ -140,9 +140,9 @@ def test_convergence_order_rejects_unknown_quantity():
 
 
 def test_convergence_order_undefined_for_null_field():
-    s0 = scenario(1e-4, 1000.0, v0=0.0)
+    # v_theta = 0 at theta = 0, so the momentum_theta residual is exactly 0
     with pytest.raises(ArithmeticError):
-        convergence_order(s0, PolarPoint(2.0 * s0.a, 0.7))
+        convergence_order(S3, PolarPoint(2.0 * S3.a, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -297,13 +297,18 @@ def test_inside_cylinder_rejected():
         residual_report(S2, PolarPoint(0.5 * S2.a, 0.0))
 
 
-def test_null_field_residuals_vanish():
-    s0 = scenario(1e-4, 1000.0, v0=0.0)
-    rep = residual_report(s0, PolarPoint(2.0 * s0.a, 0.7))
-    assert rep.continuity == 0.0
-    assert rep.momentum_r == 0.0
-    assert rep.momentum_theta == 0.0
-    assert rep.pressure_laplacian == 0.0
+@pytest.mark.parametrize("v0", [0.0, 1e-310, 2.5, 1e300])
+@pytest.mark.parametrize("a, f, pt", [(1e-4, 1000.0, PolarPoint(2e-4, 0.7)),
+                                      (1e-125, 1.0, PolarPoint(2e-125, 0.3))])
+def test_reports_do_not_depend_on_v0(v0, a, f, pt):
+    # every report is relative to v0 and the fields are linear in it, so each
+    # is formed at unit amplitude: the null field (v0 = 0), a subnormal v0
+    # (where rho0 omega v0 L underflowed) and v0 near overflow give the bits
+    # of v0 = 1
+    s, unit = scenario(a, f, v0=v0), scenario(a, f)
+    for report in (lambda s: residual_report(s, pt), lambda s: convergence_order(s, pt),
+                   boundary_suite, validate_checks):
+        assert repr(report(s)) == repr(report(unit))
 
 
 # ----------------------------------------------------------------------
@@ -328,11 +333,6 @@ def test_far_radius_rule():
     assert boundary_suite(S3).far_radius == 1e3 * S3.a
     assert 20.0 * S1.delta > 1e3 * S1.a
     assert 1e3 * S3.a > 20.0 * S3.delta
-
-
-def test_null_field_boundary_suite():
-    rep = boundary_suite(scenario(1e-6, 100.0, v0=0.0))
-    assert rep.passed
 
 
 @pytest.mark.parametrize("name", ["B", "C", "f_a"])
@@ -383,9 +383,17 @@ REFERENCE_IDS = [f"{name}-{pert}" for name in ("S1", "S3")
                  for pert in ("clean", "B", "C", "f_a", "beta")]
 
 
-def reference_residual_report(s, pt, t, h):
+def length_unit(r):
+    """The largest power of two not above r."""
+    return math.ldexp(1.0, math.frexp(r)[1] - 1)
+
+
+def reference_residual_report(s, pt, t, h, L=1.0):
+    """residual_report from flow_state samples of the unit-amplitude s, with
+    lengths measured in L (a power of two; 1.0 gives metres) and the
+    pressure gradient returned to metres to meet rho0."""
     r, theta = pt.r, pt.theta
-    ht = h / r
+    ht, hl = h / r, h / L
     one_sided = (r - h) < s.a
     center, west, east = (flow_state(s, PolarPoint(r, th), t)
                           for th in (theta, theta - ht, theta + ht))
@@ -396,14 +404,14 @@ def reference_residual_report(s, pt, t, h):
     def d1r(attr):
         f = [getattr(x, attr) for x in radial]
         if one_sided:
-            return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-        return (f[2] - f[0]) / (2.0 * h)
+            return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * hl)
+        return (f[2] - f[0]) / (2.0 * hl)
 
     def d2r(attr):
         f = [getattr(x, attr) for x in radial]
         if one_sided:
-            return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
-        return (f[2] - 2.0 * f[1] + f[0]) / (h * h)
+            return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (hl * hl)
+        return (f[2] - 2.0 * f[1] + f[0]) / (hl * hl)
 
     def d1t(attr):
         return (getattr(east, attr) - getattr(west, attr)) / (2.0 * ht)
@@ -412,10 +420,9 @@ def reference_residual_report(s, pt, t, h):
         return ((getattr(east, attr) - 2.0 * getattr(center, attr)
                  + getattr(west, attr)) / (ht * ht))
 
-    inv_r = 1.0 / r
+    inv_r = L / r
     inv_r2 = inv_r * inv_r
-    nu0, rho0, omega = s.fluid.nu0, s.fluid.rho0, s.omega
-    vnorm = s.v0 if s.v0 > 0 else 1.0
+    nu0, rho0, omega = s.fluid.nu0 / L / L, s.fluid.rho0, s.omega
     vr0, vt0 = center.vr, center.vtheta
     d1r_vr, d1r_vt, d1r_p = d1r("vr"), d1r("vtheta"), d1r("p")
     d1t_vr, d1t_vt, d1t_p = d1t("vr"), d1t("vtheta"), d1t("p")
@@ -424,25 +431,25 @@ def reference_residual_report(s, pt, t, h):
               - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
     lap_vt = (d2r("vtheta") + d2t("vtheta") * inv_r2 + d1r_vt * inv_r
               + 2.0 * d1t_vr * inv_r2 - vt0 * inv_r2)
-    mom_r = -1j * omega * vr0 + d1r_p / rho0 - nu0 * lap_vr
-    mom_t = -1j * omega * vt0 + d1t_p * inv_r / rho0 - nu0 * lap_vt
+    mom_r = -1j * omega * vr0 + d1r_p / L / rho0 - nu0 * lap_vr
+    mom_t = -1j * omega * vt0 + d1t_p * inv_r / L / rho0 - nu0 * lap_vt
     lap_p = d2r("p") + d1r_p * inv_r + d2t("p") * inv_r2
     return ResidualReport(
         location=pt, t=t, h=h, one_sided=one_sided,
-        continuity=abs(cont) * s.a / vnorm,
-        momentum_r=abs(mom_r) / (vnorm * omega),
-        momentum_theta=abs(mom_t) / (vnorm * omega),
-        pressure_laplacian=abs(lap_p) * s.a / (rho0 * omega * vnorm))
+        continuity=abs(cont) * (s.a / L),
+        momentum_r=abs(mom_r) / omega,
+        momentum_theta=abs(mom_t) / omega,
+        pressure_laplacian=abs(lap_p) * (s.a / L) / (rho0 * omega * L))
 
 
 def reference_boundary_suite(s):
-    vnorm = s.v0 if s.v0 > 0 else 1.0
+    """boundary_suite from velocity() and pressure() of the unit-amplitude s."""
     period = 2.0 * math.pi / s.omega
     no_slip = []
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
         for k in range(64):
             vr, vt = velocity(s, PolarPoint(s.a, 2.0 * math.pi * k / 64.0), t)
-            no_slip.append(math.hypot(abs(vr), abs(vt)) / vnorm)
+            no_slip.append(math.hypot(abs(vr), abs(vt)))
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
     far = []
     for t in (0.0, period / 5.0):
@@ -452,7 +459,7 @@ def reference_boundary_suite(s):
             vr, vt = velocity(s, PolarPoint(far_radius, theta), t)
             vinf_r = s.v0 * math.cos(theta) * ph
             vinf_t = -s.v0 * math.sin(theta) * ph
-            far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)) / vnorm)
+            far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)))
     form, sym = [], []
     for rr in (1.5 * s.a, 3.0 * s.a):
         for t in (0.0, period / 5.0):
@@ -483,13 +490,12 @@ def test_boundary_suite_matches_public_reference(s):
                                  for n in ("B", "C", "f_a", "beta")]))
 @settings(max_examples=60, deadline=None)
 def test_boundary_suite_matches_reference_over_beta_a(log_ba, v0, pert):
-    # bit for bit for beta a in [1e-9, 1e4], clean and perturbed; v0 != 1
-    # makes vnorm != 1, so the reference's divide-then-max order is tested
-    # against boundary_suite's max-then-divide
+    # bit for bit for beta a in [1e-9, 1e4], clean and perturbed; boundary_suite
+    # reads no v0, so at any v0 it is the reference at unit amplitude
     f = 1000.0
     a = 10.0 ** log_ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
     s = scenario(a, f, v0=v0, perturbation=pert)
-    assert repr(boundary_suite(s)) == repr(reference_boundary_suite(s))
+    assert repr(boundary_suite(s)) == repr(reference_boundary_suite(s._replace(v0=1.0)))
 
 
 @pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
@@ -522,7 +528,7 @@ def test_residual_report_matches_reference_over_beta_a(log_ba, pert, rho, theta,
     # residual_report and the validate grid share one kernel, so the
     # flow_state reference is what pins them: bit for bit for beta a in
     # [1e-9, 1e4], clean and perturbed, one-sided (rho = 1, 1.00005) and
-    # central stencils, any angle and time in a period
+    # central stencils, any angle and time in a period, in the same length unit
     f = 1000.0
     a = 10.0 ** log_ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0)
     s = scenario(a, f, perturbation=pert)
@@ -531,16 +537,16 @@ def test_residual_report_matches_reference_over_beta_a(log_ba, pert, rho, theta,
     h = 1e-4 * pt.r
     got = residual_report(s, pt, t, h)
     assert got.one_sided or rho not in (1.0, 1.00005)
-    assert repr(got) == repr(reference_residual_report(s, pt, t, h))
+    assert repr(got) == repr(reference_residual_report(s, pt, t, h, length_unit(pt.r)))
 
 
 @pytest.mark.parametrize("a", [1e-40, 1e-12, 0.7, 3.7, 1e10, 1e100, 1e150])
 @pytest.mark.parametrize("rho, theta", [(1.0, 4.0), (1.5, 0.7), (30.0, 2.9)])
 def test_residual_report_in_length_units_matches_metres(a, rho, theta):
-    # _reports measures lengths in a power of two L (1 m, or L <= r outside
-    # [2**-64 m, 1 m)); scaling by it is exact, so wherever the stencil in
-    # metres stays inside double range (here from r = 1e-40 up to r = 4.5e151)
-    # the reference's bits are kept
+    # _reports measures lengths in the largest power of two L <= r; scaling by
+    # it is exact, so wherever the stencil in metres stays inside double range
+    # (here from r = 1e-40 up to r = 4.5e151) and no sample is subnormal, the
+    # metre reference's bits are kept
     s = scenario(a, 1e-3)
     pt = PolarPoint(rho * a, theta)
     h = 1e-4 * pt.r
@@ -550,14 +556,14 @@ def test_residual_report_in_length_units_matches_metres(a, rho, theta):
 
 @pytest.mark.parametrize("a", [5e-14, 1e-6, 0.49])
 @pytest.mark.parametrize("rho", [1.0, 1.5, 30.0])
-def test_residual_report_keeps_metre_bits_at_subnormal_angle(a, rho):
-    # sin(theta) is subnormal here, and so are some products of v_theta;
-    # in a length unit below 1 m they would round differently from metres
+def test_residual_report_matches_reference_at_subnormal_angle(a, rho):
+    # sin(theta) is subnormal here, and so are some products of v_theta, which
+    # round differently in different length units: the reference uses L <= r
     s = scenario(a, 1000.0)
     pt = PolarPoint(rho * a, 2.225073858507e-311)
     h = 1e-4 * pt.r
     assert repr(residual_report(s, pt, 0.0, h)) == \
-        repr(reference_residual_report(s, pt, 0.0, h))
+        repr(reference_residual_report(s, pt, 0.0, h, length_unit(pt.r)))
 
 
 def test_checks_sample_once_per_block(monkeypatch):
