@@ -1,8 +1,9 @@
 """Modified Bessel functions of complex argument: K0, K1, I0, I1.
 
 The flow solution only ever needs arguments on the ray arg z = -pi/4,
-but the kernel is accurate on the whole sector |arg z| <= pi/2 with a
-relative-error target of 1e-12 for 1e-4 <= |z| <= 700.  Near the zeros
+but the kernel is accurate on the whole right half-plane Re z >= 0,
+z != 0, with a relative-error target of 1e-12 for 1e-4 <= |z| <= 700;
+it refuses Re z < 0.  Near the zeros
 of I0 and I1 on the imaginary axis their relative error grows with
 their condition number |z I_n'/I_n|, as for any double evaluation.
 Everything is plain complex double arithmetic.
@@ -21,10 +22,8 @@ Algorithm split:
   |Im s| < sqrt(2|z|) cos(arg z/2) >= sqrt|z|, so the rule's error falls
   like e^{-2 pi sqrt|z|/h}, below 2^-53 on each band; the first node
   dropped past s = 6.2 weighs below 1e-15 of either integral.  The rule
-  matches mpmath to 1.3e-15 on the band.  It needs Re z >= 0; the
-  left half-plane is reached by reflection (DLMF 10.34.2), K's only use
-  of I.  The nodes and the asymptotic sums' real factors are tables
-  built at import.
+  matches mpmath to 1.3e-15 on the band.  The nodes and the asymptotic
+  sums' real factors are tables built at import.
 * |z| <= 17, I: Miller backward recurrence for the ratios I_k/I_{k-1},
   normalised by I0 + 2 sum_k I_k = e^z (DLMF 10.35.1 at t = 1).  I never
   uses K, so the Wronskian I0 K1 + I1 K0 = 1/z remains an independent
@@ -103,7 +102,7 @@ _ASYM_FACTORS = tuple(tuple((4.0 * nu * nu - (2.0 * k - 1.0) ** 2, 8.0 * k)
 
 
 class BesselDomainError(ValueError):
-    """Argument outside the supported domain (zero or on the negative real axis)."""
+    """Argument outside the supported domain (zero, or in the left half-plane)."""
 
 
 def _check_domain(z: complex) -> None:
@@ -111,9 +110,9 @@ def _check_domain(z: complex) -> None:
         raise BesselDomainError(f"argument must be finite, got {z!r}")
     if z == 0:
         raise BesselDomainError("argument must be nonzero")
-    if z.imag == 0.0 and z.real < 0.0:
+    if z.real < 0.0:
         raise BesselDomainError(
-            f"argument {z!r} lies on the negative real axis (branch cut)")
+            f"argument {z!r} lies in the left half-plane Re z < 0")
 
 
 def _temme(z: complex) -> tuple[complex, complex]:
@@ -180,33 +179,15 @@ def _miller(w: complex) -> tuple[complex, complex]:
 
 @lru_cache(maxsize=4096)
 def _k_values(z: complex):
-    """(K0, K1, K1 - 1/z) for |z| <= 17, unscaled: Temme's series below
-    |z| = 2.5, the trapezoidal rule above.  In the left half-plane the rule
-    runs on w = -z and DLMF 10.34.2 with m = sign(Im z) reflects it back,
-    with Miller's I:
-        K0(z) = K0(w) - m pi i I0(w),   K1(z) = -K1(w) - m pi i I1(w).
-    """
+    """(K0, K1, K1 - 1/z) for |z| <= 17 and Re z >= 0, unscaled: Temme's
+    series below |z| = 2.5, the trapezoidal rule above."""
     if abs(z) < _TEMME_RADIUS:
         k0, k1m = _temme(z)
         return k0, k1m + 1.0 / z, k1m
-    reflect = z.real < 0.0
-    w = -z if reflect else z
-    k0s, k1s = _trapezoid(w)
-    emw = cmath.exp(-w)
-    k0, k1 = k0s * emw, k1s * emw
-    if reflect:
-        i0, i1 = _miller(w)
-        m = math.pi * 1j if z.imag > 0.0 else -math.pi * 1j
-        k0, k1 = k0 - m * i0, -k1 - m * i1
+    k0s, k1s = _trapezoid(z)
+    emz = cmath.exp(-z)
+    k0, k1 = k0s * emz, k1s * emz
     return k0, k1, k1 - 1.0 / z
-
-
-def _series_values(z: complex):
-    """(I0, I1) for |z| <= 17, unscaled: Miller's recurrence on w = +-z with
-    Re w >= 0 (I0 even, I1 odd)."""
-    reflect = z.real < 0.0
-    i0, i1 = _miller(-z if reflect else z)
-    return i0, -i1 if reflect else i1
 
 
 def _asym_sum(nu: int, z: complex) -> complex:
@@ -293,7 +274,7 @@ def bessel_i0(z: complex, scaled: bool = False) -> complex:
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
-        i0 = _series_values(z)[0]
+        i0 = _miller(z)[0]
         return i0 * cmath.exp(-z) if scaled else i0
     i0s = _asym_i_scaled(z)[0]
     return i0s * _i_unscaling(z) if not scaled else i0s
@@ -304,7 +285,7 @@ def bessel_i1(z: complex, scaled: bool = False) -> complex:
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
-        i1 = _series_values(z)[1]
+        i1 = _miller(z)[1]
         return i1 * cmath.exp(-z) if scaled else i1
     i1s = _asym_i_scaled(z)[1]
     return i1s * _i_unscaling(z) if not scaled else i1s
