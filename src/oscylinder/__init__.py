@@ -7,7 +7,7 @@ residual checks that verify the fields against the governing equations.
 """
 
 from .bessel import (SERIES_RADIUS, BesselDomainError, bessel_i0, bessel_i1,
-                     bessel_k0, bessel_k1, bessel_k1_minus_pole)
+                     bessel_k0, bessel_k1)
 from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
                    PolarPoint, RecoveryNotFoundError, Scenario, ValidityReport,
                    coefficient_B, coefficient_C, f_of_r, far_field_pressure,
@@ -44,7 +44,6 @@ __all__ = [
     "bessel_i1",
     "bessel_k0",
     "bessel_k1",
-    "bessel_k1_minus_pole",
     "boundary_suite",
     "coefficient_B",
     "coefficient_C",

@@ -291,29 +291,15 @@ def bessel_i1(z: complex, scaled: bool = False) -> complex:
     return i1s * _i_unscaling(z) if not scaled else i1s
 
 
-def bessel_k1_minus_pole(z: complex) -> complex:
-    """K1(z) - 1/z with the pole removed analytically.
-
-    In the series region the subtraction happens inside the expansion,
-    so the result stays fully accurate as z -> 0 where K1 ~ 1/z would
-    cancel catastrophically.  For large |z| the pole dominates and the
-    direct difference is safe; if e^{-z} underflows, K1 itself is
-    negligible against 1/z.
-    """
-    z = complex(z)
-    _check_domain(z)
-    if abs(z) <= SERIES_RADIUS:
-        return _k_values(z)[2]
-    k1s = _asym_k_scaled(z)[1]
-    return k1s * cmath.exp(-z) - 1.0 / z
-
-
 def bessel_k_pair(z: complex, scaled: bool = False) -> tuple[complex, complex]:
     """(K0(z), K1(z) - 1/z), or (e^z K0(z), e^z K1(z)) when scaled: the flow
     brackets' pair, from one domain check, one cache lookup and at most one
-    exponential.  Bitwise the values of bessel_k0, bessel_k1 and
-    bessel_k1_minus_pole, except that past |z| = 17 the unscaled K0 is
-    e^z K0 times e^{-z}, which flushes to 0 where bessel_k0 would raise."""
+    exponential.  Below |z| = 2.5 Temme's series removes the pole of K1
+    exactly, so K1 - 1/z keeps full accuracy as z -> 0; above, the direct
+    difference is well conditioned.  K0 and the scaled pair are bitwise
+    the values of bessel_k0 and bessel_k1, except that past |z| = 17 the
+    unscaled K0 is e^z K0 times e^{-z}, which flushes to 0 where bessel_k0
+    would raise."""
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:

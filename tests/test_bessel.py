@@ -24,8 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscylinder import (SERIES_RADIUS, BesselDomainError, bessel_i0,
-                        bessel_i1, bessel_k0, bessel_k1,
-                        bessel_k1_minus_pole)
+                        bessel_i1, bessel_k0, bessel_k1)
 from oscylinder.bessel import _TEMME_RADIUS, bessel_k_pair
 
 # name: (z, K0, K1, I0, I1)  [unscaled]
@@ -205,6 +204,11 @@ BESSEL_K1M_REFERENCE = {
 FUNCS = (bessel_k0, bessel_k1, bessel_i0, bessel_i1)
 
 
+def k1_minus_pole(z):
+    """K1(z) - 1/z as the flow reads it: the second value of bessel_k_pair."""
+    return bessel_k_pair(z)[1]
+
+
 def rel(x, ref):
     return abs(x - ref) / abs(ref)
 
@@ -228,7 +232,7 @@ def test_scaled_reference(name):
 @pytest.mark.parametrize("name", sorted(BESSEL_K1M_REFERENCE))
 def test_pole_removed_reference(name):
     z, ref = BESSEL_K1M_REFERENCE[name]
-    assert rel(bessel_k1_minus_pole(z), ref) < 2e-14
+    assert rel(k1_minus_pole(z), ref) < 2e-14
 
 
 def test_pole_removed_matches_subtraction_at_moderate_z():
@@ -236,7 +240,7 @@ def test_pole_removed_matches_subtraction_at_moderate_z():
     # function must agree with it there
     for z in (1.0 + 0.5j, 2.0 - 2.0j, 0.5 + 0j, 3.0 + 4.0j):
         direct = bessel_k1(z) - 1.0 / z
-        assert abs(bessel_k1_minus_pole(z) - direct) < 1e-13 * abs(direct)
+        assert abs(k1_minus_pole(z) - direct) < 1e-13 * abs(direct)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +357,7 @@ def test_k_never_runs_miller(monkeypatch):
         assert bessel_k1(z) == k1
         assert bessel_k0(z, scaled=True) == k0 * cmath.exp(z)
         assert bessel_k1(z, scaled=True) == k1 * cmath.exp(z)
-        assert bessel_k1_minus_pole(z) == k1m
+        assert k1_minus_pole(z) == k1m
 
 
 def test_small_argument_limits():
@@ -368,7 +372,7 @@ def test_small_argument_limits():
         assert rel(bessel_k0(z), k0_lim) < 1e-6
         assert rel(bessel_k1(z), 1.0 / z) < 1e-6
         k1m_lim = 0.5 * z * (cmath.log(z / 2.0) + gamma - 0.5)
-        assert rel(bessel_k1_minus_pole(z), k1m_lim) < 1e-6
+        assert rel(k1_minus_pole(z), k1m_lim) < 1e-6
 
 
 # log10 |z| from -3 to log10(17): every branch of the |z| <= 17 kernel
@@ -382,7 +386,7 @@ def test_kernel_matches_mpmath(log_radius, phi):
         k0, k1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
         i0, i1 = mpmath.besseli(0, zm), mpmath.besseli(1, zm)
         refs = ((bessel_k0, k0, 1.0), (bessel_k1, k1, 1.0),
-                (bessel_k1_minus_pole, k1 - 1 / zm, 1.0),
+                (k1_minus_pole, k1 - 1 / zm, 1.0),
                 # relative condition numbers |z I_n'(z)/I_n(z)|: I0 and I1
                 # have zeros on the imaginary axis, where no double-precision
                 # evaluation keeps relative accuracy; the bound widens only
@@ -631,11 +635,17 @@ def test_unscaled_overflow_policy():
                                     17.0, 17.001, 60.0, 700.0])
 @pytest.mark.parametrize("phi", [-math.pi / 2, -math.pi / 4, 0.0, 1.1, math.pi / 2])
 def test_k_pair_matches_public_functions(radius, phi):
-    # the flow brackets' pair is, bit for bit, what the public K0, K1 and
-    # K1 - 1/z give, on both sides of the series switches at |z| =
+    # the flow brackets' pair is, bit for bit, what the public K0 and K1
+    # give, on both sides of the series switches at |z| =
     # _TEMME_RADIUS and 17
+    from oscylinder.bessel import _temme
     z = cmath.rect(radius, phi)
-    assert bessel_k_pair(z) == (bessel_k0(z), bessel_k1_minus_pole(z))
+    k0, k1m = bessel_k_pair(z)
+    assert k0 == bessel_k0(z)
+    # K1 - 1/z: Temme's pole-free value below _TEMME_RADIUS, the direct
+    # difference above
+    assert k1m == (_temme(z)[1] if abs(z) < _TEMME_RADIUS
+                   else bessel_k1(z) - 1.0 / z)
     assert bessel_k_pair(z, scaled=True) == (bessel_k0(z, scaled=True),
                                              bessel_k1(z, scaled=True))
 

@@ -26,11 +26,10 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
                         f_of_r, far_field_pressure, far_field_velocity,
                         flow_state, pressure, recovery_radius, reynolds_number,
                         validity_report, velocity)
-from oscylinder import bessel_k1_minus_pole
 import oscylinder.cli
 import oscylinder.flow
 from oscylinder.cli import main
-from oscylinder.bessel import _TEMME_RADIUS
+from oscylinder.bessel import _TEMME_RADIUS, bessel_k_pair
 from oscylinder.flow import _check_radius, _fields, _phase, _radial, _slopes
 
 
@@ -65,7 +64,7 @@ def rel(x, ref):
 def _w_small(ba, k0_za, rho):
     """W(rho): G(rho) = f(a rho)/(beta a) with its K1 pole q/rho split off."""
     z = J_MINUS * (ba * rho)
-    return 2.0 * J_PLUS * bessel_k1_minus_pole(z) / (ba * k0_za)
+    return 2.0 * J_PLUS * bessel_k_pair(z)[1] / (ba * k0_za)
 
 
 def _g_direct(ba, k0s_za, rho):
