@@ -10,9 +10,8 @@ from .bessel import (SERIES_RADIUS, BesselDomainError, bessel_i0, bessel_i1,
                      bessel_k0, bessel_k1)
 from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
                    PolarPoint, RecoveryNotFoundError, Scenario, ValidityReport,
-                   coefficient_B, coefficient_C, f_of_r, far_field_pressure,
-                   far_field_velocity, flow_state, pressure, recovery_radius,
-                   reynolds_number, validity_report, velocity)
+                   coefficient_B, coefficient_C, f_of_r, flow_state, pressure,
+                   recovery_radius, reynolds_number, validity_report, velocity)
 from .forces import (ForceResult, StressTensor, force_analytic,
                      force_buoyancy, force_quadrature, force_viscous_approx,
                      stress_tensor, traction)
@@ -49,8 +48,6 @@ __all__ = [
     "coefficient_C",
     "convergence_order",
     "f_of_r",
-    "far_field_pressure",
-    "far_field_velocity",
     "flow_state",
     "force_analytic",
     "force_buoyancy",

@@ -417,16 +417,6 @@ def coefficient_B(s: Scenario) -> complex:
     return value
 
 
-def far_field_velocity(s: Scenario, t: float) -> tuple[complex, complex]:
-    """Cartesian velocity phasor (vx, vy) of the undisturbed stream."""
-    return s.v0 * _phase(s, t), 0j
-
-
-def far_field_pressure(s: Scenario, x: float, t: float) -> complex:
-    """Pressure phasor of the undisturbed stream at Cartesian station x."""
-    return 1j * x * s.fluid.rho0 * s.omega * s.v0 * _phase(s, t)
-
-
 def reynolds_number(s: Scenario) -> float:
     """Re = v0 a / nu0 (convective scale; report ba separately)."""
     return s.v0 * s.a / s.fluid.nu0

@@ -171,9 +171,10 @@ def test_all_lists_exactly_the_public_names():
     bound = {name for name, value in vars(oscylinder).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == bound
-    assert len(names) == 43
+    assert len(names) == 41
     # reference routes that only the tests read live in the tests
     for name in ("continuity_pair", "radial_velocity_from_constants",
-                 "bessel_k1_minus_pole"):
+                 "bessel_k1_minus_pole", "far_field_velocity",
+                 "far_field_pressure"):
         with pytest.raises(ImportError):
             exec(f"from oscylinder import {name}", {})
