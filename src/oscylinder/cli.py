@@ -178,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    fluid_group = common.add_argument_group("fluid")
-    fluid_group.add_argument("--fluid", choices=["air20"], default=None,
-                             help="fluid preset (default: air20)")
+    fluid_group = common.add_argument_group(
+        "fluid", f"default: air at 20 C (nu0 = {AIR_20C.nu0:g} m^2/s, "
+                 f"rho0 = {AIR_20C.rho0:g} kg/m^3)")
     fluid_group.add_argument("--nu0", type=float, default=None,
                              help="kinematic viscosity [m^2/s] (with --rho0)")
     fluid_group.add_argument("--rho0", type=float, default=None,
@@ -244,8 +244,6 @@ def _resolve_config(parser, args) -> RunConfig:
     if (args.nu0 is None) != (args.rho0 is None):
         parser.error("--nu0 and --rho0 must be given together")
     if args.nu0 is not None:
-        if args.fluid is not None:
-            parser.error("give either --fluid or --nu0/--rho0, not both")
         if not (math.isfinite(args.nu0) and args.nu0 > 0):
             parser.error(f"--nu0: must be positive, got {args.nu0}")
         if not (math.isfinite(args.rho0) and args.rho0 > 0):

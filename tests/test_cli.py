@@ -535,6 +535,8 @@ def test_no_subcommand_exits_2(capsys):
     (["profile", "--v0", "2"], "unrecognized arguments: --v0 2"),
     (["force", "--v0", "1e-310"], "unrecognized arguments: --v0 1e-310"),
     (["validate", "--v0", "0"], "unrecognized arguments: --v0 0"),
+    # air at 20 C is the one preset, so a preset option could change nothing
+    (["profile", "--fluid", "air20"], "unrecognized arguments: --fluid air20"),
 ])
 def test_options_a_subcommand_does_not_read_are_refused(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
