@@ -33,6 +33,9 @@ from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
 
 AIR_RHO0 = 1.204
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# a subprocess finds the package under test through PYTHONPATH
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(
+    os.path.dirname(os.path.abspath(oscylinder.cli.__file__)))}
 
 
 def nan_rank(value):
@@ -673,7 +676,7 @@ def test_validate_at_tiny_beta_a_fails_loudly(a):
     # (beta a)^2 underflows to 0 here: exit 2 with one message, no traceback
     proc = subprocess.run(
         [sys.executable, "-m", "oscylinder.cli", "validate", "--a", a],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=SRC_ENV)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -857,7 +860,7 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "oscylinder.cli", "force", "--f", "10", "--nodes", "8"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout.startswith("f [Hz],abs_F_analytic_over_v0 [N s/m^2],")
 
@@ -866,7 +869,7 @@ def test_module_entry_point():
 def test_closed_stdout_pipe_exits_quietly(unbuffered):
     # the default 41 x 41 map is ~200 KB, more than a pipe buffer holds, so
     # the writer is still writing when the reader closes after one line
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen([sys.executable, "-m", "oscylinder.cli", "field"],
@@ -885,7 +888,8 @@ def test_closed_pipe_after_header_exits_quietly():
     # that closes right after the header must still end the run quietly
     grid = "--grid=-4e-6:4e-6:301,-4e-6:4e-6:301"
     with subprocess.Popen([sys.executable, "-m", "oscylinder.cli", "field", grid],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=SRC_ENV) as proc:
         assert proc.stdout.readline().startswith(b"x [m],")
         proc.stdout.close()
         err = proc.stderr.read()
@@ -903,7 +907,7 @@ def test_runtime_imports_only_stdlib():
             "             if name.partition('.')[0] not in\n"
             "             sys.stdlib_module_names | {'oscylinder'}))\n")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
