@@ -1,10 +1,9 @@
 """Modified Bessel functions of complex argument: K0, K1, I0, I1.
 
-The flow solution only ever needs arguments on the ray arg z = -pi/4,
-but the kernel is accurate on the whole right half-plane Re z >= 0,
-z != 0, with a relative-error target of 1e-12 for 1e-4 <= |z| <= 700;
-it refuses Re z < 0.  Near the zeros
-of I0 and I1 on the imaginary axis their relative error grows with
+The flow solution only ever needs arguments on the ray arg z = -pi/4;
+the kernel takes Re z >= 0, z != 0, refuses the left half-plane, and
+targets a relative error of 1e-12 for 1e-4 <= |z| <= 700.  Near the
+zeros of I0 and I1 on the imaginary axis their relative error grows with
 their condition number |z I_n'/I_n|, as for any double evaluation.
 Everything is plain complex double arithmetic.
 
@@ -294,12 +293,10 @@ def bessel_i1(z: complex, scaled: bool = False) -> complex:
 def bessel_k_pair(z: complex, scaled: bool = False) -> tuple[complex, complex]:
     """(K0(z), K1(z) - 1/z), or (e^z K0(z), e^z K1(z)) when scaled: the flow
     brackets' pair, from one domain check, one cache lookup and at most one
-    exponential.  Below |z| = 2.5 Temme's series removes the pole of K1
-    exactly, so K1 - 1/z keeps full accuracy as z -> 0; above, the direct
-    difference is well conditioned.  K0 and the scaled pair are bitwise
-    the values of bessel_k0 and bessel_k1, except that past |z| = 17 the
-    unscaled K0 is e^z K0 times e^{-z}, which flushes to 0 where bessel_k0
-    would raise."""
+    exponential.  K1 - 1/z is Temme's pole-free value below |z| = 2.5, so
+    it stays accurate as z -> 0.  K0 and the scaled pair are bitwise what
+    bessel_k0 and bessel_k1 give, except that past |z| = 17 the unscaled K0
+    is e^z K0 times e^{-z}, which flushes to 0 where bessel_k0 would raise."""
     z = complex(z)
     _check_domain(z)
     if abs(z) <= SERIES_RADIUS:
