@@ -236,8 +236,8 @@ def test_pole_removed_reference(name):
 
 
 def test_pole_removed_matches_subtraction_at_moderate_z():
-    # direct K1 - 1/z is well conditioned once |z| ~ 1; the dedicated
-    # function must agree with it there
+    # direct K1 - 1/z is well conditioned once |z| ~ 1; the pair's
+    # pole-free value must agree with it there
     for z in (1.0 + 0.5j, 2.0 - 2.0j, 0.5 + 0j, 3.0 + 4.0j):
         direct = bessel_k1(z) - 1.0 / z
         assert abs(k1_minus_pole(z) - direct) < 1e-13 * abs(direct)
@@ -330,8 +330,9 @@ def test_branch_agreement_at_crossover():
 
 
 def test_k_never_runs_miller(monkeypatch):
-    # K never needs I: with Miller's recurrence disabled it still returns Temme's series (|z| < _TEMME_RADIUS) or the trapezoidal
-    # rule (above), bitwise
+    # K never needs I: with Miller's recurrence disabled it still returns
+    # Temme's series (|z| < _TEMME_RADIUS) or the trapezoidal rule (above),
+    # bitwise
     from oscylinder import bessel
     from oscylinder.bessel import _temme, _trapezoid
 
@@ -636,8 +637,8 @@ def test_unscaled_overflow_policy():
 @pytest.mark.parametrize("phi", [-math.pi / 2, -math.pi / 4, 0.0, 1.1, math.pi / 2])
 def test_k_pair_matches_public_functions(radius, phi):
     # the flow brackets' pair is, bit for bit, what the public K0 and K1
-    # give, on both sides of the series switches at |z| =
-    # _TEMME_RADIUS and 17
+    # give, on both sides of the series switches at |z| = _TEMME_RADIUS
+    # and 17
     from oscylinder.bessel import _temme
     z = cmath.rect(radius, phi)
     k0, k1m = bessel_k_pair(z)
