@@ -15,7 +15,13 @@ while profile and force also take --f-list/--f-range, deduplicated and
 sorted ascending before any computation, so the row order never depends
 on input order; --mode belongs to profile and --v0 to field: profile,
 force and validate print values relative to v0, formed at unit amplitude
-(RunConfig.scenario).  force computes each row in one pass, serially:
+(RunConfig.scenario).  build_parser declares each option once, with its
+default and its check: _COMMANDS gives each subcommand's help, default
+--a and default frequencies, and a type= converter checks each bounded
+value, so a bad one exits 2 under that subcommand's usage.  Only the
+--nu0/--rho0 pairing is checked after parsing; --nr, --rmax-factor,
+--nodes, --jobs and --h-rel are checked where they are used.  force
+computes each row in one pass, serially:
 forces._force_row takes one phase, one common factor and one wall stress
 for the buoyancy, viscous and quadrature columns, and |F_b + F_v| is the
 exact force_analytic column; --jobs (>= 1) is accepted but starts no
@@ -52,11 +58,6 @@ from .forces import _force_row
 from .residuals import validate_checks
 
 _MODES = ("re", "im", "abs", "phase")
-
-#: per-command fallbacks when --a / frequency flags are omitted
-_DEFAULT_A = {"profile": 1e-6, "field": 1e-6, "force": 1e-6, "validate": 1e-4}
-_DEFAULT_F = {"profile": 10.0, "field": 100.0, "validate": 1000.0}
-_DEFAULT_F_RANGE = "1:1e4:200"  # force command: log-spaced sweep
 
 
 class RunConfig(namedtuple("RunConfig", "fluid a t frequencies out perturbation")):
@@ -108,40 +109,52 @@ def _write_csv(stream, header: list[str], lines) -> None:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _parse_float(parser, text, name, positive=True):
-    try:
-        value = float(text)
-    except ValueError:
-        parser.error(f"{name}: not a number: {text!r}")
-    if not math.isfinite(value) or (positive and value <= 0.0):
-        parser.error(f"{name}: must be a positive finite number, got {text!r}")
-    return value
+def _checked(ok, wanted: str):
+    """A type= converter: float(text), refused unless ok(value)."""
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+    return convert
 
 
-def _parse_f_list(parser, text) -> list[float]:
+_positive = _checked(lambda v: 0.0 < v < math.inf, "a positive finite number")
+_finite = _checked(math.isfinite, "a finite number")
+_nonnegative = _checked(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+
+
+def _frequency(text: str) -> tuple[float]:
+    return (_positive(text),)
+
+
+def _f_list(text: str) -> tuple[float, ...]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
-        parser.error("--f-list: empty list")
-    return [_parse_float(parser, piece, "--f-list entry") for piece in items]
+        raise argparse.ArgumentTypeError("empty list")
+    return tuple(_positive(piece) for piece in items)
 
 
-def _parse_f_range(parser, text) -> list[float]:
+def _f_range(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        parser.error(f"--f-range: expected LO:HI:N, got {text!r}")
-    lo = _parse_float(parser, parts[0], "--f-range LO")
-    hi = _parse_float(parser, parts[1], "--f-range HI")
+        raise argparse.ArgumentTypeError(f"expected LO:HI:N, got {text!r}")
+    lo, hi = _positive(parts[0]), _positive(parts[1])
     try:
         n = int(parts[2])
     except ValueError:
-        parser.error(f"--f-range: N must be an integer, got {parts[2]!r}")
+        raise argparse.ArgumentTypeError(
+            f"N must be an integer, got {parts[2]!r}") from None
     if n < 2 or hi <= lo:
-        parser.error("--f-range: need HI > LO and N >= 2")
+        raise argparse.ArgumentTypeError("need HI > LO and N >= 2")
     la, lb = math.log10(lo), math.log10(hi)
-    return [10.0 ** (la + (lb - la) * k / (n - 1)) for k in range(n)]
+    return tuple(10.0 ** (la + (lb - la) * k / (n - 1)) for k in range(n))
 
 
-def _parse_grid(parser, text) -> tuple[float, float, int, float, float, int]:
+def _grid(text: str) -> tuple[float, float, int, float, float, int]:
     try:
         xpart, ypart = text.split(",")
         x0s, x1s, nxs = xpart.split(":")
@@ -149,24 +162,36 @@ def _parse_grid(parser, text) -> tuple[float, float, int, float, float, int]:
         x0, x1, y0, y1 = float(x0s), float(x1s), float(y0s), float(y1s)
         nx, ny = int(nxs), int(nys)
     except ValueError:
-        parser.error(f"--grid: expected XMIN:XMAX:NX,YMIN:YMAX:NY, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected XMIN:XMAX:NX,YMIN:YMAX:NY, got {text!r}") from None
     if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
-        parser.error("--grid: bounds must be finite")
+        raise argparse.ArgumentTypeError("bounds must be finite")
     if x1 <= x0 or y1 <= y0 or nx < 2 or ny < 2:
-        parser.error("--grid: need XMAX > XMIN, YMAX > YMIN and NX, NY >= 2")
+        raise argparse.ArgumentTypeError(
+            "need XMAX > XMIN, YMAX > YMIN and NX, NY >= 2")
     return x0, x1, nx, y0, y1, ny
 
 
-def _parse_mutate(parser, text) -> Perturbation:
+def _mutation(text: str) -> Perturbation:
     parts = text.split(":")
     if len(parts) != 2:
-        parser.error(f"--mutate: expected COEFF:FACTOR, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected COEFF:FACTOR, got {text!r}")
     names = {"B": "B", "C": "C", "fa": "f_a", "f_a": "f_a", "beta": "beta"}
     if parts[0] not in names:
-        parser.error(f"--mutate: unknown coefficient {parts[0]!r} "
-                     f"(choose from B, C, fa, beta)")
-    factor = _parse_float(parser, parts[1], "--mutate FACTOR")
-    return Perturbation(coefficient=names[parts[0]], factor=factor)
+        raise argparse.ArgumentTypeError(f"unknown coefficient {parts[0]!r} "
+                                         f"(choose from B, C, fa, beta)")
+    return Perturbation(coefficient=names[parts[0]], factor=_positive(parts[1]))
+
+
+#: subcommand: help, default --a [m], default frequencies [Hz] (force's
+#: is --f-range 1:1e4:200), and whether it takes --f-list/--f-range
+_COMMANDS = {
+    "profile": ("radial velocity-magnitude profile CSV", 1e-6, (10.0,), True),
+    "field": ("Cartesian field-map CSV", 1e-6, (100.0,), False),
+    "force": ("force per unit length vs frequency CSV", 1e-6,
+              _f_range("1:1e4:200"), True),
+    "validate": ("equation residuals and boundary checks", 1e-4, (1000.0,), False),
+}
 
 
 @lru_cache(maxsize=None)  # one parser per process; parse_args keeps no state
@@ -177,65 +202,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed-form fields, forces, and residual checks.")
     sub = parser.add_subparsers(dest="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    fluid_group = common.add_argument_group(
-        "fluid", f"default: air at 20 C (nu0 = {AIR_20C.nu0:g} m^2/s, "
-                 f"rho0 = {AIR_20C.rho0:g} kg/m^3)")
-    fluid_group.add_argument("--nu0", type=float, default=None,
-                             help="kinematic viscosity [m^2/s] (with --rho0)")
-    fluid_group.add_argument("--rho0", type=float, default=None,
-                             help="density [kg/m^3] (with --nu0)")
-    common.add_argument("--a", type=float, default=None,
-                        help="cylinder radius [m]")
-    common.add_argument("--t", type=float, default=0.0, help="time [s] (default 0)")
-    common.add_argument("--out", default=None,
-                        help="output CSV path (default: stdout)")
-    common.add_argument("--mutate", default=None, metavar="COEFF:FACTOR",
-                        help="multiply one solution coefficient (B, C, fa, beta) "
-                             "by FACTOR before evaluating")
+    commands = {}
+    for name, (help_text, a, frequencies, sweep) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        fluid_group = p.add_argument_group(
+            "fluid", f"default: air at 20 C (nu0 = {AIR_20C.nu0:g} m^2/s, "
+                     f"rho0 = {AIR_20C.rho0:g} kg/m^3)")
+        fluid_group.add_argument("--nu0", type=_positive,
+                                 help="kinematic viscosity [m^2/s] (with --rho0)")
+        fluid_group.add_argument("--rho0", type=_positive,
+                                 help="density [kg/m^3] (with --nu0)")
+        p.add_argument("--a", type=_positive, default=a, help="cylinder radius [m]")
+        p.add_argument("--t", type=_finite, default=0.0, help="time [s] (default 0)")
+        p.add_argument("--out", help="output CSV path (default: stdout)")
+        p.add_argument("--mutate", type=_mutation, metavar="COEFF:FACTOR",
+                       help="multiply one solution coefficient (B, C, fa, beta) "
+                            "by FACTOR before evaluating")
+        # field and validate evaluate one frequency; profile and force sweep a list
+        freq = p.add_mutually_exclusive_group() if sweep else p
+        freq.add_argument("--f", type=_frequency, dest="frequencies",
+                          metavar="F", help="frequency [Hz]")
+        if sweep:
+            freq.add_argument("--f-list", type=_f_list, dest="frequencies",
+                              metavar="F_LIST",
+                              help="comma-separated frequencies [Hz]")
+            freq.add_argument("--f-range", type=_f_range, dest="frequencies",
+                              metavar="F_RANGE",
+                              help="LO:HI:N log-spaced frequencies [Hz]")
+        p.set_defaults(frequencies=frequencies)
 
-    # field and validate evaluate one frequency; profile and force sweep a list
-    single = argparse.ArgumentParser(add_help=False, parents=[common])
-    single.add_argument("--f", type=float, default=None, help="frequency [Hz]")
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
-    freq = sweep.add_mutually_exclusive_group()
-    freq.add_argument("--f", type=float, default=None, help="frequency [Hz]")
-    freq.add_argument("--f-list", default=None,
-                      help="comma-separated frequencies [Hz]")
-    freq.add_argument("--f-range", default=None,
-                      help="LO:HI:N log-spaced frequencies [Hz]")
-
-    p_profile = sub.add_parser("profile", parents=[sweep],
-                               help="radial velocity-magnitude profile CSV")
-    p_profile.add_argument("--mode", choices=_MODES, default="abs",
-                           help="complex-to-real reduction of the velocity "
-                                "columns (default abs)")
-    p_profile.add_argument("--rmax-factor", type=float, default=1e4,
-                           help="outer radius as multiple of a (default 1e4)")
-    p_profile.add_argument("--nr", type=int, default=200,
-                           help="number of log-spaced radii (default 200)")
-
-    p_field = sub.add_parser("field", parents=[single],
-                             help="Cartesian field-map CSV")
-    p_field.add_argument("--v0", type=float, default=1.0,
-                         help="far-field speed amplitude [m/s] (default 1)")
-    p_field.add_argument("--grid", default=None,
-                         metavar="XMIN:XMAX:NX,YMIN:YMAX:NY",
-                         help="grid bounds [m] and point counts "
-                              "(default: +-4a, 41x41)")
-
-    p_force = sub.add_parser("force", parents=[sweep],
-                             help="force per unit length vs frequency CSV")
-    p_force.add_argument("--nodes", type=int, default=512,
-                         help="quadrature nodes on the surface (default 512)")
-    p_force.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility (>= 1); rows are "
-                              "computed serially (default 1)")
-
-    p_validate = sub.add_parser("validate", parents=[single],
-                                help="equation residuals and boundary checks")
-    p_validate.add_argument("--h-rel", type=float, default=1e-4,
-                            help="radial FD step as fraction of r (default 1e-4)")
+    profile, field, force, validate = commands.values()
+    profile.add_argument("--mode", choices=_MODES, default="abs",
+                         help="complex-to-real reduction of the velocity "
+                              "columns (default abs)")
+    profile.add_argument("--rmax-factor", type=float, default=1e4,
+                         help="outer radius as multiple of a (default 1e4)")
+    profile.add_argument("--nr", type=int, default=200,
+                         help="number of log-spaced radii (default 200)")
+    field.add_argument("--v0", type=_nonnegative, default=1.0,
+                       help="far-field speed amplitude [m/s] (default 1)")
+    field.add_argument("--grid", type=_grid, metavar="XMIN:XMAX:NX,YMIN:YMAX:NY",
+                       help="grid bounds [m] and point counts "
+                            "(default: +-4a, 41x41)")
+    force.add_argument("--nodes", type=int, default=512,
+                       help="quadrature nodes on the surface (default 512)")
+    force.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (>= 1); rows are "
+                            "computed serially (default 1)")
+    validate.add_argument("--h-rel", type=float, default=1e-4,
+                          help="radial FD step as fraction of r (default 1e-4)")
 
     return parser
 
@@ -243,42 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(parser, args) -> RunConfig:
     if (args.nu0 is None) != (args.rho0 is None):
         parser.error("--nu0 and --rho0 must be given together")
-    if args.nu0 is not None:
-        if not (math.isfinite(args.nu0) and args.nu0 > 0):
-            parser.error(f"--nu0: must be positive, got {args.nu0}")
-        if not (math.isfinite(args.rho0) and args.rho0 > 0):
-            parser.error(f"--rho0: must be positive, got {args.rho0}")
-        fluid = Fluid(nu0=args.nu0, rho0=args.rho0)
-    else:
-        fluid = AIR_20C
-
-    a = args.a if args.a is not None else _DEFAULT_A[args.command]
-    if not (math.isfinite(a) and a > 0):
-        parser.error(f"--a: must be positive, got {a}")
-    if args.command == "field" and not (math.isfinite(args.v0) and args.v0 >= 0):
-        parser.error(f"--v0: must be >= 0, got {args.v0}")
-    if not math.isfinite(args.t):
-        parser.error(f"--t: must be finite, got {args.t}")
-
-    if args.f is not None:
-        if not (math.isfinite(args.f) and args.f > 0):
-            parser.error(f"--f: must be positive, got {args.f}")
-        fs = [args.f]
-    elif getattr(args, "f_list", None) is not None:  # profile and force only
-        fs = _parse_f_list(parser, args.f_list)
-    elif getattr(args, "f_range", None) is not None:
-        fs = _parse_f_range(parser, args.f_range)
-    elif args.command == "force":
-        fs = _parse_f_range(parser, _DEFAULT_F_RANGE)
-    else:
-        fs = [_DEFAULT_F[args.command]]
-    frequencies = tuple(sorted(set(fs)))
-
-    perturbation = _parse_mutate(parser, args.mutate) if args.mutate else None
-
-    return RunConfig(fluid=fluid, a=a, t=args.t,
-                     frequencies=frequencies, out=args.out,
-                     perturbation=perturbation)
+    fluid = AIR_20C if args.nu0 is None else Fluid(nu0=args.nu0, rho0=args.rho0)
+    return RunConfig(fluid=fluid, a=args.a, t=args.t,
+                     frequencies=tuple(sorted(set(args.frequencies))),
+                     out=args.out, perturbation=args.mutate)
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +403,7 @@ def main(argv=None) -> int:
         if args.command == "profile":
             return cmd_profile(cfg, args.mode, args.nr, args.rmax_factor)
         if args.command == "field":
-            grid = _parse_grid(parser, args.grid) if args.grid else None
-            return cmd_field(cfg, grid, args.v0)
+            return cmd_field(cfg, args.grid, args.v0)
         if args.command == "force":
             return cmd_force(cfg, args.nodes, args.jobs)
         return cmd_validate(cfg, args.h_rel)

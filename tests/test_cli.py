@@ -31,17 +31,13 @@ from oscylinder.cli import build_parser, main
 from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
                                   SYMMETRY_TOL)
 
+from test_residuals import nan_rank
+
 AIR_RHO0 = 1.204
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # a subprocess finds the package under test through PYTHONPATH
 SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(
     os.path.dirname(os.path.abspath(oscylinder.cli.__file__)))}
-
-
-def nan_rank(value):
-    """Reference sort key ranking NaN above every number: max(..., key=nan_rank)
-    keeps a NaN that plain max() would drop, so `<= tol` then fails."""
-    return math.isnan(value), value
 
 
 def run_to_file(tmp_path, name, argv):
@@ -560,13 +556,38 @@ def test_options_a_subcommand_does_not_read_are_refused(argv, message, capsys):
     ["validate", "--mutate", "Q:1.001"],
     ["validate", "--mutate", "B:0"],
     ["profile", "--nu0", "1e-5"],
-    ["profile", "--fluid", "air20", "--nu0", "1e-5", "--rho0", "1.0"],
 ])
 def test_parse_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["profile", "--a=-1"], "--a"),
+    (["profile", "--t", "nan"], "--t"),
+    (["profile", "--f", "0"], "--f"),
+    (["profile", "--f-list", ","], "--f-list"),
+    (["force", "--f-range", "1:2"], "--f-range"),
+    (["field", "--grid", "junk"], "--grid"),
+    (["validate", "--mutate", "Q:1"], "--mutate"),
+    (["profile", "--nu0", "0", "--rho0", "1"], "--nu0"),
+    (["field", "--v0=-1"], "--v0"),
+])
+def test_value_errors_show_the_subcommand_usage(argv, option, capsys):
+    # each value is checked where its subcommand declares it, so the refusal
+    # comes with that subcommand's usage, not the top-level one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(f"usage: oscylinder {argv[0]} ")
+    errors = [line for line in lines if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"oscylinder {argv[0]}: error: argument {option}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -815,6 +836,23 @@ def test_custom_fluid_accepted(tmp_path):
     assert code == 0
     _, rows = parse_csv(data)
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("profile", ["--a", "1e-6", "--f", "10"]),
+    ("field", ["--a", "1e-6", "--f", "100"]),
+    ("force", ["--a", "1e-6", "--f-range", "1:1e4:200"]),
+    ("validate", ["--a", "1e-4", "--f", "1000"]),
+])
+def test_bare_commands_use_their_documented_defaults(command, defaults, capsys):
+    # the defaults README states: a bare command writes the same bytes as
+    # the command with them spelled out
+    assert main([command]) == 0
+    bare = capsys.readouterr().out
+    assert main([command, *defaults]) == 0
+    # a bool, so that a failure does not diff thousands of CSV lines
+    same = capsys.readouterr().out == bare
+    assert bare and same
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
