@@ -337,7 +337,9 @@ def _slopes(s: Scenario, rho: float) -> tuple[complex, complex]:
 
 
 def _check_radius(s: Scenario, r: float) -> float:
-    if not math.isfinite(r) or r < s.a:
+    if not math.isfinite(r):
+        raise ValueError(f"field point radius {r!r} is out of range (not finite)")
+    if r < s.a:
         raise ValueError(f"field point radius {r!r} is below the cylinder surface a={s.a!r}")
     return r / s.a
 

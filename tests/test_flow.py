@@ -732,6 +732,17 @@ def test_inside_cylinder_rejected():
             fn()
 
 
+@pytest.mark.parametrize("r, message", [
+    (math.inf, "field point radius inf is out of range (not finite)"),
+    (math.nan, "field point radius nan is out of range (not finite)"),
+    (0.5 * S1.a, "field point radius 5e-07 is below the cylinder surface a=1e-06"),
+])
+def test_radius_refusal_names_the_fault(r, message):
+    with pytest.raises(ValueError) as exc:
+        f_of_r(S1, r)
+    assert str(exc.value) == message
+
+
 def test_recovery_errors():
     with pytest.raises(ValueError):
         recovery_radius(S1, 0.0)
