@@ -7,10 +7,12 @@ from the closed-form solution, and finite-difference truncation levels
 are measured in extended precision where double roundoff is absent.
 
 Run:  python scripts/reference_values.py
-The printed constants are frozen (copy-pasted) into tests/.
+The printed constants are frozen (copy-pasted) into tests/.  Case is
+also loaded by path as the benchmark's correctness reference
+(bench/checks.py), and tests/test_flow.py checks it against the package.
 """
 
-from mpmath import mp, mpf, mpc, besselk, besseli, cos, sin, exp, log, pi, sqrt, fabs, arg
+from mpmath import mp, mpf, mpc, besselk, besseli, cos, sin, exp, log, pi, sqrt, fabs
 
 mp.dps = 50
 
@@ -32,28 +34,8 @@ def r17(x):
     return mp.nstr(mpf(x), 17, strip_zeros=False)
 
 
-def dd_pair(x):
-    """Split an mpmath real into a double-double (hi, lo) pair of floats."""
-    hi = float(x)
-    lo = float(x - mpf(hi))
-    return hi, lo
-
-
 # ----------------------------------------------------------------------
-# Section 1: double-double constants
-# ----------------------------------------------------------------------
-
-def section_constants():
-    print("# === double-double constants (hi, lo) ===")
-    gamma = mp.euler
-    for name, val in [("EULER_GAMMA", gamma), ("LN2", log(2)), ("PI", pi)]:
-        hi, lo = dd_pair(val)
-        print(f"{name} = ({hi!r}, {lo!r})")
-    print()
-
-
-# ----------------------------------------------------------------------
-# Section 2: Bessel reference values
+# Section 1: Bessel reference values
 # ----------------------------------------------------------------------
 
 BESSEL_POINTS = [
@@ -119,7 +101,7 @@ def section_bessel():
 
 
 # ----------------------------------------------------------------------
-# Section 3: flow-field reference values
+# Section 2: flow-field reference values
 # ----------------------------------------------------------------------
 
 class Case:
@@ -309,7 +291,7 @@ def section_flow():
 
 
 # ----------------------------------------------------------------------
-# Section 4: finite-difference truncation levels (pure truncation, no roundoff)
+# Section 3: finite-difference truncation levels (pure truncation, no roundoff)
 # ----------------------------------------------------------------------
 
 def fd_residuals(s, r, theta, rel_h):
@@ -379,7 +361,6 @@ def section_residuals():
 
 
 if __name__ == "__main__":
-    section_constants()
     section_bessel()
     section_flow()
     section_residuals()

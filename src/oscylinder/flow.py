@@ -248,6 +248,9 @@ class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
         _positive("omega", omega)  # omega = 0 has no bounded 2-D solution
         if not (isinstance(v0, (int, float)) and math.isfinite(v0) and v0 >= 0):
             raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
+        if not (perturbation is None or isinstance(perturbation, Perturbation)):
+            raise ValueError(f"perturbation must be None or a Perturbation, "
+                             f"got {perturbation!r}")
         return tuple.__new__(cls, (fluid, a, v0, omega, perturbation))
 
     def __setattr__(self, name, value):  # __dict__ (no __slots__) holds only the cache

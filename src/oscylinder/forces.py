@@ -129,6 +129,9 @@ def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
 
 def traction(s: Scenario, theta: float, t: float) -> tuple[complex, complex]:
     """Cartesian traction phasor (t_x, t_y) [Pa] on the surface r = a."""
+    if not -math.inf < theta < math.inf:
+        raise ValueError(f"traction angle theta = {theta!r} rad is out of range "
+                         f"(not finite)")
     a, bv, a_bv = _wall_stress(s)
     c, sn = math.cos(theta), math.sin(theta)
     ph = _phase(s, t)

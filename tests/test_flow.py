@@ -10,7 +10,10 @@ air at 20 C with v0 = 1 m/s:
 """
 
 import cmath
+import importlib.util
 import math
+import pathlib
+import re
 import sys
 import threading
 
@@ -23,8 +26,9 @@ from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
                         BesselDomainError, Fluid, Perturbation,
                         PolarPoint, RecoveryNotFoundError, Scenario,
                         bessel_k0, bessel_k1, coefficient_B, coefficient_C,
-                        f_of_r, flow_state, pressure, recovery_radius,
-                        reynolds_number, validity_report, velocity)
+                        f_of_r, flow_state, force_analytic, pressure,
+                        recovery_radius, reynolds_number, validity_report,
+                        velocity)
 import oscylinder.cli
 import oscylinder.flow
 from oscylinder.cli import main
@@ -73,9 +77,41 @@ def _g_direct(ba, k0s_za, rho):
     return 2.0 * J_PLUS * bessel_k1(z, scaled=True) * decay / (ba * k0s_za)
 
 
+def _reference_module():
+    """scripts/reference_values.py, loaded by path as bench/checks.py loads
+    it, without writing bytecode."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reference_values.py"
+    spec = importlib.util.spec_from_file_location("reference_values", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
 # ----------------------------------------------------------------------
 # frozen-value checks
 # ----------------------------------------------------------------------
+
+def test_reference_case_matches_package():
+    # the benchmark's correctness gate compares every workload with this
+    # 50-digit Case; here the Case is compared with the package once, at
+    # one radius on the Temme branch (|z| = 0.27) and one on the trapezoidal
+    # rule's (|z| = 7.3)
+    a, f, t = 2e-5, 200.0, 3.1e-4
+    s = scenario(a, f)
+    with mpmath.workdps(50):  # the module sets mp.dps = 50 on import
+        case = _reference_module().Case("test", a, f)
+        for r, theta in ((1.5 * a, 0.3), (40.0 * a, 2.0)):
+            got = flow_state(s, PolarPoint(r, theta), t)
+            for name, value in (("vr", got.vr), ("vtheta", got.vtheta),
+                                ("pressure", got.p)):
+                assert rel(value, complex(getattr(case, name)(r, theta, t))) <= 1e-12, name
+        assert rel(force_analytic(s, t).fx, complex(case.force_analytic(t))) <= 1e-12
+
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_frequency_parameter(name):
@@ -722,6 +758,16 @@ def test_inputs_rejected():
         Perturbation("B", -1.0)
     with pytest.raises(ValueError):
         PolarPoint(float("nan"), 0.0)
+
+
+def test_scenario_refuses_raw_perturbation():
+    # a raw tuple would bypass Perturbation's name and factor checks
+    for bad in (("Q", -5.0), ("B", 1.001), "B"):
+        with pytest.raises(ValueError, match=r"perturbation must be None or a "
+                                             rf"Perturbation, got {re.escape(repr(bad))}"):
+            Scenario(AIR_20C, 1e-6, 1.0, 628.0, perturbation=bad)
+    for ok in (Perturbation("B", 1.001), None):
+        assert Scenario(AIR_20C, 1e-6, 1.0, 628.0, perturbation=ok).perturbation == ok
 
 
 def test_inside_cylinder_rejected():

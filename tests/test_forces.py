@@ -301,6 +301,13 @@ def test_traction_has_period_pi():
         assert abs(t0[1] - t1[1]) <= 1e-13 * max(abs(t0[0]), abs(t0[1]))
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_traction_refuses_non_finite_angle(theta):
+    with pytest.raises(ValueError, match=rf"traction angle theta = {theta!r} rad "
+                                         r"is out of range \(not finite\)"):
+        traction(S2, theta, 0.0)
+
+
 def test_force_scales_linearly_with_v0():
     # doubling v0 doubles every force bitwise: v0 enters each path as a
     # single power-of-two factor
