@@ -6,8 +6,7 @@ closed-form modified-Bessel solution, together with finite-difference
 residual checks that verify the fields against the governing equations.
 """
 
-from .bessel import (SERIES_RADIUS, BesselDomainError, bessel_i0, bessel_i1,
-                     bessel_k0, bessel_k1)
+from .bessel import SERIES_RADIUS, BesselDomainError, bessel_k0, bessel_k1
 from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
                    PolarPoint, RecoveryNotFoundError, Scenario, ValidityReport,
                    coefficient_B, coefficient_C, f_of_r, flow_state, pressure,
@@ -39,8 +38,6 @@ __all__ = [
     "Scenario",
     "StressTensor",
     "ValidityReport",
-    "bessel_i0",
-    "bessel_i1",
     "bessel_k0",
     "bessel_k1",
     "boundary_suite",

@@ -1,18 +1,16 @@
-"""Modified Bessel functions of complex argument: K0, K1, I0, I1.
+"""Modified Bessel functions of complex argument: K0 and K1.
 
 The flow solution only ever needs arguments on the ray arg z = -pi/4;
 the kernel takes Re z >= 0, z != 0, refuses the left half-plane, and
-targets a relative error of 1e-12 for 1e-4 <= |z| <= 700.  Near the
-zeros of I0 and I1 on the imaginary axis their relative error grows with
-their condition number |z I_n'/I_n|, as for any double evaluation.
-Everything is plain complex double arithmetic.
+targets a relative error of 1e-12 for 1e-4 <= |z| <= 700.  Everything
+is plain complex double arithmetic.
 
 Algorithm split:
 
-* |z| < 2.5, K: Temme's series (Temme 1975, J. Comput. Phys. 19:324) at
+* |z| < 2.5: Temme's series (Temme 1975, J. Comput. Phys. 19:324) at
   order 0, in Horner form over rows of exact ratios, with the term count
   read from |z|^2/4.  It yields K0 and K1 - 1/z with the pole removed exactly.
-* 2.5 <= |z| <= 17, K: the trapezoidal rule (Trefethen & Weideman 2014,
+* 2.5 <= |z| <= 17: the trapezoidal rule (Trefethen & Weideman 2014,
   SIAM Rev. 56:385) on DLMF 10.32.8 with t = 1 + s^2/z,
       e^z K0(z) = sqrt(2/z) int_0^inf e^{-s^2} (1 + s^2/(2z))^{-1/2} ds,
       e^z K1(z) = 2 sqrt(2/z) int_0^inf s^2 e^{-s^2} (1 + s^2/(2z))^{1/2} ds,
@@ -23,21 +21,15 @@ Algorithm split:
   dropped past s = 6.2 weighs below 1e-15 of either integral.  The rule
   matches mpmath to 1.3e-15 on the band.  The nodes and the asymptotic
   sums' real factors are tables built at import.
-* |z| <= 17, I: Miller backward recurrence for the ratios I_k/I_{k-1},
-  normalised by I0 + 2 sum_k I_k = e^z (DLMF 10.35.1 at t = 1).  I never
-  uses K, so the Wronskian I0 K1 + I1 K0 = 1/z remains an independent
-  check.
-* |z| > 17: asymptotic expansions (DLMF 10.40.2 for K, 10.40.5 for I)
-  truncated at the smallest term.  At |z| = 17 the smallest term is
-  ~e^{-2|z|} ~ 2e-15 relative, already past the target.
+* |z| > 17: the asymptotic expansion DLMF 10.40.2 truncated at the
+  smallest term.  At |z| = 17 the smallest term is ~e^{-2|z|} ~ 2e-15
+  relative, already past the target.
 
-Scaled variants multiply K by e^z and I by e^{-z}, which keeps both
-finite over the whole working range (K underflows unscaled near
-Re z ~ 745, I overflows near Re z ~ 710; those unscaled calls raise
-OverflowError instead of returning garbage).
+Scaled variants multiply K by e^z, which keeps it finite over the whole
+working range (K underflows unscaled near Re z ~ 745; those unscaled
+calls raise OverflowError instead of returning garbage).
 
-I0/I1 exist for self-testing K0/K1 through the Wronskian
-I0(z) K1(z) + I1(z) K0(z) = 1/z; general orders are out of scope.
+General orders are out of scope.
 All functions are pure and safe to call from multiple threads.
 """
 
@@ -52,8 +44,6 @@ SERIES_RADIUS = 17.0
 #: Temme/trapezoid crossover for K; Temme's K0 error passes 2e-14 near |z| = 2.83
 _TEMME_RADIUS = 2.5
 
-# exp(x) overflows above this (unscaled I impossible to represent)
-_EXP_OVERFLOW = 709.782712893384
 # exp(-x) flushes to zero above this (unscaled K loses all accuracy)
 _EXP_UNDERFLOW = 745.1332191019411
 
@@ -157,25 +147,6 @@ def _trapezoid(w: complex) -> tuple[complex, complex]:
     return p * sum0, p * sum1
 
 
-def _miller(w: complex) -> tuple[complex, complex]:
-    """(I0, I1) by Miller backward recurrence, Re w >= 0.
-
-    The ratios r_k = I_k/I_{k-1} = w/(2k + w r_{k+1}) run down from
-    r_{n+1} = 0, and u_k = r_k (1 + u_{k+1}) = sum_{j>=k} I_j/I_{k-1}, so
-    I0 + 2 sum_{k>=1} I_k = e^w gives e^{-w} I0 = 1/(1 + 2 u_1).  The
-    start n = 2|w| + 24 is at least 11 orders past the smallest n that
-    reproduces the n = 400 result to 1e-17 for |w| <= 17.
-    """
-    n = 2 * int(abs(w)) + 24
-    r = u = 0j
-    for k in range(n, 0, -1):
-        r = w / (2.0 * k + w * r)
-        u = r * (1.0 + u)
-    i0s = 1.0 / (1.0 + 2.0 * u)
-    ew = cmath.exp(w)
-    return i0s * ew, r * i0s * ew
-
-
 @lru_cache(maxsize=4096)
 def _k_values(z: complex):
     """(K0, K1, K1 - 1/z) for |z| <= 17 and Re z >= 0, unscaled: Temme's
@@ -214,36 +185,11 @@ def _asym_k_scaled(z: complex):
     return pref_k * _asym_sum(0, z), pref_k * _asym_sum(1, z)
 
 
-def _asym_i_scaled(z: complex):
-    """(e^{-z} I0, e^{-z} I1) from the large-|z| expansion; its e^{-2z}
-    terms carry K's sums."""
-    s0 = _asym_sum(0, z)
-    s1 = _asym_sum(1, z)
-    s0m = _asym_sum(0, -z)
-    s1m = _asym_sum(1, -z)
-    if z.imag >= 0.0:
-        sig0, sig1 = 1j, -1j
-    else:
-        sig0, sig1 = -1j, 1j
-    e2 = cmath.exp(-2.0 * z)  # bounded on Re z >= 0
-    pref_i = 1.0 / cmath.sqrt(2.0 * math.pi * z)
-    i0s = pref_i * (s0m + sig0 * e2 * s0)
-    i1s = pref_i * (s1m + sig1 * e2 * s1)
-    return i0s, i1s
-
-
 def _k_unscaling(z: complex) -> complex:
     if z.real > _EXP_UNDERFLOW:
         raise OverflowError(
             f"unscaled K underflows for Re z = {z.real:g}; request scaled=True")
     return cmath.exp(-z)
-
-
-def _i_unscaling(z: complex) -> complex:
-    if z.real > _EXP_OVERFLOW:
-        raise OverflowError(
-            f"unscaled I overflows for Re z = {z.real:g}; request scaled=True")
-    return cmath.exp(z)
 
 
 def bessel_k0(z: complex, scaled: bool = False) -> complex:
@@ -266,28 +212,6 @@ def bessel_k1(z: complex, scaled: bool = False) -> complex:
         return k1 * cmath.exp(z) if scaled else k1
     k1s = _asym_k_scaled(z)[1]
     return k1s if scaled else k1s * _k_unscaling(z)
-
-
-def bessel_i0(z: complex, scaled: bool = False) -> complex:
-    """I0(z), or e^{-z} I0(z) when scaled."""
-    z = complex(z)
-    _check_domain(z)
-    if abs(z) <= SERIES_RADIUS:
-        i0 = _miller(z)[0]
-        return i0 * cmath.exp(-z) if scaled else i0
-    i0s = _asym_i_scaled(z)[0]
-    return i0s * _i_unscaling(z) if not scaled else i0s
-
-
-def bessel_i1(z: complex, scaled: bool = False) -> complex:
-    """I1(z), or e^{-z} I1(z) when scaled."""
-    z = complex(z)
-    _check_domain(z)
-    if abs(z) <= SERIES_RADIUS:
-        i1 = _miller(z)[1]
-        return i1 * cmath.exp(-z) if scaled else i1
-    i1s = _asym_i_scaled(z)[1]
-    return i1s * _i_unscaling(z) if not scaled else i1s
 
 
 def bessel_k_pair(z: complex, scaled: bool = False) -> tuple[complex, complex]:

@@ -89,7 +89,8 @@ class RecoveryNotFoundError(RuntimeError):
 
 
 def _positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -244,9 +245,12 @@ class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
     perturbation: Perturbation | None
 
     def __new__(cls, fluid, a, v0, omega, perturbation=None):
+        if not isinstance(fluid, Fluid):
+            raise ValueError(f"fluid must be a Fluid, got {fluid!r}")
         _positive("a", a)
         _positive("omega", omega)  # omega = 0 has no bounded 2-D solution
-        if not (isinstance(v0, (int, float)) and math.isfinite(v0) and v0 >= 0):
+        if isinstance(v0, bool) or not (isinstance(v0, (int, float))
+                                        and math.isfinite(v0) and v0 >= 0):
             raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
         if not (perturbation is None or isinstance(perturbation, Perturbation)):
             raise ValueError(f"perturbation must be None or a Perturbation, "

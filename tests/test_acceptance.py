@@ -16,8 +16,6 @@ from oscylinder import (
     Perturbation,
     PolarPoint,
     Scenario,
-    bessel_i0,
-    bessel_i1,
     bessel_k0,
     bessel_k1,
     boundary_suite,
@@ -33,6 +31,7 @@ from oscylinder import (
 )
 from oscylinder.cli import main as cli_main
 
+from bessel_i import bessel_i0, bessel_i1
 from test_bessel import _sample_points
 
 

@@ -5,7 +5,8 @@ frozen here (scripts/reference_values.py regenerates them).  The point
 set covers every evaluation branch (Temme series below |z| = 2.5, the
 trapezoidal rule for K and Miller recurrence for I up to |z| = 17, with
 points at the rule's step changes |z| = 4 and 8, asymptotic expansion
-above), the arg(z) = -pi/4 ray the flow solution lives on,
+above; I0 and I1 come from the tests' own bessel_i module, the Wronskian
+reference), the arg(z) = -pi/4 ray the flow solution lives on,
 near-imaginary arguments, and the deep-decay regime.  Hypothesis
 properties compare the |z| <= 17 kernel, and the rule on its own band,
 with mpmath at 40 digits.  Pins tie the kernel's precomputed tables
@@ -23,9 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscylinder import (SERIES_RADIUS, BesselDomainError, bessel_i0,
-                        bessel_i1, bessel_k0, bessel_k1)
+from oscylinder import SERIES_RADIUS, BesselDomainError, bessel_k0, bessel_k1
 from oscylinder.bessel import _TEMME_RADIUS, bessel_k_pair
+
+from bessel_i import bessel_i0, bessel_i1
 
 # name: (z, K0, K1, I0, I1)  [unscaled]
 BESSEL_REFERENCE = {
@@ -329,17 +331,14 @@ def test_branch_agreement_at_crossover():
         assert abs(k1s * ez - k1) < 5e-14 * abs(k1)
 
 
-def test_k_never_runs_miller(monkeypatch):
-    # K never needs I: with Miller's recurrence disabled it still returns
+def test_k_never_runs_miller():
+    # K never needs I: the kernel has no Miller recurrence, and K returns
     # Temme's series (|z| < _TEMME_RADIUS) or the trapezoidal rule (above),
     # bitwise
     from oscylinder import bessel
     from oscylinder.bessel import _temme, _trapezoid
 
-    def no_miller(w):
-        raise AssertionError("K used Miller's recurrence")
-
-    monkeypatch.setattr(bessel, "_miller", no_miller)
+    assert not hasattr(bessel, "_miller")
     bessel._k_values.cache_clear()
     ray = [cmath.rect(r, -math.pi / 4)
            for r in (1e-8, 0.5, _TEMME_RADIUS - 0.01, _TEMME_RADIUS, 4.0, 7.0,

@@ -574,6 +574,10 @@ def test_parse_errors_exit_2(argv, capsys):
     (["validate", "--mutate", "Q:1"], "--mutate"),
     (["profile", "--nu0", "0", "--rho0", "1"], "--nu0"),
     (["field", "--v0=-1"], "--v0"),
+    (["force", "--f-range", "1:2:x"], "--f-range"),
+    (["field", "--grid=0:inf:2,0:1:2"], "--grid"),
+    (["field", "--grid=1:0:2,0:1:2"], "--grid"),
+    (["validate", "--mutate", "B"], "--mutate"),
 ])
 def test_value_errors_show_the_subcommand_usage(argv, option, capsys):
     # each value is checked where its subcommand declares it, so the refusal
@@ -860,7 +864,7 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     # and stderr as a parser built afresh for each call
     argvs = [["validate"],
              ["validate", "--f", "1", "--f-list", "2"],  # argparse SystemExit
-             ["validate", "--mutate", "Q:1.001"],  # parser.error after parsing
+             ["validate", "--mutate", "Q:1.001"],  # refused by its type converter
              ["force"],
              ["profile", "--mode", "phase"],
              []]  # help on stderr, exit 2

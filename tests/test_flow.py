@@ -864,6 +864,9 @@ def test_reynolds_and_validity():
     assert validity_report(fast).warn_nonlinear
     slow = scenario(1e-6, 1.0)
     assert validity_report(slow).warn_long_range
+    # at beta a ~ 2e-8 the velocity does not recover to 90 % within 1e6 a
+    lost = validity_report(Scenario.from_frequency(AIR_20C, 1e-6, 1.0, 1e-9))
+    assert lost.recovery_radius_90 is None and lost.warn_long_range
 
 
 def test_v0_zero_gives_null_field():
