@@ -14,16 +14,14 @@ from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
 from .forces import (ForceResult, StressTensor, force_analytic,
                      force_buoyancy, force_quadrature, force_viscous_approx,
                      stress_tensor, traction)
-from .residuals import (BoundaryReport, Check, ResidualReport, boundary_suite,
-                        convergence_order, residual_report, residual_tolerance,
-                        validate_checks)
+from .residuals import (Check, ResidualReport, boundary_suite, convergence_order,
+                        residual_report, residual_tolerance, validate_checks)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AIR_20C",
     "BesselDomainError",
-    "BoundaryReport",
     "Check",
     "Fluid",
     "FlowState",

@@ -52,7 +52,6 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .bessel import BesselDomainError
 from .flow import AIR_20C, Fluid, Perturbation, Scenario, _phase, _radial
 from .forces import _force_row
 from .residuals import validate_checks
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
         # stdout's reader left (`| head`): exit quietly, flush later to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ValueError, OverflowError, BesselDomainError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"oscylinder: error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from functools import cached_property
 
@@ -89,8 +90,10 @@ class RecoveryNotFoundError(RuntimeError):
 
 
 def _positive(name, value):
+    # a comparison, not math.isfinite, which raises OverflowError on an int
+    # too large for a float; it also refuses NaN and inf
     if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                       and math.isfinite(value) and value > 0):
+                                       and 0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -145,7 +148,8 @@ class PolarPoint(namedtuple("PolarPoint", "r theta")):
     theta: float   # azimuth [rad]; any real value, used through cos/sin
 
     def __new__(cls, r, theta):
-        if not (math.isfinite(r) and math.isfinite(theta)):
+        fmax = sys.float_info.max
+        if not (-fmax <= r <= fmax and -fmax <= theta <= fmax):
             raise ValueError("PolarPoint components must be finite")
         return tuple.__new__(cls, (r, theta))
 
@@ -250,7 +254,7 @@ class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
         _positive("a", a)
         _positive("omega", omega)  # omega = 0 has no bounded 2-D solution
         if isinstance(v0, bool) or not (isinstance(v0, (int, float))
-                                        and math.isfinite(v0) and v0 >= 0):
+                                        and 0 <= v0 <= sys.float_info.max):
             raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
         if not (perturbation is None or isinstance(perturbation, Perturbation)):
             raise ValueError(f"perturbation must be None or a Perturbation, "

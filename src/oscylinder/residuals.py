@@ -10,8 +10,8 @@ flow_state), on small stencils and substituting into
 the continuity equation, both linearized momentum equations, and the
 pressure Laplace equation.  Samples are taken by block, one kernel call
 per (radius, time): _reports samples the points sharing a radius with one
-call at r for all their angles plus one per off radius, and forms every
-difference from those samples inline.  boundary_suite makes
+call at r for all their angles plus one per off radius, and forms each
+difference formula once, for v_r, v_theta and p alike.  boundary_suite makes
 one flow._radial call at each of its four radii and forms only the
 columns each check reads, with _fields' products in _fields' order (no
 slip and far field v_r, v_theta; pressure form and symmetry p); tests pin
@@ -32,7 +32,8 @@ and lengths are measured in the largest power of two not above r
 in range at every r.
 
 validate_checks is the self-check as one table of Check rows (name,
-value, tol, ok), the rows `oscylinder validate` prints; NaN fails a row.
+value, tol, ok), the rows `oscylinder validate` prints, boundary_suite's
+four among them; NaN fails a row.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections import namedtuple
 from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase, _radial
 from .forces import force_analytic, force_quadrature
 
-#: boundary_suite thresholds, then its four checks in BoundaryReport order
+#: boundary_suite thresholds, then its four rows in the order validate prints them
 NO_SLIP_TOL = 1e-12
 FAR_FIELD_TOL = 1e-3
 PRESSURE_FORM_TOL = 1e-13
@@ -78,6 +79,16 @@ class ResidualReport(namedtuple("ResidualReport", "location t h one_sided contin
     pressure_laplacian: float
 
 
+class Check(namedtuple("Check", "name value tol ok")):
+    """One validate row; name is the text before "=" in the printed line."""
+
+    __slots__ = ()
+    name: str
+    value: float
+    tol: float
+    ok: bool
+
+
 _RESIDUALS = slice(4, 8)  # the residual columns of a ResidualReport
 _QUANTITIES = ResidualReport._fields[_RESIDUALS]
 
@@ -93,7 +104,7 @@ def _length_unit(r: float) -> float:
 def _resolve_step(r: float, thetas, h: float | None) -> float:
     if h is None:
         h = 1e-4 * r
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
+    if not (isinstance(h, (int, float)) and 0 < h <= sys.float_info.max):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
     if h * h < sys.float_info.min:
         raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
@@ -117,8 +128,8 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
     One _fields call at r samples (v_r, v_theta, p) at theta, theta -+ ht of
     each point in turn, then one call per off radius samples every point at
     r -+ h, or at r + h, 2h, 3h when the wall forces one-sided stencils.
-    Second-order differences are formed inline, point by point, in lengths
-    of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
+    diffs forms the second-order differences of one field at one point, in
+    lengths of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
     if s.v0 != 1.0:
         s = s._replace(v0=1.0)
     r = pts[0].r
@@ -140,31 +151,24 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
     h2, hh, ht2, htht = 2.0 * hl, hl * hl, 2.0 * ht, ht * ht
     a, nu0, rho0, iw = s.a / L, s.fluid.nu0 / L / L, s.fluid.rho0, -1j * s.omega
     omega, pnorm = s.omega, rho0 * s.omega * L
-    reports = []
-    for pt, (vr0, vt0, p0), (vr_w, vt_w, p_w), (vr_e, vt_e, p_e), radial in zip(
-            pts, ring[::3], ring[1::3], ring[2::3], off):
+
+    def diffs(f0, f_w, f_e, radial):
+        """d/dr, d2/dr2, d/dtheta and d2/dtheta2 of one field at one point."""
         if one_sided:  # samples at r + h, r + 2h, r + 3h
-            (vr1, vt1, p1), (vr2, vt2, p2), (vr3, vt3, p3) = radial
-            d1r_vr = (-3.0 * vr0 + 4.0 * vr1 - vr2) / h2
-            d1r_vt = (-3.0 * vt0 + 4.0 * vt1 - vt2) / h2
-            d1r_p = (-3.0 * p0 + 4.0 * p1 - p2) / h2
-            d2r_vr = (2.0 * vr0 - 5.0 * vr1 + 4.0 * vr2 - vr3) / hh
-            d2r_vt = (2.0 * vt0 - 5.0 * vt1 + 4.0 * vt2 - vt3) / hh
-            d2r_p = (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) / hh
+            f1, f2, f3 = radial
+            d1r = (-3.0 * f0 + 4.0 * f1 - f2) / h2
+            d2r = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / hh
         else:  # samples at r - h, r + h
-            (vr1, vt1, p1), (vr2, vt2, p2) = radial
-            d1r_vr = (vr2 - vr1) / h2
-            d1r_vt = (vt2 - vt1) / h2
-            d1r_p = (p2 - p1) / h2
-            d2r_vr = (vr2 - 2.0 * vr0 + vr1) / hh
-            d2r_vt = (vt2 - 2.0 * vt0 + vt1) / hh
-            d2r_p = (p2 - 2.0 * p0 + p1) / hh
-        d1t_vr = (vr_e - vr_w) / ht2
-        d1t_vt = (vt_e - vt_w) / ht2
-        d1t_p = (p_e - p_w) / ht2
-        d2t_vr = (vr_e - 2.0 * vr0 + vr_w) / htht
-        d2t_vt = (vt_e - 2.0 * vt0 + vt_w) / htht
-        d2t_p = (p_e - 2.0 * p0 + p_w) / htht
+            f1, f2 = radial
+            d1r = (f2 - f1) / h2
+            d2r = (f2 - 2.0 * f0 + f1) / hh
+        return d1r, d2r, (f_e - f_w) / ht2, (f_e - 2.0 * f0 + f_w) / htht
+
+    reports = []
+    for pt, center, west, east, radial in zip(pts, ring[::3], ring[1::3], ring[2::3], off):
+        vr0, vt0, _ = center
+        ((d1r_vr, d2r_vr, d1t_vr, d2t_vr), (d1r_vt, d2r_vt, d1t_vt, d2t_vt),
+         (d1r_p, d2r_p, d1t_p, d2t_p)) = map(diffs, center, west, east, zip(*radial))
         cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
         lap_vr = (d2r_vr + d2t_vr * inv_r2 + d1r_vr * inv_r
                   - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
@@ -235,39 +239,16 @@ def residual_tolerance(s: Scenario, rho: float, h_rel: float = 1e-4) -> float:
     return tol
 
 
-class BoundaryReport(namedtuple("BoundaryReport", "no_slip_max far_field_max "
-                                "pressure_form_max symmetry_max far_radius no_slip_ok "
-                                "far_field_ok pressure_form_ok symmetry_ok")):
-    """Maximum deviations from the four boundary/structure conditions.
-
-    All maxima are normalized: velocities by v0, pressures by the
-    reference pressure at theta = 0 of the same radius and time.
-    """
-
-    __slots__ = ()
-    no_slip_max: float        # |v(a, theta, t)|/v0
-    far_field_max: float      # |v(R) - v_inf|/v0 at R = far_radius
-    pressure_form_max: float  # theta-dependence of p/cos(theta)
-    symmetry_max: float       # p(r,-theta)=p(r,theta), p(r,pi-theta)=-p(r,theta)
-    far_radius: float         # [m]
-    no_slip_ok: bool
-    far_field_ok: bool
-    pressure_form_ok: bool
-    symmetry_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.no_slip_ok and self.far_field_ok
-                and self.pressure_form_ok and self.symmetry_ok)
-
-
 def _nan_max(values: list[float] | tuple[float, ...]) -> float:
     """max(values), but NaN if any value is NaN (plain max() can drop it)."""
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def boundary_suite(s: Scenario) -> BoundaryReport:
-    """Check no slip, far-field recovery, and the pressure ansatz shape.
+def boundary_suite(s: Scenario) -> list[Check]:
+    """validate_checks' four boundary rows: no slip, far-field recovery and
+    the pressure ansatz shape, each the largest deviation against its tol.
+    Velocities are relative to v0, pressures to p at theta = 0 of the same
+    radius and time.
 
     * no slip: |v| <= 1e-12 v0 on 64 angles x 4 phases at r = a;
     * far field: |v - v_inf| <= 1e-3 v0 at R = max(1e3 a, 20 delta),
@@ -326,18 +307,8 @@ def boundary_suite(s: Scenario) -> BoundaryReport:
             form.append(_nan_max(block_form) / pnorm)
             sym.append(_nan_max(block_sym) / pnorm)
     maxima = [_nan_max(no_slip), _nan_max(far), _nan_max(form), _nan_max(sym)]
-    return BoundaryReport(*maxima, far_radius,
-                          *(m <= tol for m, (_, tol) in zip(maxima, _BOUNDARY_CHECKS)))
-
-
-class Check(namedtuple("Check", "name value tol ok")):
-    """One validate row; name is the text before "=" in the printed line."""
-
-    __slots__ = ()
-    name: str
-    value: float
-    tol: float
-    ok: bool
+    return [Check(f"boundary {q} max", m, tol, m <= tol)
+            for m, (q, tol) in zip(maxima, _BOUNDARY_CHECKS)]
 
 
 def validate_checks(s: Scenario, t: float = 0.0,
@@ -345,14 +316,14 @@ def validate_checks(s: Scenario, t: float = 0.0,
     """The ten rows `oscylinder validate` prints, in order: each equation's
     largest residual (step h_rel r) on 5 radii in [1.1a, 100a] x 5 angles,
     passing only if each meets the residual_tolerance of its own radius; the
-    boundary_suite maxima; the force_quadrature-vs-analytic and |Fy/Fx| ratios.
+    boundary_suite rows; the force_quadrature-vs-analytic and |Fy/Fx| ratios.
     A (beta a)^2 that overflows would turn the quadrature force into NaN
     through the wall stress, so it is refused by name before the force rows.
 
     Every row is relative to v0 and the fields are linear in it, so the
     checks run on the unit-amplitude scenario: the verdict and the printed
     values do not depend on v0, which can be 0, subnormal or near overflow."""
-    if not (math.isfinite(h_rel) and 0.0 < h_rel < 0.1):
+    if not 0.0 < h_rel < 0.1:
         raise ValueError(f"h_rel must lie in (0, 0.1), got {h_rel!r}")
     if s.v0 != 1.0:
         s = s._replace(v0=1.0)
@@ -373,10 +344,7 @@ def validate_checks(s: Scenario, t: float = 0.0,
         checks.append(Check(f"residual {q} max", value, tol,
                             all(v <= tl for v, tl in pairs)))
 
-    b = boundary_suite(s)
-    for q, tol in _BOUNDARY_CHECKS:
-        checks.append(Check(f"boundary {q} max", getattr(b, f"{q}_max"), tol,
-                            getattr(b, f"{q}_ok")))
+    checks += boundary_suite(s)
 
     ba = s._coefficients.ba
     if not ba * ba < math.inf:  # B_theta' = B_r' + i b ba^2 G in the wall stress

@@ -23,15 +23,13 @@ import oscylinder.cli
 import oscylinder.flow
 import oscylinder.forces
 import oscylinder.residuals
-from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario,
-                        boundary_suite, flow_state, force_analytic,
-                        force_buoyancy, force_quadrature, force_viscous_approx,
-                        residual_report, residual_tolerance, validate_checks)
+from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario, flow_state,
+                        force_analytic, force_buoyancy, force_quadrature,
+                        force_viscous_approx, residual_report, residual_tolerance,
+                        validate_checks)
 from oscylinder.cli import build_parser, main
-from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
-                                  SYMMETRY_TOL)
 
-from test_residuals import nan_rank
+from test_residuals import nan_rank, reference_boundary_suite
 
 AIR_RHO0 = 1.204
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -398,7 +396,8 @@ def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
 
 def reference_validate_report(s, t=0.0, h_rel=1e-4):
     """validate's 11 report lines and exit code, computed here row by row
-    from the public checks, independently of residuals.validate_checks."""
+    from residual_report, the velocity()/pressure() boundary reference and the
+    public forces, independently of residuals.validate_checks."""
     lines = []
     ok_all = True
     rhos = [1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)]
@@ -418,16 +417,9 @@ def reference_validate_report(s, t=0.0, h_rel=1e-4):
         ok_all &= ok
         lines.append(f"residual {q} max={value:.3e} tol={tol:.3e} "
                      f"{'PASS' if ok else 'FAIL'}")
-    rep = boundary_suite(s)
-    for name, value, tol, ok in (
-            ("no_slip", rep.no_slip_max, NO_SLIP_TOL, rep.no_slip_ok),
-            ("far_field", rep.far_field_max, FAR_FIELD_TOL, rep.far_field_ok),
-            ("pressure_form", rep.pressure_form_max, PRESSURE_FORM_TOL,
-             rep.pressure_form_ok),
-            ("symmetry", rep.symmetry_max, SYMMETRY_TOL, rep.symmetry_ok)):
+    for name, value, tol, ok in reference_boundary_suite(s):
         ok_all &= ok
-        lines.append(f"boundary {name} max={value:.3e} tol={tol:.3e} "
-                     f"{'PASS' if ok else 'FAIL'}")
+        lines.append(f"{name}={value:.3e} tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
     fq = force_quadrature(s, t, 512)
     fa = force_analytic(s, t)
     rel = abs(fq.fx - fa.fx) / abs(fa.fx) if fa.fx != 0 else 0.0
@@ -927,7 +919,9 @@ def test_closed_stdout_pipe_exits_quietly(unbuffered):
 
 def test_closed_pipe_after_header_exits_quietly():
     # a 301 x 301 map is ~9 MB in 301 writes of one grid row each; a reader
-    # that closes right after the header must still end the run quietly
+    # that closes right after the header must still end the run quietly.
+    # Exit 2 with an empty stderr is main's BrokenPipeError handler, which runs
+    # in the child, where a line trace of the test process cannot see it
     grid = "--grid=-4e-6:4e-6:301,-4e-6:4e-6:301"
     with subprocess.Popen([sys.executable, "-m", "oscylinder.cli", "field", grid],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,

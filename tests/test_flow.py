@@ -798,6 +798,14 @@ def test_recovery_errors():
         recovery_radius(S3, 1.0 - 1e-13)
 
 
+def test_recovery_radius_is_a_when_already_recovered():
+    # a C mode 1.5 times too large leaves |v_r(a)|/v0 ~ 4.6e3 and no grid
+    # sample below one half, so the flow has recovered at the surface itself
+    s = scenario(1e-6, 100.0, Perturbation("C", 1.5))
+    assert _recovery_radius_forward(s, 0.5) == s.a
+    assert recovery_radius(s, 0.5) == s.a == 1e-6
+
+
 def _recovery_radius_forward(s, fraction):
     """Reference: scan the whole grid outward, keep the last sample below
     the fraction, then bisect as recovery_radius does."""

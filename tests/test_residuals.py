@@ -21,7 +21,7 @@ import oscylinder.forces
 import oscylinder.residuals
 from oscylinder import (
     AIR_20C,
-    BoundaryReport,
+    Check,
     Perturbation,
     PolarPoint,
     ResidualReport,
@@ -47,6 +47,22 @@ def nan_rank(value):
 
 def scenario(a, f, v0=1.0, perturbation=None):
     return Scenario.from_frequency(AIR_20C, a, v0, f, perturbation=perturbation)
+
+
+def boundary_rhos(s):
+    """The r/a of each _radial call boundary_suite(s) makes, in order: the
+    wall, the far radius, 1.5 and 3."""
+    rhos = []
+    radial = oscylinder.residuals._radial
+
+    def counted(s, rho):
+        rhos.append(rho)
+        return radial(s, rho)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oscylinder.residuals, "_radial", counted)
+        boundary_suite(s)
+    return rhos
 
 
 S1 = scenario(1e-6, 10.0)
@@ -235,8 +251,8 @@ def test_boundary_suite_refuses_overflowing_far_radius():
 
 def test_boundary_suite_far_radius_finite_inside_edge():
     # a decade inside the edge 1e3 a is still finite
-    rep = boundary_suite(Scenario.from_frequency(AIR_20C, 1e305, 1.0, 1e-305))
-    assert math.isfinite(rep.far_radius) and rep.far_radius == 1e3 * 1e305
+    s = Scenario.from_frequency(AIR_20C, 1e305, 1.0, 1e-305)
+    assert boundary_rhos(s)[1] == 1e3 * 1e305 / 1e305
 
 
 def test_tolerance_grows_for_thick_layers():
@@ -269,7 +285,8 @@ def test_report_fields():
         rep.continuity = 0.0  # frozen
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-9, float("inf"), float("nan")])
+@pytest.mark.parametrize("h", [0.0, -1e-9, float("inf"), float("nan"),
+                               pytest.param(10**309, id="10**309")])
 def test_bad_step_rejected(h):
     with pytest.raises(ValueError):
         residual_report(S2, PolarPoint(3.0 * S2.a, 0.4), h=h)
@@ -317,20 +334,21 @@ def test_reports_do_not_depend_on_v0(v0, a, f, pt):
 
 @pytest.mark.parametrize("s", [S1, S2, S3])
 def test_boundary_suite_passes(s):
-    rep = boundary_suite(s)
-    assert isinstance(rep, BoundaryReport)
-    assert rep.no_slip_ok
-    assert rep.far_field_ok
-    assert rep.pressure_form_ok
-    assert rep.symmetry_ok
-    assert rep.passed
+    rows = boundary_suite(s)
+    assert len(rows) == 4 and all(isinstance(c, Check) and c.ok for c in rows)
+
+
+@pytest.mark.parametrize("s", [S1, S3, scenario(1e-4, 1000.0, perturbation=
+                                                Perturbation("B", 1.001))])
+def test_boundary_suite_is_the_boundary_rows_of_validate_checks(s):
+    assert boundary_suite(s) == validate_checks(s)[4:8]
 
 
 def test_far_radius_rule():
     # 20 boundary-layer thicknesses when the layer is thick, 1000 a when
     # the algebraic tail is the slower decay
-    assert boundary_suite(S1).far_radius == 20.0 * S1.delta
-    assert boundary_suite(S3).far_radius == 1e3 * S3.a
+    assert boundary_rhos(S1)[1] == 20.0 * S1.delta / S1.a
+    assert boundary_rhos(S3)[1] == 1e3 * S3.a / S3.a
     assert 20.0 * S1.delta > 1e3 * S1.a
     assert 1e3 * S3.a > 20.0 * S3.delta
 
@@ -338,9 +356,9 @@ def test_far_radius_rule():
 @pytest.mark.parametrize("name", ["B", "C", "f_a"])
 def test_no_slip_detects_coefficient_mutation(name):
     mutated = scenario(1e-4, 1000.0, perturbation=Perturbation(name, 1.001))
-    rep = boundary_suite(mutated)
-    assert not rep.no_slip_ok
-    assert rep.no_slip_max > 1e-4
+    no_slip = boundary_suite(mutated)[0]
+    assert not no_slip.ok
+    assert no_slip.value > 1e-4
 
 
 def test_boundary_suite_fails_on_nan(monkeypatch):
@@ -348,17 +366,16 @@ def test_boundary_suite_fails_on_nan(monkeypatch):
     # not vanish in the reduction
     for module in (oscylinder.flow, oscylinder.residuals):
         monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 3)
-    rep = boundary_suite(S3)
-    assert not rep.passed
-    assert not rep.no_slip_ok and math.isnan(rep.no_slip_max)
-    assert not rep.far_field_ok and math.isnan(rep.far_field_max)
+    no_slip, far_field, *_ = boundary_suite(S3)
+    assert not no_slip.ok and math.isnan(no_slip.value)
+    assert not far_field.ok and math.isnan(far_field.value)
 
 
 def test_momentum_detects_beta_mutation():
     # a perturbed wavenumber leaves the boundary conditions intact but
     # unbalances the momentum equation against the true viscosity
     mutated = scenario(1e-4, 1000.0, perturbation=Perturbation("beta", 1.001))
-    assert boundary_suite(mutated).no_slip_ok
+    assert boundary_suite(mutated)[0].ok
     rep = residual_report(mutated, PolarPoint(1.5 * mutated.a, 0.7))
     tol = residual_tolerance(mutated, 1.5)
     assert max(rep.momentum_r, rep.momentum_theta) > 100.0 * tol
@@ -443,7 +460,8 @@ def reference_residual_report(s, pt, t, h, L=1.0):
 
 
 def reference_boundary_suite(s):
-    """boundary_suite from velocity() and pressure() of the unit-amplitude s."""
+    """boundary_suite's four Check rows from velocity() and pressure() of the
+    unit-amplitude s."""
     period = 2.0 * math.pi / s.omega
     no_slip = []
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
@@ -471,12 +489,14 @@ def reference_boundary_suite(s):
                 p_neg = pressure(s, PolarPoint(rr, -theta), t)
                 p_sup = pressure(s, PolarPoint(rr, math.pi - theta), t)
                 sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
-    no_slip, far, form, sym = (max(v, key=nan_rank) for v in (no_slip, far, form, sym))
-    return BoundaryReport(
-        no_slip_max=no_slip, far_field_max=far, pressure_form_max=form,
-        symmetry_max=sym, far_radius=far_radius,
-        no_slip_ok=no_slip <= NO_SLIP_TOL, far_field_ok=far <= FAR_FIELD_TOL,
-        pressure_form_ok=form <= PRESSURE_FORM_TOL, symmetry_ok=sym <= SYMMETRY_TOL)
+    rows = []
+    for name, values, tol in (("no_slip", no_slip, NO_SLIP_TOL),
+                              ("far_field", far, FAR_FIELD_TOL),
+                              ("pressure_form", form, PRESSURE_FORM_TOL),
+                              ("symmetry", sym, SYMMETRY_TOL)):
+        value = max(values, key=nan_rank)
+        rows.append(Check(f"boundary {name} max", value, tol, value <= tol))
+    return rows
 
 
 @pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
@@ -583,7 +603,7 @@ def test_checks_sample_once_per_block(monkeypatch):
         monkeypatch.setattr(module, "_phase", counted, raising=False)
         for name in ("flow_state", "velocity", "pressure"):
             monkeypatch.setattr(module, name, refused, raising=False)
-    assert boundary_suite(S3).passed
+    assert all(c.ok for c in boundary_suite(S3))
     assert 0 < len(phases) <= 10
     phases.clear()
     residual_report(S3, PolarPoint(1.5 * S3.a, 0.7))
@@ -625,7 +645,8 @@ def test_validate_checks_nan_row_reports_tol_of_first_nan(monkeypatch):
         assert row.tol == tols[2]
 
 
-@pytest.mark.parametrize("h_rel", [0.0, 0.1, math.nan, 0.5])
+@pytest.mark.parametrize("h_rel", [0.0, 0.1, math.nan, 0.5,
+                                   pytest.param(10**309, id="10**309")])
 def test_validate_checks_rejects_step_outside_range(h_rel):
     with pytest.raises(ValueError, match="h_rel"):
         validate_checks(S3, h_rel=h_rel)
@@ -688,16 +709,9 @@ def test_checks_sample_by_block(monkeypatch, h_rel):
     # boundary_suite makes exactly one _radial call at each of its radii
     # (wall, far field, 1.5a, 3a), and the residual grid one kernel call at
     # each radius plus one per off-radius stencil point
-    rhos = []
-    radial = oscylinder.residuals._radial
-
-    def counted_radial(s, rho):
-        rhos.append(rho)
-        return radial(s, rho)
-
-    monkeypatch.setattr(oscylinder.residuals, "_radial", counted_radial)
-    far_radius = boundary_suite(S3).far_radius
-    assert rhos == [r / S3.a for r in (S3.a, far_radius, 1.5 * S3.a, 3.0 * S3.a)]
+    # (the far radius is 1e3 a here, test_far_radius_rule)
+    assert boundary_rhos(S3) == [r / S3.a for r in (S3.a, 1e3 * S3.a, 1.5 * S3.a,
+                                                     3.0 * S3.a)]
     calls = []
     fields = oscylinder.residuals._fields
 
