@@ -15,10 +15,12 @@ while profile and force also take --f-list/--f-range, deduplicated and
 sorted ascending before any computation, so the row order never depends
 on input order; --mode belongs to profile and --v0 to field: profile,
 force and validate print values relative to v0, formed at unit amplitude
-(RunConfig.scenario).  build_parser declares each option once, with its
-default and its check: _COMMANDS gives each subcommand's help, default
---a and default frequencies, and a type= converter checks each bounded
-value, so a bad one exits 2 under that subcommand's usage.  Only the
+(RunConfig.scenario).  _declare declares a subcommand's options once, each
+with its default and its type= check, so a bad value exits 2 under that
+subcommand's usage; _COMMANDS gives each subcommand's help, default --a
+and default frequencies.  An argv that starts with a subcommand is parsed
+by _command_parser(name) alone; build_parser(), whose subparsers declare
+no options, serves the rest: none, -h or an unknown command.  Only the
 --nu0/--rho0 pairing is checked after parsing; --nr, --rmax-factor,
 --nodes, --jobs and --h-rel are checked where they are used.  force
 computes each row in one pass, serially:
@@ -193,64 +195,76 @@ _COMMANDS = {
 }
 
 
-@lru_cache(maxsize=None)  # one parser per process; parse_args keeps no state
+def _declare(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Declare subcommand name's options on p, each with its default and check."""
+    _, a, frequencies, sweep = _COMMANDS[name]
+    fluid_group = p.add_argument_group(
+        "fluid", f"default: air at 20 C (nu0 = {AIR_20C.nu0:g} m^2/s, "
+                 f"rho0 = {AIR_20C.rho0:g} kg/m^3)")
+    fluid_group.add_argument("--nu0", type=_positive,
+                             help="kinematic viscosity [m^2/s] (with --rho0)")
+    fluid_group.add_argument("--rho0", type=_positive,
+                             help="density [kg/m^3] (with --nu0)")
+    p.add_argument("--a", type=_positive, default=a, help="cylinder radius [m]")
+    p.add_argument("--t", type=_finite, default=0.0, help="time [s] (default 0)")
+    p.add_argument("--out", help="output CSV path (default: stdout)")
+    p.add_argument("--mutate", type=_mutation, metavar="COEFF:FACTOR",
+                   help="multiply one solution coefficient (B, C, fa, beta) "
+                        "by FACTOR before evaluating")
+    # field and validate evaluate one frequency; profile and force sweep a list
+    freq = p.add_mutually_exclusive_group() if sweep else p
+    freq.add_argument("--f", type=_frequency, dest="frequencies",
+                      metavar="F", help="frequency [Hz]")
+    if sweep:
+        freq.add_argument("--f-list", type=_f_list, dest="frequencies",
+                          metavar="F_LIST", help="comma-separated frequencies [Hz]")
+        freq.add_argument("--f-range", type=_f_range, dest="frequencies",
+                          metavar="F_RANGE",
+                          help="LO:HI:N log-spaced frequencies [Hz]")
+    p.set_defaults(frequencies=frequencies)
+
+    if name == "profile":
+        p.add_argument("--mode", choices=_MODES, default="abs",
+                       help="complex-to-real reduction of the velocity "
+                            "columns (default abs)")
+        p.add_argument("--rmax-factor", type=float, default=1e4,
+                       help="outer radius as multiple of a (default 1e4)")
+        p.add_argument("--nr", type=int, default=200,
+                       help="number of log-spaced radii (default 200)")
+    elif name == "field":
+        p.add_argument("--v0", type=_nonnegative, default=1.0,
+                       help="far-field speed amplitude [m/s] (default 1)")
+        p.add_argument("--grid", type=_grid, metavar="XMIN:XMAX:NX,YMIN:YMAX:NY",
+                       help="grid bounds [m] and point counts "
+                            "(default: +-4a, 41x41)")
+    elif name == "force":
+        p.add_argument("--nodes", type=int, default=512,
+                       help="quadrature nodes on the surface (default 512)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (>= 1); rows are "
+                            "computed serially (default 1)")
+    else:
+        p.add_argument("--h-rel", type=float, default=1e-4,
+                       help="radial FD step as fraction of r (default 1e-4)")
+    return p
+
+
+@lru_cache(maxsize=None)  # built once per process; parse_args keeps no state
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand name's parser: every argv that starts with name."""
+    return _declare(argparse.ArgumentParser(prog=f"oscylinder {name}"), name)
+
+
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its subparsers declare no options."""
     parser = argparse.ArgumentParser(
         prog="oscylinder",
         description="Oscillatory creeping flow around a circular cylinder: "
                     "closed-form fields, forces, and residual checks.")
     sub = parser.add_subparsers(dest="command")
-
-    commands = {}
-    for name, (help_text, a, frequencies, sweep) in _COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        fluid_group = p.add_argument_group(
-            "fluid", f"default: air at 20 C (nu0 = {AIR_20C.nu0:g} m^2/s, "
-                     f"rho0 = {AIR_20C.rho0:g} kg/m^3)")
-        fluid_group.add_argument("--nu0", type=_positive,
-                                 help="kinematic viscosity [m^2/s] (with --rho0)")
-        fluid_group.add_argument("--rho0", type=_positive,
-                                 help="density [kg/m^3] (with --nu0)")
-        p.add_argument("--a", type=_positive, default=a, help="cylinder radius [m]")
-        p.add_argument("--t", type=_finite, default=0.0, help="time [s] (default 0)")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--mutate", type=_mutation, metavar="COEFF:FACTOR",
-                       help="multiply one solution coefficient (B, C, fa, beta) "
-                            "by FACTOR before evaluating")
-        # field and validate evaluate one frequency; profile and force sweep a list
-        freq = p.add_mutually_exclusive_group() if sweep else p
-        freq.add_argument("--f", type=_frequency, dest="frequencies",
-                          metavar="F", help="frequency [Hz]")
-        if sweep:
-            freq.add_argument("--f-list", type=_f_list, dest="frequencies",
-                              metavar="F_LIST",
-                              help="comma-separated frequencies [Hz]")
-            freq.add_argument("--f-range", type=_f_range, dest="frequencies",
-                              metavar="F_RANGE",
-                              help="LO:HI:N log-spaced frequencies [Hz]")
-        p.set_defaults(frequencies=frequencies)
-
-    profile, field, force, validate = commands.values()
-    profile.add_argument("--mode", choices=_MODES, default="abs",
-                         help="complex-to-real reduction of the velocity "
-                              "columns (default abs)")
-    profile.add_argument("--rmax-factor", type=float, default=1e4,
-                         help="outer radius as multiple of a (default 1e4)")
-    profile.add_argument("--nr", type=int, default=200,
-                         help="number of log-spaced radii (default 200)")
-    field.add_argument("--v0", type=_nonnegative, default=1.0,
-                       help="far-field speed amplitude [m/s] (default 1)")
-    field.add_argument("--grid", type=_grid, metavar="XMIN:XMAX:NX,YMIN:YMAX:NY",
-                       help="grid bounds [m] and point counts "
-                            "(default: +-4a, 41x41)")
-    force.add_argument("--nodes", type=int, default=512,
-                       help="quadrature nodes on the surface (default 512)")
-    force.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (>= 1); rows are "
-                            "computed serially (default 1)")
-    validate.add_argument("--h-rel", type=float, default=1e-4,
-                          help="radial FD step as fraction of r (default 1e-4)")
-
+    for name, (help_text, *_) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -392,18 +406,24 @@ def cmd_validate(cfg: RunConfig, h_rel: float) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        # no arguments, -h or an unknown command: the top-level parser exits
+        # 0 on -h and 2 on an argv it refuses, so only [] gets past it
+        parser = build_parser()
+        parser.parse_args(argv)
         parser.print_help(sys.stderr)
         return 2
+    command = argv[0]
+    parser = _command_parser(command)
+    args = parser.parse_args(argv[1:])
     try:
         cfg = _resolve_config(parser, args)
-        if args.command == "profile":
+        if command == "profile":
             return cmd_profile(cfg, args.mode, args.nr, args.rmax_factor)
-        if args.command == "field":
+        if command == "field":
             return cmd_field(cfg, args.grid, args.v0)
-        if args.command == "force":
+        if command == "force":
             return cmd_force(cfg, args.nodes, args.jobs)
         return cmd_validate(cfg, args.h_rel)
     except BrokenPipeError:

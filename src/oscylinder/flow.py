@@ -348,7 +348,7 @@ def _slopes(s: Scenario, rho: float) -> tuple[complex, complex]:
 
 
 def _check_radius(s: Scenario, r: float) -> float:
-    if not math.isfinite(r):
+    if not abs(r) <= sys.float_info.max:  # not math.isfinite: see _positive
         raise ValueError(f"field point radius {r!r} is out of range (not finite)")
     if r < s.a:
         raise ValueError(f"field point radius {r!r} is below the cylinder surface a={s.a!r}")
@@ -356,7 +356,9 @@ def _check_radius(s: Scenario, r: float) -> float:
 
 
 def _phase(s: Scenario, t: float) -> complex:
-    """e^{-i omega t}; an omega t that is not finite is refused by name."""
+    """e^{-i omega t}; a t or omega t that is not finite is refused by name."""
+    if not abs(t) <= sys.float_info.max:  # before omega * t, which a huge int overflows
+        raise ValueError(f"time t = {t!r} s is out of range (not finite)")
     wt = s.omega * t
     if not -math.inf < wt < math.inf:
         raise ValueError(f"the phase omega t = {wt!r} at t = {t!r} s, "

@@ -29,6 +29,7 @@ quadrature, the wall stress; _force_row takes each once for a row of
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
@@ -129,7 +130,7 @@ def _wall_stress(s: Scenario) -> tuple[complex, complex, complex]:
 
 def traction(s: Scenario, theta: float, t: float) -> tuple[complex, complex]:
     """Cartesian traction phasor (t_x, t_y) [Pa] on the surface r = a."""
-    if not -math.inf < theta < math.inf:
+    if not abs(theta) <= sys.float_info.max:  # a huge int, too, before math.cos
         raise ValueError(f"traction angle theta = {theta!r} rad is out of range "
                          f"(not finite)")
     a, bv, a_bv = _wall_stress(s)

@@ -104,7 +104,8 @@ def _length_unit(r: float) -> float:
 def _resolve_step(r: float, thetas, h: float | None) -> float:
     if h is None:
         h = 1e-4 * r
-    if not (isinstance(h, (int, float)) and 0 < h <= sys.float_info.max):
+    if isinstance(h, bool) or not (isinstance(h, (int, float))
+                                   and 0 < h <= sys.float_info.max):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
     if h * h < sys.float_info.min:
         raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "

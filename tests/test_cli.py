@@ -27,7 +27,7 @@ from oscylinder import (AIR_20C, Perturbation, PolarPoint, Scenario, flow_state,
                         force_analytic, force_buoyancy, force_quadrature,
                         force_viscous_approx, residual_report, residual_tolerance,
                         validate_checks)
-from oscylinder.cli import build_parser, main
+from oscylinder.cli import _COMMANDS, _command_parser, build_parser, main
 
 from test_residuals import nan_rank, reference_boundary_suite
 
@@ -536,6 +536,9 @@ def test_options_a_subcommand_does_not_read_are_refused(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    # a subcommand's own parser refuses it; an unknown command, the tree
+    usage = f"oscylinder {argv[0]} " if argv[0] in _COMMANDS else "oscylinder [-h] "
+    assert captured.err.startswith("usage: " + usage)
 
 
 @pytest.mark.parametrize("argv", [
@@ -852,14 +855,18 @@ def test_bare_commands_use_their_documented_defaults(command, defaults, capsys):
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    # one cached parser serves every main() call: the same codes, stdout
-    # and stderr as a parser built afresh for each call
+    # each cached parser is built on its first use and serves every later
+    # main() call: a subcommand's own parser for `name ...`, the tree for
+    # anything else, with the same codes, stdout and stderr as parsers
+    # built afresh for each call
     argvs = [["validate"],
              ["validate", "--f", "1", "--f-list", "2"],  # argparse SystemExit
              ["validate", "--mutate", "Q:1.001"],  # refused by its type converter
              ["force"],
              ["profile", "--mode", "phase"],
-             []]  # help on stderr, exit 2
+             [],  # help on stderr, exit 2
+             ["force", "--nodes", "7"],  # refused where it is used
+             ["-h"]]
 
     def run(argv):
         try:
@@ -869,34 +876,50 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
+    def clear():
+        _command_parser.cache_clear()
+        build_parser.cache_clear()
+
     fresh = []
     for argv in argvs:
-        build_parser.cache_clear()
+        clear()
         fresh.append(run(argv))
 
     reused = []
-    built_during = []
+    built = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        built_during.append(len(reused))
         init(self, *args, **kwargs)
+        built.append((len(reused), self.prog))
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    build_parser.cache_clear()
+    clear()
     for argv in argvs:
         reused.append(run(argv))
     assert reused == fresh
-    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0, 2]
-    assert built_during and set(built_during) == {0}
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0, 2, 2, 0]
+    # by the run that first needs it: validate's, force's and profile's own
+    # parser, then the tree, with its four subparsers, for []
+    assert built == [(0, "oscylinder validate"), (3, "oscylinder force"),
+                     (4, "oscylinder profile"), (5, "oscylinder"),
+                     *((5, f"oscylinder {name}") for name in _COMMANDS)]
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "oscylinder.cli", "force", "--f", "10", "--nodes", "8"],
-        capture_output=True, text=True, timeout=60, env=SRC_ENV)
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("f [Hz],abs_F_analytic_over_v0 [N s/m^2],")
+    # main(None) reads sys.argv[1:] itself: the tree for none or -h, a
+    # subcommand's own parser for `force ...`
+    for argv, code, stream, start in [
+            (["force", "--f", "10", "--nodes", "8"], 0, "stdout",
+             "f [Hz],abs_F_analytic_over_v0 [N s/m^2],"),
+            ([], 2, "stderr", "usage: oscylinder [-h] "),
+            (["-h"], 0, "stdout", "usage: oscylinder [-h] "),
+            (["force", "-h"], 0, "stdout", "usage: oscylinder force ")]:
+        proc = subprocess.run([sys.executable, "-m", "oscylinder.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=SRC_ENV)
+        assert proc.returncode == code, argv
+        assert getattr(proc, stream).startswith(start), argv
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -18,7 +18,8 @@ import pytest
 import oscylinder
 from oscylinder import (AIR_20C, Check, FlowState, Fluid, ForceResult,
                         Perturbation, PolarPoint, ResidualReport, Scenario,
-                        StressTensor, ValidityReport)
+                        StressTensor, ValidityReport, f_of_r, force_quadrature,
+                        traction, validate_checks, velocity)
 from oscylinder.cli import RunConfig
 
 #: (fixed instance's field values, its repr) per record type
@@ -168,6 +169,35 @@ def test_from_frequency_refuses_an_int_too_large_for_a_float():
     with pytest.raises(ValueError) as info:
         Scenario.from_frequency(AIR_20C, 1.0, 1.0, HUGE)
     assert str(info.value) == f"f must be a positive finite number, got {HUGE!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: velocity(s, PolarPoint(2e-6, 0.3), HUGE),
+     f"time t = {HUGE!r} s is out of range (not finite)"),
+    (lambda s: force_quadrature(s, HUGE),
+     f"time t = {HUGE!r} s is out of range (not finite)"),
+    (lambda s: validate_checks(s, HUGE),
+     f"time t = {HUGE!r} s is out of range (not finite)"),
+    (lambda s: traction(s, HUGE, 0.0),
+     f"traction angle theta = {HUGE!r} rad is out of range (not finite)"),
+    (lambda s: f_of_r(s, HUGE),
+     f"field point radius {HUGE!r} is out of range (not finite)"),
+    (lambda s: velocity(s, PolarPoint(2e-6, 0.3), math.nan),
+     "time t = nan s is out of range (not finite)"),
+    (lambda s: validate_checks(s, math.inf),
+     "time t = inf s is out of range (not finite)"),
+    (lambda s: force_quadrature(s, -math.inf),
+     "time t = -inf s is out of range (not finite)"),
+], ids=["velocity-t", "force_quadrature-t", "validate_checks-t", "traction-theta",
+        "f_of_r-r", "velocity-t-nan", "validate_checks-t-inf",
+        "force_quadrature-t-minus-inf"])
+def test_time_angle_and_radius_beyond_double_range_are_refused(call, message):
+    # compared, not converted: omega * t, math.cos and math.isfinite would
+    # raise OverflowError on an int too large for a float; a NaN or infinite
+    # t is refused by name before omega t is formed
+    with pytest.raises(ValueError) as info:
+        call(Scenario.from_frequency(AIR_20C, 1e-6, 1.0, 10.0))
+    assert str(info.value) == message
 
 
 def test_import_leaves_dataclasses_and_typing_unloaded():

@@ -292,6 +292,13 @@ def test_bad_step_rejected(h):
         residual_report(S2, PolarPoint(3.0 * S2.a, 0.4), h=h)
 
 
+def test_bool_step_rejected():
+    # a bool is an int, but True would be a one-sided 1 m stencil
+    with pytest.raises(ValueError) as info:
+        residual_report(S2, PolarPoint(3e-6, 0.4), h=True)
+    assert str(info.value) == "step h must be positive and finite, got True"
+
+
 @pytest.mark.parametrize("h", [1e160, 1e300])
 def test_overflowing_step_rejected(h):
     # h*h (and (h/r)^2) overflow, so both second differences would be 0
