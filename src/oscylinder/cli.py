@@ -32,7 +32,10 @@ threads.
 profile and field form each point as angle x flow._radial x phase, the
 products flow._fields forms for flow_state and the residual checks, in the
 same order (forces._stress builds the stress the same way); tests pin
-every row to flow_state bit for bit.  field formats each grid row with one
+every row to flow_state bit for bit.  field measures point k of n on each
+axis from the nearer bound (_axis): both bounds are printed exactly, and a
+range symmetric about 0 gives an exactly symmetric grid, whose mirror
+points share one r/a.  field formats each grid row with one
 "%" (x in a per-column prefix, y in the row template, masked points
 literal): "%.16e" % v is f"{v:.16e}".  A radius, r/a or grid span that is
 NaN or overflows is refused with a message naming it, as are a Bessel
@@ -313,6 +316,17 @@ def cmd_profile(cfg: RunConfig, mode: str, nr: int, rmax_factor: float) -> int:
     return 0
 
 
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi, point k measured from the nearer bound.
+
+    Both bounds are exact, no product leaves double range when hi - lo is
+    finite, and a range symmetric about 0 gives point k == -point n-1-k bit
+    for bit, so mirror points share one radius and one _radial memo entry."""
+    span, m = hi - lo, n - 1
+    return [lo + span * (k / m) if 2 * k <= m else hi - span * ((m - k) / m)
+            for k in range(n)]
+
+
 def cmd_field(cfg: RunConfig, grid, v0: float) -> int:
     if grid is None:
         x0, x1, nx = -4.0 * cfg.a, 4.0 * cfg.a, 41
@@ -331,11 +345,9 @@ def cmd_field(cfg: RunConfig, grid, v0: float) -> int:
     hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
     header = ["x [m]", "y [m]", "masked [-]",
               "re_p [Pa]", "abs_p [Pa]", "re_vx [m/s]", "re_vy [m/s]"]
-    columns = [(x, f"{x:.16e},") for x in
-               (x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx))]
+    columns = [(x, f"{x:.16e},") for x in _axis(x0, x1, nx)]
     rows = []
-    for iy in range(ny):
-        y = y0 + (y1 - y0) * iy / (ny - 1)
+    for y in _axis(y0, y1, ny):
         ys = f"{y:.16e}"
         point, masked = ys + ",0,%.16e,%.16e,%.16e,%.16e\n", ys + ",1,,,,\n"
         template, values = [], []

@@ -129,18 +129,16 @@ def test_field_default_grid(tmp_path):
     for row in masked:
         assert row[3:] == ["", "", "", ""]
         assert math.hypot(float(row[0]), float(row[1])) < 1e-6
-    # pressure is antisymmetric in x: p(-x, y) = -p(x, y)
+    # the grid is exactly symmetric, so every live row off the x = 0 column
+    # has a live mirror (-x, y), where the pressure is p(-x, y) = -p(x, y)
     by_xy = {(row[0], row[1]): row for row in rows}
-    checked = 0
     pmax = max(abs(float(row[4])) for row in live)
-    for row in live:
-        x, y = float(row[0]), float(row[1])
-        mirror = by_xy.get((format(-x, ".16e"), row[1]))
-        if mirror is None or mirror[2] == "1":
-            continue
+    off_axis = [row for row in live if float(row[0]) != 0.0]
+    assert len(off_axis) > 100
+    for row in off_axis:
+        mirror = by_xy.get((format(-float(row[0]), ".16e"), row[1]))
+        assert mirror is not None and mirror[2] == "0"
         assert abs(float(mirror[3]) + float(row[3])) < 1e-12 * pmax
-        checked += 1
-    assert checked > 100
 
 
 def test_field_custom_grid_no_mask(tmp_path):
@@ -155,6 +153,27 @@ def test_field_custom_grid_no_mask(tmp_path):
     assert [float(r[0]) for r in rows[:5]] == pytest.approx(
         [2e-6, 2.5e-6, 3e-6, 3.5e-6, 4e-6])
     assert len({r[1] for r in rows[:5]}) == 1
+
+
+@pytest.mark.parametrize("grid", [
+    "1e-6:3.3e-6:3,-1e-6:2e-6:4",  # lo + (hi - lo) * k / (n - 1) rounds XMAX to 3.2999999999999997e-06
+    "-4e-6:4e-6:41,-3.3e-6:3.3e-6:6",
+    "-1e-6:1e-6:2,-7e-6:7e-6:101",
+])
+def test_field_grid_bounds_are_exact_and_symmetric_ranges_mirror(grid, tmp_path):
+    code, data = run_to_file(tmp_path, "f.csv", ["field", "--a", "1e-6", f"--grid={grid}"])
+    assert code == 0
+    _, rows = parse_csv(data)
+    (x0, x1, nx), (y0, y1, ny) = [spec.split(":") for spec in grid.split(",")]
+    nx, ny = int(nx), int(ny)
+    assert len(rows) == nx * ny
+    xs = [float(row[0]) for row in rows[:nx]]
+    ys = [float(row[1]) for row in rows[::nx]]
+    for lo, hi, axis in ((float(x0), float(x1), xs), (float(y0), float(y1), ys)):
+        assert (axis[0], axis[-1]) == (lo, hi)
+        assert axis == sorted(axis)
+        if lo == -hi:  # exactly, so point k and n-1-k print as x and -x
+            assert axis == [-v for v in reversed(axis)]
 
 
 # field and profile form angle x _radial x phase per point themselves; every
@@ -632,23 +651,29 @@ def test_radius_domain_edges_fail_clearly(argv, message, capsys):
     assert "(inf-infj)" not in captured.err  # the kernel's raw argument
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, n_rows", [
     # a decade inside each refused edge above: every value written is finite
-    ["profile", "--a", "1e-6", "--f", "1e9", "--rmax-factor", "1e306", "--nr", "4"],
-    ["field", "--a", "1e-6", "--f", "1e9", "--grid=0:1e298:2,0:1:2"],
+    pytest.param(["profile", "--a", "1e-6", "--f", "1e9", "--rmax-factor", "1e306",
+                  "--nr", "4"], 4, id="argv0"),
+    pytest.param(["field", "--a", "1e-6", "--f", "1e9", "--grid=0:1e298:2,0:1:2"], 4,
+                 id="argv1"),
+    # XMAX is finite, and no grid point overflows on the way to it
+    pytest.param(["field", "--a", "1e300", "--f", "1e-300", "--grid=0:1.7e308:3,0:1:2"], 6,
+                 id="argv2"),
 ])
-def test_radius_domain_edges_inside_write_finite_rows(argv, capsys):
+def test_radius_domain_edges_inside_write_finite_rows(argv, n_rows, capsys):
     assert main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     values = [float(v) for row in rows for v in row.split(",") if v]
-    assert len(rows) == 4 and all(math.isfinite(v) for v in values)
+    assert len(rows) == n_rows and all(math.isfinite(v) for v in values)
 
 
-#: (a, f) over double range: every 50 decades, a seeded sample, and the
-#: tiny-a, huge-f point where validate once printed a NaN pressure Laplacian
+#: (a, f) over double range: every 25 decades with a up to 1e308 and f down
+#: to 1e-310, a seeded sample, and the tiny-a, huge-f point where validate
+#: once printed a NaN pressure Laplacian
 _EDGE_RNG = random.Random(22)
-EDGE_SCAN = ([(10.0 ** ea, 10.0 ** ef) for ea in range(-300, 301, 50)
-              for ef in range(-300, 301, 50)]
+EDGE_SCAN = ([(10.0 ** ea, 10.0 ** ef) for ea in [*range(-300, 301, 25), 308]
+              for ef in [-310, *range(-300, 301, 25)]]
              + [(10.0 ** _EDGE_RNG.uniform(-300, 300), 10.0 ** _EDGE_RNG.uniform(-300, 300))
                 for _ in range(12)]
              + [(1e-12, 1e300)])
@@ -657,8 +682,9 @@ EDGE_SCAN = ([(10.0 ** ea, 10.0 ** ef) for ea in range(-300, 301, 50)
 def _edge_argv(command, a, v0):
     if command == "profile":
         return ["--nr", "4"]
-    if command == "field":
-        return [f"--grid={-4 * a!r}:{4 * a!r}:3,{-4 * a!r}:{4 * a!r}:3", "--v0", repr(v0)]
+    if command == "field":  # +-4a, clamped where 4a overflows
+        b = min(4 * a, 1e308)
+        return [f"--grid={-b!r}:{b!r}:3,{-b!r}:{b!r}:3", "--v0", repr(v0)]
     return ["--nodes", "8"] if command == "force" else []
 
 
