@@ -6,7 +6,7 @@ closed-form modified-Bessel solution, together with finite-difference
 residual checks that verify the fields against the governing equations.
 """
 
-from .bessel import SERIES_RADIUS, BesselDomainError, bessel_k0, bessel_k1
+from .bessel import BesselDomainError, bessel_k0, bessel_k1
 from .flow import (AIR_20C, J_MINUS, J_PLUS, Fluid, FlowState, Perturbation,
                    PolarPoint, RecoveryNotFoundError, Scenario, ValidityReport,
                    coefficient_B, coefficient_C, f_of_r, flow_state, pressure,
@@ -32,7 +32,6 @@ __all__ = [
     "PolarPoint",
     "RecoveryNotFoundError",
     "ResidualReport",
-    "SERIES_RADIUS",
     "Scenario",
     "StressTensor",
     "ValidityReport",

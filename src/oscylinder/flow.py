@@ -171,10 +171,10 @@ class _Coefficients:
     K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
     splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r and
     k0r1 are terms(1.0), the regular part and the K0 ratio at rho = 1,
-    formed from k0_za's Bessel pair, which _radial and _slopes reuse
-    there; pole = i ba^2 q is the pole part of i ba^2 G(rho) rho, kept
-    exact as -2/K0(za).  `excess` is the wall term beyond c (1 + g1r):
-    c (f_a - 1) g1 + (c - b) q, zero unperturbed.
+    which _radial and _slopes reuse there; pole = i ba^2 q is the pole
+    part of i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the
+    wall term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero
+    unperturbed.
     ba_k0, c2, iba2, c_g1r, c2_g1r, c_g1 and excess2 hold ba k0_za, 2c,
     i ba^2, c g1r, 2c g1r, c g1 and 2 excess, the first products of terms(),
     _radial and _slopes, so every float is as when formed inline.  `memo`
@@ -196,17 +196,14 @@ class _Coefficients:
         self.za = J_MINUS * ba
         small = self.small = ba < SMALL_BA
         try:
-            k0, k1 = bessel_k_pair(self.za, scaled=not small)
-            self.k0_za = k0
-            ba_k0 = self.ba_k0 = ba * k0
+            k0 = self.k0_za = bessel_k_pair(self.za, scaled=not small)[0]
+            self.ba_k0 = ba * k0
             if small:
                 self.q = 2j / (ba * ba * k0)
                 self.pole = -(2.0 / k0)
-                self.g1r, self.k0r1 = _2J_PLUS * k1 / ba_k0, k0 / k0
             else:
                 self.q = self.pole = 0j
-                decay = cmath.exp(-J_MINUS * (ba * 0.0))  # terms()' decay at rho = 1
-                self.g1r, self.k0r1 = _2J_PLUS * k1 * decay / ba_k0, k0 * decay / k0
+            self.g1r, self.k0r1 = self.terms(1.0)
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"the solution cannot be evaluated at "
                              f"beta a = {ba:g}: {exc}") from None
@@ -320,7 +317,7 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex]:
     bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
     pb = (rho + c / rho) + k.c_g1 / rho
     result = br, bth, pb
-    if len(k.memo) >= 4096:  # as many entries as each Bessel cache holds
+    if len(k.memo) >= 4096:  # as many entries as the Bessel cache holds
         k.memo.clear()
     k.memo[rho] = result
     return result

@@ -2,16 +2,17 @@
 
 Expected values were computed with mpmath at 50 significant digits and
 frozen here (scripts/reference_values.py regenerates them).  The point
-set covers every evaluation branch (Temme series below |z| = 2.5, the
-trapezoidal rule for K and Miller recurrence for I up to |z| = 17, with
-points at the rule's step changes |z| = 4 and 8, asymptotic expansion
-above; I0 and I1 come from the tests' own bessel_i module, the Wronskian
-reference), the arg(z) = -pi/4 ray the flow solution lives on,
+set covers every evaluation branch (K: Temme series below |z| = 2.5, the
+trapezoidal rule above, with points at the rule's step changes |z| = 4
+and 8; I0 and I1 come from the tests' own bessel_i module, the Wronskian
+reference, by Miller recurrence up to |z| = 17 and asymptotic expansion
+above), the arg(z) = -pi/4 ray the flow solution lives on,
 near-imaginary arguments, and the deep-decay regime.  Hypothesis
-properties compare the |z| <= 17 kernel, and the rule on its own band,
-with mpmath at 40 digits.  Pins tie the kernel's precomputed tables
-(Temme's rows and term counts, the rule's nodes, the asymptotic sums'
-real factors) to exact rationals and to the float operations that form
+properties compare the kernel for |z| <= 17, and the rule on 2.5 <= |z|
+<= 17 and on 17 <= |z| <= 1e6, with mpmath at 40 digits; fixed points
+up to |z| = 1e300 check it against the two-term expansion.  Pins tie
+the kernel's precomputed tables (Temme's rows and term counts, the
+rule's nodes) to exact rationals and to the float operations that form
 them.
 """
 
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscylinder import SERIES_RADIUS, BesselDomainError, bessel_k0, bessel_k1
+from oscylinder import BesselDomainError, bessel_k0, bessel_k1
 from oscylinder.bessel import _TEMME_RADIUS, bessel_k_pair
 
 from bessel_i import bessel_i0, bessel_i1
@@ -311,9 +312,8 @@ def test_scaled_unscaled_consistency(radius, phi):
 
 def test_branch_agreement_at_crossover():
     # Temme's series (below |z| = _TEMME_RADIUS) and the trapezoidal rule
-    # (above) must agree where K hands over, and so must the |z| <= 17
-    # kernel and the asymptotic expansion (above 17)
-    from oscylinder.bessel import _asym_k_scaled, _k_values, _temme, _trapezoid
+    # (above) must agree where K hands over
+    from oscylinder.bessel import _temme, _trapezoid
     for phi in (-math.pi / 4, 0.0, math.pi / 3, -1.4):
         z = cmath.rect(_TEMME_RADIUS, phi)
         k0, k1m = _temme(z)
@@ -323,18 +323,12 @@ def test_branch_agreement_at_crossover():
         assert abs(k0s * ez - k0) < 5e-14 * abs(k0)
         assert abs(k1s * ez - k1) < 5e-14 * abs(k1)
 
-        z = cmath.rect(17.0, phi)
-        k0, k1, _ = _k_values(z)
-        k0s, k1s = _asym_k_scaled(z)
-        ez = cmath.exp(-z)
-        assert abs(k0s * ez - k0) < 5e-14 * abs(k0)
-        assert abs(k1s * ez - k1) < 5e-14 * abs(k1)
-
 
 def test_k_never_runs_miller():
     # K never needs I: the kernel has no Miller recurrence, and K returns
     # Temme's series (|z| < _TEMME_RADIUS) or the trapezoidal rule (above),
-    # bitwise
+    # bitwise: the cache holds Temme's unscaled values or the rule's scaled
+    # ones, and the other form is one exponential away
     from oscylinder import bessel
     from oscylinder.bessel import _temme, _trapezoid
 
@@ -349,14 +343,15 @@ def test_k_never_runs_miller():
         if abs(z) < _TEMME_RADIUS:
             k0, k1m = _temme(z)
             k1 = k1m + 1.0 / z
+            k0s, k1s = k0 * cmath.exp(z), k1 * cmath.exp(z)
         else:
             k0s, k1s = _trapezoid(z)
             k0, k1 = k0s * cmath.exp(-z), k1s * cmath.exp(-z)
             k1m = k1 - 1.0 / z
         assert bessel_k0(z) == k0
         assert bessel_k1(z) == k1
-        assert bessel_k0(z, scaled=True) == k0 * cmath.exp(z)
-        assert bessel_k1(z, scaled=True) == k1 * cmath.exp(z)
+        assert bessel_k0(z, scaled=True) == k0s
+        assert bessel_k1(z, scaled=True) == k1s
         assert k1_minus_pole(z) == k1m
 
 
@@ -375,8 +370,9 @@ def test_small_argument_limits():
         assert rel(k1_minus_pole(z), k1m_lim) < 1e-6
 
 
-# log10 |z| from -3 to log10(17): every branch of the |z| <= 17 kernel
-@given(st.floats(min_value=-3.0, max_value=math.log10(SERIES_RADIUS)),
+# log10 |z| from -3 to log10(17): both branches of K, and the I reference's
+# Miller branch
+@given(st.floats(min_value=-3.0, max_value=math.log10(17.0)),
        st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_mpmath(log_radius, phi):
@@ -411,47 +407,19 @@ def test_kernel_matches_mpmath(log_radius, phi):
 def test_k_matches_mpmath_around_temme_crossover(radius, phi):
     from oscylinder.bessel import _k_values, _temme
     z = cmath.rect(radius, phi)
-    k0, _, k1m = _k_values(z)
+    k0, k1m = bessel_k_pair(z)
     if radius < _TEMME_RADIUS:
-        assert (k0, k1m) == _temme(z)
+        assert (k0, k1m) == _k_values(z) == _temme(z)
     with mpmath.workdps(40):
         zm = mpmath.mpc(z.real, z.imag)
         ref0, ref1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
-        for got, ref in ((k0, ref0), (k1m + 1.0 / z, ref1), (k1m, ref1 - 1 / zm)):
+        for got, ref in ((k0, ref0), (bessel_k1(z), ref1), (k1m, ref1 - 1 / zm)):
             assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
 
 
 # ----------------------------------------------------------------------
 # precomputed kernel factors
 # ----------------------------------------------------------------------
-
-def _asym_loop(nu, z):
-    """Reference: the asymptotic sum forming its real factors step by step."""
-    mu = 4.0 * nu * nu
-    total = term = 1.0 + 0.0j
-    prev_mag = math.inf
-    for k in range(1, 41):
-        term = term * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
-        mag = abs(term)
-        if mag >= prev_mag:
-            break
-        total += term
-        if mag < 1e-17 * abs(total):
-            break
-        prev_mag = mag
-    return total
-
-
-@given(st.floats(min_value=math.log10(SERIES_RADIUS), max_value=4.0),
-       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
-@settings(max_examples=200, deadline=None)
-def test_asym_sum_matches_inline_factors_bitwise(log_radius, phi):
-    from oscylinder.bessel import _asym_sum
-    z = cmath.rect(10.0 ** log_radius, phi)
-    for nu in (0, 1):
-        for w in (z, -z):
-            assert _asym_sum(nu, w) == _asym_loop(nu, w)
-
 
 def test_temme_rows_are_correctly_rounded():
     # each row (H_k, 1/k!^2, (H_k + H_{k+1})/2, 1/(k! (k+1)!)) is its exact
@@ -482,15 +450,6 @@ def test_temme_term_table_covers_the_series_region():
                 1.0 / j for j in range(1, n + 1))) < 2.0 ** -56:
             n += 1
         assert len(rows) == n, bound
-
-
-def test_asym_factors_match_inline_recurrence():
-    # the table holds exactly the floats the loop formed step by step
-    from oscylinder.bessel import _ASYM_FACTORS
-    for nu in (0, 1):
-        mu = 4.0 * nu * nu
-        assert list(_ASYM_FACTORS[nu]) == [(mu - (2.0 * k - 1.0) ** 2, 8.0 * k)
-                                           for k in range(1, 41)]
 
 
 def _temme_bound_points():
@@ -524,7 +483,7 @@ def test_temme_refuses_beyond_its_table():
 
 
 def test_trapezoid_nodes_are_built_by_documented_operations():
-    # per band of |z| (below 4, 8 and up to 17) the step h, the half weight
+    # per band of |z| (below 4, below 8 and above) the step h, the half weight
     # h/2 of the node s = 0, and for s = j h <= 6.2, j >= 1, the row
     # (s^2/2, h e^{-s^2}, 2 s^2 h e^{-s^2}) with s^2 = (j h)(j h)
     from oscylinder.bessel import _TRAPEZOID_BANDS
@@ -546,11 +505,11 @@ def test_trapezoid_nodes_are_built_by_documented_operations():
         assert 2.0 * s2 * h * math.exp(-s2) < 1e-15 * math.sqrt(math.pi) / 4
 
 
-# the trapezoidal rule on its whole band 2.5 <= |z| <= 17, |arg z| <= pi/2,
-# scaled and unscaled, against the kernel's 2e-14; the examples straddle the
-# step changes at |z| = 4 and 8 and lie on the imaginary axis, where the
+# the trapezoidal rule on 2.5 <= |z| <= 17, |arg z| <= pi/2, scaled and
+# unscaled, against the kernel's 2e-14; the examples straddle the step
+# changes at |z| = 4 and 8 and lie on the imaginary axis, where the
 # integrands' singularities s = +-i sqrt(2z) come nearest the real line
-@given(st.floats(min_value=_TEMME_RADIUS, max_value=SERIES_RADIUS),
+@given(st.floats(min_value=_TEMME_RADIUS, max_value=17.0),
        st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
 @example(_TEMME_RADIUS, 0.5 * math.pi)
 @example(4.0 - 1e-12, 0.5 * math.pi)
@@ -561,13 +520,15 @@ def test_trapezoid_nodes_are_built_by_documented_operations():
 @example(8.0, -0.5 * math.pi)
 @example(8.0 - 1e-12, 0.5 * math.pi)
 @example(8.0, -0.25 * math.pi)
-@example(SERIES_RADIUS, -0.5 * math.pi)
+@example(17.0, -0.5 * math.pi)
 @settings(max_examples=200, deadline=None)
 def test_trapezoid_matches_mpmath(radius, phi):
     from oscylinder.bessel import _k_values, _trapezoid
     z = cmath.rect(radius, phi)
     k0s, k1s = _trapezoid(z)
-    k0, k1, k1m = _k_values(z)
+    if abs(z) >= _TEMME_RADIUS:  # cmath.rect may round |z| below 2.5
+        assert _k_values(z) == (k0s, k1s)
+    k0, k1, k1m = bessel_k0(z), bessel_k1(z), k1_minus_pole(z)
     with mpmath.workdps(40):
         zm = mpmath.mpc(z.real, z.imag)
         ref0, ref1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
@@ -575,6 +536,60 @@ def test_trapezoid_matches_mpmath(radius, phi):
         for got, ref in ((k0s, ref0 * ez), (k1s, ref1 * ez), (k0, ref0),
                          (k1, ref1), (k1m, ref1 - 1 / zm)):
             assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
+
+
+# the rule past 17, where no other algorithm takes over: |z| log-uniform on
+# [17, 1e6], |arg z| <= pi/2, scaled, and unscaled while Re z <= 700 keeps
+# K a normal double, against the kernel's 2e-14
+@given(st.floats(min_value=math.log10(17.0), max_value=6.0),
+       st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+@example(math.log10(17.0), 0.5 * math.pi)
+@example(6.0, -0.25 * math.pi)
+@example(6.0, -0.5 * math.pi)
+@settings(max_examples=200, deadline=None)
+def test_trapezoid_matches_mpmath_past_17(log_radius, phi):
+    z = cmath.rect(10.0 ** log_radius, phi)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        ref0, ref1 = mpmath.besselk(0, zm), mpmath.besselk(1, zm)
+        ez = mpmath.exp(zm)
+        pairs = [(bessel_k0(z, scaled=True), ref0 * ez),
+                 (bessel_k1(z, scaled=True), ref1 * ez),
+                 (k1_minus_pole(z), ref1 - 1 / zm)]
+        if z.real <= 700.0:
+            pairs += [(bessel_k0(z), ref0), (bessel_k1(z), ref1)]
+        for got, ref in pairs:
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("radius", [1e10, 1e100, 1e300])
+@pytest.mark.parametrize("phi", [-math.pi / 2, -math.pi / 4, 0.0, 1.1, math.pi / 2])
+def test_scaled_k_matches_two_term_expansion(radius, phi):
+    # e^z K_nu(z) = sqrt(pi/(2z)) (1 + (4 nu^2 - 1)/(8z) + O(z^-2)): at
+    # |z| >= 1e10 the dropped terms are below 1e-20, so two terms in mpmath
+    # are the reference (the rule measured within 4e-16 of it)
+    z = cmath.rect(radius, phi)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        pref = mpmath.sqrt(mpmath.pi / (2 * zm))
+        for fn, mu in ((bessel_k0, 0), (bessel_k1, 4)):
+            ref = pref * (1 + (mu - 1) / (8 * zm))
+            got = fn(z, scaled=True)
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
+
+
+def test_k_has_two_algorithms():
+    # the asymptotic expansion and its 17 crossover are gone: past 17 the
+    # scaled pair is the trapezoidal rule's, bitwise
+    import oscylinder
+    from oscylinder import bessel
+    from oscylinder.bessel import _trapezoid
+    for name in ("_asym_sum", "_asym_k_scaled", "_ASYM_FACTORS", "SERIES_RADIUS"):
+        assert not hasattr(bessel, name), name
+    assert not hasattr(oscylinder, "SERIES_RADIUS")
+    for radius in (17.001, 400.0, 1e6):
+        z = cmath.rect(radius, -math.pi / 4)
+        assert bessel_k_pair(z, scaled=True) == _trapezoid(z)
 
 
 def test_recurrence_i():
@@ -636,8 +651,8 @@ def test_unscaled_overflow_policy():
 @pytest.mark.parametrize("phi", [-math.pi / 2, -math.pi / 4, 0.0, 1.1, math.pi / 2])
 def test_k_pair_matches_public_functions(radius, phi):
     # the flow brackets' pair is, bit for bit, what the public K0 and K1
-    # give, on both sides of the series switches at |z| = _TEMME_RADIUS
-    # and 17
+    # give, on both sides of the switch at |z| = _TEMME_RADIUS and far
+    # past it
     from oscylinder.bessel import _temme
     z = cmath.rect(radius, phi)
     k0, k1m = bessel_k_pair(z)

@@ -22,9 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscylinder import (AIR_20C, J_MINUS, J_PLUS, SERIES_RADIUS,
-                        BesselDomainError, Fluid, Perturbation,
-                        PolarPoint, RecoveryNotFoundError, Scenario,
+from oscylinder import (AIR_20C, J_MINUS, J_PLUS, BesselDomainError, Fluid,
+                        Perturbation, PolarPoint, RecoveryNotFoundError, Scenario,
                         bessel_k0, bessel_k1, coefficient_B, coefficient_C,
                         f_of_r, flow_state, force_analytic, pressure,
                         recovery_radius, reynolds_number, validity_report,
@@ -425,10 +424,10 @@ def test_radial_memo_is_per_scenario(a, f, name):
 
 
 def test_field_evaluates_each_radius_once(monkeypatch, capsys):
-    # the default 41 x 41 map runs terms() once per distinct rho != 1 it
-    # samples, and never at rho = 1, whose values the coefficient set forms
-    # from its own Bessel pair; the grid is exactly symmetric, so mirror
-    # points share their rho and the map samples at most 200 distinct ones
+    # the default 41 x 41 map runs terms() once per distinct rho it samples,
+    # and at rho = 1 once, when the coefficient set forms its g1r and k0r1
+    # there; the grid is exactly symmetric, so mirror points share their
+    # rho and the map samples at most 200 distinct ones
     sampled, evaluated = [], []
     radial, terms = oscylinder.flow._radial, oscylinder.flow._Coefficients.terms
 
@@ -447,7 +446,7 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(sampled) > len(set(sampled)) > 100
     assert len(set(sampled)) <= 200
-    assert sorted(evaluated) == sorted(set(sampled) - {1.0})
+    assert sorted(evaluated) == sorted(set(sampled) | {1.0})
 
 
 def _coefficients_the_old_way(s):
@@ -602,7 +601,7 @@ def _terms_public(k, rho):
     """_Coefficients.terms(rho) formed from the public Bessel functions."""
     z = J_MINUS * (k.ba * rho)
     if k.small:
-        k0 = (bessel_k0(z) if abs(z) <= SERIES_RADIUS
+        k0 = (bessel_k0(z) if abs(z) < _TEMME_RADIUS
               else bessel_k0(z, scaled=True) * cmath.exp(-z))
         return _w_small(k.ba, k.k0_za, rho), k0 / k.k0_za
     decay = cmath.exp(-J_MINUS * (k.ba * (rho - 1.0)))
@@ -615,7 +614,8 @@ def _terms_public(k, rho):
                                    _TEMME_RADIUS + 1e-3, 16.999, 17.001, 400.0])
 def test_terms_match_public_bessel_route(ba, abs_z):
     # one bessel_k_pair call per rho gives the public-function values bit
-    # for bit, on both branches and both sides of |z| = _TEMME_RADIUS and |z| = 17
+    # for bit, on both branches, on both sides of |z| = _TEMME_RADIUS and
+    # far past it
     s = scenario(ba / math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0), 1000.0)
     k = s._coefficients
     assert k.small == (ba < 1.0)
