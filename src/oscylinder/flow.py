@@ -170,21 +170,18 @@ class _Coefficients:
     and C-mode weights, g1 = f(a)/ba (f_a factor applied).  k0_za is
     K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
     splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r and
-    k0r1 are terms(1.0), the regular part and the K0 ratio at rho = 1,
-    which _radial and _slopes reuse there; pole = i ba^2 q is the pole
-    part of i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the
-    wall term beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero
-    unperturbed.
-    ba_k0, c2, iba2, c_g1r, c2_g1r, c_g1 and excess2 hold ba k0_za, 2c,
-    i ba^2, c g1r, 2c g1r, c g1 and 2 excess, the first products of terms(),
-    _radial and _slopes, so every float is as when formed inline.  `memo`
-    maps rho to its _radial brackets, so _radial runs terms() once per
-    distinct rho; it is emptied when it reaches 4096 entries.
+    k0r1 are the regular part and the K0 ratio at rho = 1, which _radial
+    and _slopes reuse there; pole = i ba^2 q is the pole part of
+    i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall term
+    beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
+    The surface pair is fetched once and passed to _ratios at rho = 1 for
+    g1r and k0r1.  `memo` maps rho to its _radial brackets, so _radial
+    runs terms() once per distinct rho; it is emptied when it reaches 4096
+    entries.
     """
 
-    __slots__ = ("ba", "small", "za", "k0_za", "ba_k0", "b", "c", "c2", "iba2",
-                 "q", "pole", "g1r", "k0r1", "c_g1r", "c2_g1r", "g1", "c_g1",
-                 "excess", "excess2", "memo")
+    __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
+                 "k0r1", "g1", "excess", "memo")
 
     def __init__(self, s: Scenario):
         p = s.perturbation
@@ -192,22 +189,20 @@ class _Coefficients:
         ba = self.ba = s.ba * (factor if name == "beta" else 1.0)
         c = self.c = factor if name == "C" else 1.0
         self.b = factor if name == "B" else 1.0
-        self.c2, self.iba2 = 2.0 * c, 1j * (ba * ba)
         self.za = J_MINUS * ba
         small = self.small = ba < SMALL_BA
         try:
-            k0 = self.k0_za = bessel_k_pair(self.za, scaled=not small)[0]
-            self.ba_k0 = ba * k0
+            k0, k1 = bessel_k_pair(self.za, scaled=not small)
+            self.k0_za = k0
             if small:
                 self.q = 2j / (ba * ba * k0)
                 self.pole = -(2.0 / k0)
             else:
                 self.q = self.pole = 0j
-            self.g1r, self.k0r1 = self.terms(1.0)
+            self.g1r, self.k0r1 = self._ratios(1.0, k0, k1)
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"the solution cannot be evaluated at "
                              f"beta a = {ba:g}: {exc}") from None
-        self.c_g1r, self.c2_g1r = c * self.g1r, self.c2 * self.g1r
         g1 = self.q + self.g1r
         fa = factor if name == "f_a" else 1.0
         self.g1 = g1 * fa
@@ -215,7 +210,6 @@ class _Coefficients:
             raise ValueError(f"f(a)/(beta a) = {self.g1} is not finite at "
                              f"beta a = {ba:g}")
         self.excess = c * ((fa - 1.0) * g1) + (c - self.b) * self.q
-        self.c_g1, self.excess2 = c * self.g1, 2.0 * self.excess
         self.memo = {}
 
     def terms(self, rho: float) -> tuple[complex, complex]:
@@ -226,13 +220,15 @@ class _Coefficients:
             raise BesselDomainError(f"r/a = {rho!r} is out of range at beta a = "
                                     f"{ba:g}: the Bessel argument must be finite, "
                                     f"got beta a * r/a = {x!r}")
-        z = J_MINUS * x
+        return self._ratios(rho, *bessel_k_pair(J_MINUS * x, scaled=not self.small))
+
+    def _ratios(self, rho: float, k0: complex, k1: complex) -> tuple[complex, complex]:
+        """terms(rho) from (k0, k1) = bessel_k_pair(j- ba rho), scaled when ba >= 1."""
+        ba = self.ba
         if self.small:
-            k0, k1m = bessel_k_pair(z)
-            return _2J_PLUS * k1m / self.ba_k0, k0 / self.k0_za
-        k0s, k1s = bessel_k_pair(z, scaled=True)
+            return _2J_PLUS * k1 / (ba * self.k0_za), k0 / self.k0_za
         decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
-        return _2J_PLUS * k1s * decay / self.ba_k0, k0s * decay / self.k0_za
+        return _2J_PLUS * k1 * decay / (ba * self.k0_za), k0 * decay / self.k0_za
 
 
 class Scenario(namedtuple("Scenario", "fluid a v0 omega perturbation")):
@@ -311,11 +307,11 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex]:
     b, c = k.b, k.c
     gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
     inv2 = 1.0 / (rho * rho)
-    tail = b * gr / rho - k.c_g1r * inv2
+    tail = b * gr / rho - (c * k.g1r) * inv2
     wall = k.excess * inv2
     br = (1.0 - c * inv2) + tail - wall
     bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
-    pb = (rho + c / rho) + k.c_g1 / rho
+    pb = (rho + c / rho) + (c * k.g1) / rho
     result = br, bth, pb
     if len(k.memo) >= 4096:  # as many entries as the Bessel cache holds
         k.memo.clear()
@@ -332,15 +328,15 @@ def _slopes(s: Scenario, rho: float) -> tuple[complex, complex]:
     when unperturbed, as the brackets do in _radial.
     """
     k = s._coefficients
-    b = k.b
+    b, c2, ba = k.b, 2.0 * k.c, k.ba
     gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
     inv = 1.0 / rho
     inv2 = 1.0 / (rho * rho)
     inv3 = inv2 * inv
-    dbr = (k.c2 * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
-           + k.c2_g1r * inv3)
-    dbth = dbr + b * (k.iba2 * gr) + b * (k.pole * inv)
-    dwall = k.excess2 * inv3
+    dbr = (c2 * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
+           + (c2 * k.g1r) * inv3)
+    dbth = dbr + b * (1j * (ba * ba) * gr) + b * (k.pole * inv)
+    dwall = (2.0 * k.excess) * inv3
     return dbr + dwall, dbth + dwall
 
 

@@ -10,7 +10,8 @@ above), the arg(z) = -pi/4 ray the flow solution lives on,
 near-imaginary arguments, and the deep-decay regime.  Hypothesis
 properties compare the kernel for |z| <= 17, and the rule on 2.5 <= |z|
 <= 17 and on 17 <= |z| <= 1e6, with mpmath at 40 digits; fixed points
-up to |z| = 1e300 check it against the two-term expansion.  Pins tie
+up to |z| = 1e300 check it against the two-term expansion, and three
+past 1.27e308 against mpmath.  Pins tie
 the kernel's precomputed tables (Temme's rows and term counts, the
 rule's nodes) to exact rationals and to the float operations that form
 them.
@@ -578,6 +579,49 @@ def test_scaled_k_matches_two_term_expansion(radius, phi):
             assert abs(mpmath.mpc(got.real, got.imag) - ref) < 2e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("z", [cmath.rect(1.28e308, -math.pi / 4),
+                               cmath.rect(1.7e308, -0.3), cmath.rect(1.79e308, 1.2)])
+def test_scaled_k_matches_mpmath_at_the_edge_of_double_range(z):
+    # past |z| ~ 1.27e308 off the axes 1.0 / w overflows inside the complex
+    # division; the rule's 0.5 / (0.5 w) keeps e^z K0 and e^z K1 accurate
+    # up to the largest double, on the flow's ray and off it
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        ez = mpmath.exp(zm)
+        ref0, ref1 = mpmath.besselk(0, zm) * ez, mpmath.besselk(1, zm) * ez
+        for got in ((bessel_k0(z, scaled=True), bessel_k1(z, scaled=True)),
+                    bessel_k_pair(z, scaled=True)):
+            for g, ref in zip(got, (ref0, ref1)):
+                assert abs(mpmath.mpc(g.real, g.imag) - ref) < 1e-15 * abs(ref)
+
+
+def _trapezoid_one_over_w(w):
+    """The rule of bessel._trapezoid with its reciprocal formed as 1.0 / w."""
+    from oscylinder.bessel import _TRAPEZOID_BANDS
+    for bound, sum0, rows in _TRAPEZOID_BANDS:
+        if abs(w) < bound:
+            break
+    u = 1.0 / w
+    sum1 = 0j
+    for hs2, w0, w1 in rows:
+        q = cmath.sqrt(1.0 + hs2 * u)
+        sum0 += w0 / q
+        sum1 += w1 * q
+    p = cmath.sqrt(2.0 * u)
+    return p * sum0, p * sum1
+
+
+def test_trapezoid_reciprocal_is_one_over_w_on_the_flow_ray():
+    # on the flow's ray w = j- x, with x log-uniform on [2.5, 1e307], the
+    # rule's 0.5 / (0.5 w) gives every value the bits of 1.0 / w
+    from oscylinder import J_MINUS
+    from oscylinder.bessel import _trapezoid
+    rng = random.Random(31)
+    for _ in range(3000):
+        w = J_MINUS * 10.0 ** rng.uniform(math.log10(_TEMME_RADIUS), 307.0)
+        assert repr(_trapezoid(w)) == repr(_trapezoid_one_over_w(w)), w
+
+
 def test_k_has_two_algorithms():
     # the asymptotic expansion and its 17 crossover are gone: past 17 the
     # scaled pair is the trapezoidal rule's, bitwise
@@ -617,6 +661,26 @@ def test_domain_errors(bad):
     for scaled in (False, True):
         with pytest.raises(BesselDomainError, match=match):
             bessel_k_pair(bad, scaled=scaled)
+
+
+@pytest.mark.parametrize("bad", [complex(1.7e308, 1.7e308), complex(1.3e308, -1.3e308),
+                                 complex(1e308, 1.5e308)])
+def test_domain_errors_beyond_the_largest_double(bad):
+    # a finite z whose |z| leaves double range is refused by name, with the
+    # limit, not by a bare OverflowError from abs(z)
+    match = r"\|z\| must not exceed the largest double, 1\.7976931348623157e\+308"
+    for fn in (bessel_k0, bessel_k1):
+        for scaled in (False, True):
+            with pytest.raises(BesselDomainError, match=match):
+                fn(bad, scaled=scaled)
+    for scaled in (False, True):
+        with pytest.raises(BesselDomainError, match=match):
+            bessel_k_pair(bad, scaled=scaled)
+    # |z| at the largest double itself is in the domain
+    big = 1.7976931348623157e308
+    for z in (complex(0.0, big), complex(big, 0.0)):
+        assert cmath.isfinite(bessel_k0(z, scaled=True))
+        assert cmath.isfinite(bessel_k_pair(z, scaled=True)[1])
 
 
 def test_imaginary_axis_is_in_domain():

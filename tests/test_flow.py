@@ -424,10 +424,10 @@ def test_radial_memo_is_per_scenario(a, f, name):
 
 
 def test_field_evaluates_each_radius_once(monkeypatch, capsys):
-    # the default 41 x 41 map runs terms() once per distinct rho it samples,
-    # and at rho = 1 once, when the coefficient set forms its g1r and k0r1
-    # there; the grid is exactly symmetric, so mirror points share their
-    # rho and the map samples at most 200 distinct ones
+    # the default 41 x 41 map runs terms() once per distinct rho != 1 it
+    # samples, and never at rho = 1, where the coefficient set forms g1r and
+    # k0r1 from the surface pair it fetched; the grid is exactly symmetric,
+    # so mirror points share their rho and the map samples at most 200
     sampled, evaluated = [], []
     radial, terms = oscylinder.flow._radial, oscylinder.flow._Coefficients.terms
 
@@ -446,7 +446,7 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(sampled) > len(set(sampled)) > 100
     assert len(set(sampled)) <= 200
-    assert sorted(evaluated) == sorted(set(sampled) | {1.0})
+    assert sorted(evaluated) == sorted(set(sampled) - {1.0})
 
 
 def _coefficients_the_old_way(s):
@@ -458,23 +458,20 @@ def _coefficients_the_old_way(s):
         weight[s.perturbation.coefficient] = s.perturbation.factor
     ba = k.ba = s.ba * weight["beta"]
     c = k.c = weight["C"]
-    k.b, k.c2, k.iba2 = weight["B"], 2.0 * c, 1j * (ba * ba)
+    k.b = weight["B"]
     k.za = J_MINUS * ba
     k.small = ba < oscylinder.flow.SMALL_BA
     k.k0_za = oscylinder.flow.bessel_k_pair(k.za, scaled=not k.small)[0]
-    k.ba_k0 = ba * k.k0_za
     if k.small:
         k.q = 2j / (ba * ba * k.k0_za)
         k.pole = -(2.0 / k.k0_za)
     else:
         k.q = k.pole = 0j
     k.g1r, k.k0r1 = k.terms(1.0)
-    k.c_g1r, k.c2_g1r = c * k.g1r, k.c2 * k.g1r
     g1 = k.q + k.g1r
     fa = weight["f_a"]
     k.g1 = g1 * fa
     k.excess = c * ((fa - 1.0) * g1) + (c - k.b) * k.q
-    k.c_g1, k.excess2 = c * k.g1, 2.0 * k.excess
     return k
 
 
@@ -492,9 +489,77 @@ def test_coefficient_set_is_built_bit_for_bit(ba, pert):
     # SMALL_BA under the beta perturbations
     s = Scenario.from_frequency(AIR_20C, ba / _BETA_1KHZ, 1.0, 1000.0, pert)
     new, old = s._coefficients, _coefficients_the_old_way(s)
+    assert len(oscylinder.flow._Coefficients.__slots__) == 13
     for slot in oscylinder.flow._Coefficients.__slots__:
         if slot != "memo":
             assert repr(getattr(new, slot)) == repr(getattr(old, slot)), slot
+
+
+def _hoisted_radial_and_slopes(k, rho):
+    """(B_r, B_theta, P, B_r', B_theta') by terms(), _radial and _slopes as
+    they stood when the coefficient set held the first products ba k0_za,
+    2c, i ba^2, c g1r, 2c g1r, c g1 and 2 excess."""
+    b, c, ba = k.b, k.c, k.ba
+    ba_k0, c2, iba2 = ba * k.k0_za, 2.0 * c, 1j * (ba * ba)
+    c_g1r, c2_g1r, c_g1, excess2 = c * k.g1r, c2 * k.g1r, c * k.g1, 2.0 * k.excess
+    j2 = 2.0 * J_PLUS
+    if rho == 1.0:
+        gr, k0r = k.g1r, k.k0r1
+    elif k.small:
+        k0, k1m = bessel_k_pair(J_MINUS * (ba * rho))
+        gr, k0r = j2 * k1m / ba_k0, k0 / k.k0_za
+    else:
+        k0s, k1s = bessel_k_pair(J_MINUS * (ba * rho), scaled=True)
+        decay = cmath.exp(-J_MINUS * (ba * (rho - 1.0)))
+        gr, k0r = j2 * k1s * decay / ba_k0, k0s * decay / k.k0_za
+    inv = 1.0 / rho
+    inv2 = 1.0 / (rho * rho)
+    inv3 = inv2 * inv
+    tail = b * gr / rho - c_g1r * inv2
+    wall = k.excess * inv2
+    br = (1.0 - c * inv2) + tail - wall
+    bth = (-1.0 - c * inv2 + b * (2.0 * k0r)) + tail - wall
+    pb = (rho + c / rho) + c_g1 / rho
+    dbr = (c2 * inv3 - b * (2.0 * k0r * inv) - b * (2.0 * gr * inv2)
+           + c2_g1r * inv3)
+    dbth = dbr + b * (iba2 * gr) + b * (k.pole * inv)
+    dwall = excess2 * inv3
+    return br, bth, pb, dbr + dwall, dbth + dwall
+
+
+@pytest.mark.parametrize("pert", [None, Perturbation("B", 1.001), Perturbation("C", 1.001),
+                                  Perturbation("f_a", 1.001), Perturbation("beta", 1.001),
+                                  Perturbation("beta", 0.999)])
+@pytest.mark.parametrize("ba", [1e-9, 1e-5, 2e-3, 0.5, 0.9995, 1.0, 1.0005, 2.0, 17.5,
+                                300.0, 1e4])
+def test_brackets_keep_the_hoisted_products_bit_for_bit(ba, pert):
+    # forming the first products inline in terms(), _radial and _slopes
+    # keeps their operand order: every bracket and slope has the bits of
+    # the hoisted-product formulas, at the wall, one Stokes-layer thickness
+    # out, and far away
+    s = Scenario.from_frequency(AIR_20C, ba / _BETA_1KHZ, 1.0, 1000.0, pert)
+    for rho in (1.0, 1.0 + s.delta / s.a, 2.0, 1e3):
+        want = _hoisted_radial_and_slopes(s._coefficients, rho)
+        assert repr(_radial(s, rho) + _slopes(s, rho)) == repr(want), rho
+
+
+@pytest.mark.parametrize("pert", [None, *(Perturbation(name, 1.001)
+                                          for name in oscylinder.flow.PERTURBABLE)])
+@pytest.mark.parametrize("ba", [2e-3, 0.5, 2.0, 300.0])
+def test_coefficient_set_looks_up_the_surface_pair_once(monkeypatch, ba, pert):
+    # on both branches (beta a < 1 and >= 1) and under every perturbation,
+    # building a coefficient set makes exactly one bessel_k_pair call
+    calls = []
+
+    def counting_pair(z, scaled=False):
+        calls.append(z)
+        return bessel_k_pair(z, scaled)
+
+    monkeypatch.setattr(oscylinder.flow, "bessel_k_pair", counting_pair)
+    s = Scenario.from_frequency(AIR_20C, ba / _BETA_1KHZ, 1.0, 1000.0, pert)
+    k = s._coefficients
+    assert k.small == (ba < 1.0)
+    assert calls == [k.za]
 
 
 def test_coefficient_set_crosses_the_branch_switch_under_beta():
@@ -703,7 +768,7 @@ def _bits(values):
 
 
 # the same range as the mpmath property above; rho = 1 (log_rho = 0) is
-# where _radial and _slopes reuse the coefficient set's terms(1.0)
+# where _radial and _slopes reuse the coefficient set's g1r and k0r1
 @given(st.floats(min_value=-9.0, max_value=4.0),
        st.floats(min_value=0.0, max_value=6.0),
        st.sampled_from([None, *oscylinder.flow.PERTURBABLE]))
@@ -711,9 +776,9 @@ def _bits(values):
 @example(2.0, 0.0, "B")
 @settings(max_examples=200, deadline=None)
 def test_radial_matches_inline_products_bitwise(log_ba, log_rho, name):
-    # hoisting ba k0_za, 2c, i ba^2, c g1r, 2c g1r, c g1 and 2 excess into
-    # the coefficient set, and splitting the slopes from the brackets, must
-    # leave every value bit for bit as it was
+    # the per-scenario products ba k0_za, 2c, i ba^2, c g1r, 2c g1r, c g1 and
+    # 2 excess, and the slopes split from the brackets, leave every value bit
+    # for bit as written out here
     beta = math.sqrt(2.0 * math.pi * 1000.0 / AIR_20C.nu0)
     s = scenario(10.0 ** log_ba / beta, 1000.0,
                  None if name is None else Perturbation(name, 1.001))
