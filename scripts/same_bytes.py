@@ -5,11 +5,13 @@ Run:  python scripts/same_bytes.py PARENT_SRC CHANGE_SRC
 Each argument is a directory holding the `oscylinder` package (a
 checkout's `src/`).  Every run of a fixed argv list is made in a fresh
 interpreter, once per tree, with that tree first on PYTHONPATH.  The
-list covers the four default commands, bench-style `force` sweeps,
-mutated `force` and `profile` runs, clean and mutated `validate` runs at
-one beta*a every other decade from 1e-8 to 1e4, and runs at the edges
-of the domain.  Every run whose exit code, stdout or stderr differs is
-reported; the script exits 1 if any does, 0 otherwise.
+list covers the four default commands, bench-style `force` sweeps and
+`field` maps, mutated `force` and `profile` runs, clean and mutated
+`validate` runs at one beta*a every other decade from 1e-8 to 1e4,
+`field` runs where a row's mirror row can and cannot reuse its values,
+and runs at the edges of the domain.  Every run whose exit code, stdout
+or stderr differs is reported; the script exits 1 if any does, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +34,28 @@ def _argv_list() -> list[list[str]]:
         a = 10.0 ** rng.uniform(math.log10(1e-6), math.log10(1e-4))
         runs.append(["force", "--a", repr(a), "--f-range", "1:1e4:200",
                      "--nodes", "512", "--jobs", "1"])
+    # bench/run.py's field_map field units for seeds 1..5
+    for seed in range(1, 6):
+        rng = random.Random(f"field_map-{seed}")
+        a = 10.0 ** rng.uniform(math.log10(5e-7), math.log10(2e-6))
+        f = 10.0 ** rng.uniform(math.log10(10.0), math.log10(1000.0))
+        span = f"{-4 * a!r}:{4 * a!r}:101"
+        runs.append(["field", "--a", repr(a), "--f", repr(f), f"--grid={span},{span}"])
+    # field grids with points on r = a, where exact zeros print "0.0" and
+    # "-0.0" apart; v0 = 0 and subnormal; no y = 0 row; t != 0; beta a >= 1;
+    # a y-range that is not symmetric
+    surface = "--grid=-4e-6:4e-6:9,-4e-6:4e-6:9"
+    runs += [["field", surface], ["field", surface, "--t", "0.00037"]]
+    runs += [["field", *grid, "--v0", v0] for v0 in ("0", "5e-324")
+             for grid in ([], [surface])]
+    runs += [
+        ["field", "--grid=-4e-6:4e-6:40,-4e-6:4e-6:40"],
+        ["field", "--t", "0.00037"],
+        ["field", "--a", "1e-3", "--f", "1000", "--grid=-4e-3:4e-3:9,-4e-3:4e-3:9"],
+        ["field", "--grid=-4e-6:4e-6:41,-3e-6:4e-6:41"],
+    ]
     for mutate in MUTATIONS:
+        runs.append(["field", surface, "--mutate", mutate])
         runs.append(["force", "--a", "1e-4", "--mutate", mutate])
         runs.append(["profile", "--a", "1e-3", "--f", "1000", "--mutate", mutate])
     beta = math.sqrt(2.0 * math.pi * 1000.0 / NU0_AIR)

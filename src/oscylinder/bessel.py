@@ -197,4 +197,4 @@ def bessel_k_pair(z: complex, scaled: bool = False) -> tuple[complex, complex]:
     if scaled:
         return k0s, k1s
     emz = cmath.exp(-z)
-    return k0s * emz, k1s * emz - 1.0 / z
+    return k0s * emz, k1s * emz - 0.5 / (0.5 * z)  # not 1.0 / z: see _trapezoid

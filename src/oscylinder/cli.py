@@ -35,8 +35,13 @@ same order (forces._stress builds the stress the same way); tests pin
 every row to flow_state bit for bit.  field measures point k of n on each
 axis from the nearer bound (_axis): both bounds are printed exactly, and a
 range symmetric about 0 gives an exactly symmetric grid, whose mirror
-points share one r/a.  field formats each grid row with one
-"%" (x in a per-column prefix, y in the row template, masked points
+points share one r/a.  A row y < 0 whose mirror -y is on the axis is
+formed, then row -y at once: a point of row -y reuses row y's brackets,
+v_r and printed pressure where its r and cos theta equal row y's bit for
+bit, and row y's printed v_x (v_y sign-flipped) where the value is equal
+(opposite) and nonzero, as 0.0 == -0.0 print apart; other values are
+formatted afresh.  field formats each grid row with one "%" (x in a
+per-column prefix, y in the row template, masked points and reused values
 literal): "%.16e" % v is f"{v:.16e}".  A radius, r/a or grid span that is
 NaN or overflows is refused with a message naming it, as are a Bessel
 argument beta a r/a, a field pressure |p| and a force value beyond double
@@ -346,36 +351,78 @@ def cmd_field(cfg: RunConfig, grid, v0: float) -> int:
     header = ["x [m]", "y [m]", "masked [-]",
               "re_p [Pa]", "abs_p [Pa]", "re_vx [m/s]", "re_vy [m/s]"]
     columns = [(x, f"{x:.16e},") for x in _axis(x0, x1, nx)]
-    rows = []
-    for y in _axis(y0, y1, ny):
+    nones = [None] * nx
+
+    def row(y, mirror, keep):
+        """Row y's text, formatted with one "%", and with keep its per-point
+        data and lines for row -y.  mirror is row -y's (data, lines): its
+        brackets, v_r and printed values are reused where the operands or
+        the values are equal bit for bit."""
         ys = f"{y:.16e}"
-        point, masked = ys + ",0,%.16e,%.16e,%.16e,%.16e\n", ys + ",1,,,,\n"
-        template, values = [], []
-        for x, xs in columns:
+        live, masked = ys + ",0,", ys + ",1,,,,\n"
+        point = live + "%.16e,%.16e,%.16e,%.16e\n"
+        template, values, data = [], [], []
+        olds, lines = mirror or (nones, nones)
+        for (x, xs), old, line in zip(columns, olds, lines):
             r = hypot(x, y)
             if r < a:
                 template += (xs, masked)
+                data.append(None)
                 continue
-            rho = r / a
-            if not rho < inf:  # NaN, or r or r/a overflowed
-                raise ValueError(f"field point ({x!r}, {y!r}): radius r = {r!r} m, "
-                                 f"r/a = {rho!r} is out of range (not finite)")
             theta = atan2(y, x)
             c, sn = cos(theta), sin(theta)
-            # flow._fields' products, angle x _radial x phase, as in forces._stress
-            br, bth, pb = radial(s, rho)
-            vr = v0 * c * ph * br
+            if old and old[0] == r and old[1] == c:  # r > 0, and cos is never 0
+                bth, vr, p = old[2], old[3], None
+            else:
+                rho = r / a
+                if not rho < inf:  # NaN, or r or r/a overflowed
+                    raise ValueError(f"field point ({x!r}, {y!r}): radius r = {r!r} m, "
+                                     f"r/a = {rho!r} is out of range (not finite)")
+                # flow._fields' products, angle x _radial x phase, as in forces._stress
+                br, bth, pb = radial(s, rho)
+                vr = v0 * c * ph * br
+                p = pv * c * ph * pb
+                ap = abs(p)
+                if not ap < inf:  # p grows like r/a and can leave double range
+                    raise ValueError(f"field point ({x!r}, {y!r}): the pressure |p| = "
+                                     f"{ap!r} Pa at r/a = {rho!r} is not finite")
             vt = v0 * sn * ph * bth
-            p = pv * c * ph * pb
-            ap = abs(p)
-            if not ap < inf:  # p grows like r/a and can leave double range
-                raise ValueError(f"field point ({x!r}, {y!r}): the pressure |p| = "
-                                 f"{ap!r} Pa at r/a = {rho!r} is not finite")
-            vx = vr * c - vt * sn
-            vy = vr * sn + vt * c
-            template += (xs, point)
-            values += (p.real, ap, vx.real, vy.real)
-        rows.append("".join(template) % tuple(values))
+            vx = (vr * c - vt * sn).real
+            vy = (vr * sn + vt * c).real
+            if keep:
+                data.append((r, c, bth, vr, vx, vy))
+            if old is None:
+                template += (xs, point)
+                values += (p.real, ap, vx, vy)
+                continue
+            # row -y's text where v_x is equal and v_y opposite: a nonzero -v
+            # prints as "-" + v, but 0.0 == -0.0 and the two print apart
+            _, _, _, re_p, abs_p, re_vx, re_vy = line.split(",")
+            pt = f"{re_p},{abs_p}," if p is None else "%.16e,%.16e," % (p.real, ap)
+            if not (vx == old[4] and vx):
+                re_vx = "%.16e" % vx
+            if vy == -old[5] and vy:
+                re_vy = re_vy[1:] if re_vy[0] == "-" else "-" + re_vy
+            else:
+                re_vy = "%.16e" % vy
+            template.append(f"{xs}{live}{pt}{re_vx},{re_vy}\n")
+        text = "".join(template) % tuple(values)
+        return text, (data, text.split("\n")) if keep else None
+
+    ys = _axis(y0, y1, ny)
+    at = {y: k for k, y in enumerate(ys)}
+    rows = [None] * ny
+    for k, y in enumerate(ys):
+        if rows[k] is not None:
+            continue
+        j = at.get(-y) if y < 0 else None
+        rows[k], kept = row(y, None, j is not None)
+        if kept:
+            # a mirror row that raises is formed again in row order, so the
+            # error names the point that the row-by-row scan meets first
+            with contextlib.suppress(ValueError):
+                rows[j] = row(-y, kept, False)[0]
+            kept = None  # one row of per-point data at a time
     with _open_out(cfg.out) as stream:
         _write_csv(stream, header, rows)
     return 0

@@ -11,7 +11,7 @@ near-imaginary arguments, and the deep-decay regime.  Hypothesis
 properties compare the kernel for |z| <= 17, and the rule on 2.5 <= |z|
 <= 17 and on 17 <= |z| <= 1e6, with mpmath at 40 digits; fixed points
 up to |z| = 1e300 check it against the two-term expansion, and three
-past 1.27e308 against mpmath.  Pins tie
+past 1.27e308 against mpmath, scaled and unscaled.  Pins tie
 the kernel's precomputed tables (Temme's rows and term counts, the
 rule's nodes) to exact rationals and to the float operations that form
 them.
@@ -593,6 +593,18 @@ def test_scaled_k_matches_mpmath_at_the_edge_of_double_range(z):
                     bessel_k_pair(z, scaled=True)):
             for g, ref in zip(got, (ref0, ref1)):
                 assert abs(mpmath.mpc(g.real, g.imag) - ref) < 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [cmath.rect(1.28e308, -math.pi / 4),
+                               cmath.rect(1.5e308, -math.pi / 4), cmath.rect(1.79e308, 1.2)])
+def test_unscaled_pair_keeps_minus_one_over_z_at_the_edge_of_double_range(z):
+    # K0 and K1 underflow to 0 here, so K1 - 1/z is -1/z, a subnormal that
+    # 1.0 / z, overflowing inside the complex division, would return as 0
+    k0, k1m = bessel_k_pair(z)
+    assert k0 == 0
+    with mpmath.workdps(40):
+        ref = -1 / mpmath.mpc(z.real, z.imag)
+        assert abs(mpmath.mpc(k1m.real, k1m.imag) - ref) < 1e-14 * abs(ref)
 
 
 def _trapezoid_one_over_w(w):

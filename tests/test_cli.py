@@ -203,10 +203,29 @@ def _mode_reference(z, mode):
     return {"re": z.real, "im": z.imag, "abs": abs(z), "phase": cmath.phase(z)}[mode]
 
 
-@pytest.mark.parametrize("a, f, v0, t, pert", PINNED_RUNS)
-def test_field_rows_match_flow_state(a, f, v0, t, pert, capsys):
-    lines, s = _pinned_run(capsys, "field", a, f, v0, t, pert, "--v0", repr(v0))
-    assert len(lines) == 41 * 41
+#: grids, amplitudes and mutations beyond PINNED_RUNS that test where row -y
+#: reuses row y's brackets and printed values and where it must not: points
+#: on r = a (9 x 9 over +-4a), where exact zeros print "0.0" or "-0.0"
+#: apart; v0 = 0 and a subnormal v0; n = 40, with no y = 0 row; t != 0; each
+#: mutation; beta a >= 1; and a y-range that is not symmetric
+_SURFACE_GRID = "-4e-6:4e-6:9,-4e-6:4e-6:9"
+FIELD_RUNS = [  # a, f, v0, t, perturbation, grid (None: +-4a, 41 x 41)
+    (1e-6, 100.0, 1.0, 0.0, None, _SURFACE_GRID),
+    (1e-6, 100.0, 0.0, 0.0, None, None),
+    (1e-6, 100.0, 0.0, 0.0, None, _SURFACE_GRID),
+    (1e-6, 100.0, 5e-324, 0.0, None, None),
+    (1e-6, 100.0, 5e-324, 0.0, None, _SURFACE_GRID),
+    (1e-6, 100.0, 1.0, 0.0, None, "-4e-6:4e-6:40,-4e-6:4e-6:40"),
+    (1e-6, 100.0, 1.0, 0.00037, None, _SURFACE_GRID),
+    *[(1e-6, 100.0, 1.0, 0.0, Perturbation(name, 1.001), _SURFACE_GRID)
+      for name in ("B", "C", "f_a", "beta")],
+    (1e-3, 1000.0, 1.0, 0.0, None, "-4e-3:4e-3:9,-4e-3:4e-3:9"),  # beta a ~ 20
+    (1e-6, 100.0, 1.0, 0.0, None, "-4e-6:4e-6:41,-3e-6:4e-6:41"),
+]
+
+
+def _check_field_rows(lines, s, t):
+    """Assert that each line prints flow_state at its point; return the live count."""
     live = 0
     for line in lines:
         xs, ys = line.split(",")[:2]
@@ -222,7 +241,51 @@ def test_field_rows_match_flow_state(a, f, v0, t, pert, capsys):
         assert line == (f"{xs},{ys},0,{p.real:.16e},{abs(p):.16e},"
                         f"{vx.real:.16e},{vy.real:.16e}"), line
         live += 1
-    assert live > 1500
+    return live
+
+
+@pytest.mark.parametrize("a, f, v0, t, pert", PINNED_RUNS)
+def test_field_rows_match_flow_state(a, f, v0, t, pert, capsys):
+    lines, s = _pinned_run(capsys, "field", a, f, v0, t, pert, "--v0", repr(v0))
+    assert len(lines) == 41 * 41
+    assert _check_field_rows(lines, s, t) > 1500
+
+
+@pytest.mark.parametrize("a, f, v0, t, pert, grid", FIELD_RUNS)
+def test_field_rows_match_flow_state_where_mirror_rows_reuse_values(
+        a, f, v0, t, pert, grid, capsys):
+    extra = ["--v0", repr(v0)] + ([f"--grid={grid}"] if grid else [])
+    lines, s = _pinned_run(capsys, "field", a, f, v0, t, pert, *extra)
+    (_, _, nx), (_, _, ny) = [spec.split(":") for spec in (grid or "::41,::41").split(",")]
+    assert len(lines) == int(nx) * int(ny)
+    assert _check_field_rows(lines, s, t) > len(lines) // 2
+
+
+def test_field_rows_match_flow_state_under_an_atan2_that_is_not_odd(monkeypatch, capsys):
+    # row -y reuses row y's brackets and text only where its own operands or
+    # values equal row y's bit for bit, so nothing rests on atan2(-y, x) ==
+    # -atan2(y, x): nudged by one ulp above the x-axis, every row still
+    # prints what flow_state gives at its (nudged) angle
+    atan2 = math.atan2
+    monkeypatch.setattr(math, "atan2",
+                        lambda y, x: math.nextafter(atan2(y, x), 4.0) if y > 0 else atan2(y, x))
+    for v0, grid in ((1.0, None), (1.0, _SURFACE_GRID), (0.0, _SURFACE_GRID)):
+        extra = ["--v0", repr(v0)] + ([f"--grid={grid}"] if grid else [])
+        lines, s = _pinned_run(capsys, "field", 1e-6, 100.0, v0, 0.0, None, *extra)
+        assert _check_field_rows(lines, s, 0.0) > len(lines) // 2
+
+
+def test_field_error_names_the_first_bad_point_in_row_order(monkeypatch, capsys):
+    # row y = 2e-6 is formed right after its mirror row -2e-6, before row 0;
+    # with an atan2 that is NaN from y = 0 up, both rows meet a pressure that
+    # is not finite, and the error still names row 0's point, as a row-by-row
+    # scan does
+    atan2 = math.atan2
+    monkeypatch.setattr(math, "atan2", lambda y, x: math.nan if y >= 0 else atan2(y, x))
+    assert main(["field", "--a", "1e-6", "--grid=2e-6:3e-6:2,-2e-6:2e-6:3"]) == 2
+    assert capsys.readouterr().err == (
+        "oscylinder: error: field point (2e-06, 0.0): the pressure |p| = nan Pa "
+        "at r/a = 2.0 is not finite\n")
 
 
 @pytest.mark.parametrize("mode", ["re", "im", "abs", "phase"])

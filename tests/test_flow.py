@@ -427,7 +427,8 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
     # the default 41 x 41 map runs terms() once per distinct rho != 1 it
     # samples, and never at rho = 1, where the coefficient set forms g1r and
     # k0r1 from the surface pair it fetched; the grid is exactly symmetric,
-    # so mirror points share their rho and the map samples at most 200
+    # so mirror points share their rho and the map samples at most 200; row
+    # -y reuses row y's brackets, so _radial runs for at most 21 rows of 41
     sampled, evaluated = [], []
     radial, terms = oscylinder.flow._radial, oscylinder.flow._Coefficients.terms
 
@@ -446,6 +447,7 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(sampled) > len(set(sampled)) > 100
     assert len(set(sampled)) <= 200
+    assert len(sampled) <= 21 * 41
     assert sorted(evaluated) == sorted(set(sampled) - {1.0})
 
 
