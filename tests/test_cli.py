@@ -442,6 +442,33 @@ def test_validate_detects_B_mutation_at_large_ba(capsys):
     assert "RESULT FAIL" in capsys.readouterr().out
 
 
+#: validate --a 1e-3's exit codes at each beta a: clean, then under B, C,
+#: f_a and beta at 1.001.  f_a slips the wall by ~2e-3/(beta a), below
+#: no_slip's 1e-12 from beta a ~ 5e9 on; beta shows only in the quadrature
+#: ratio above ~1e3, and falls below its 1e-9 from ~1e7 on
+DETECTION_MATRIX = {
+    **{10.0 ** e: (0, 1, 1, 1, 1) for e in range(-150, 1, 10)},
+    1e3: (0, 1, 1, 1, 1),
+    1e7: (0, 1, 1, 1, 0),
+    5e9: (0, 1, 1, 0, 0),
+    1e10: (0, 1, 1, 0, 0),
+    1e11: (0, 1, 1, 0, 0),
+    1e16: (0, 1, 1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("ba", sorted(DETECTION_MATRIX), ids="{:g}".format)
+def test_validate_detection_matrix(ba, capsys):
+    # which mutation validate catches at which beta a; a row that moves the
+    # blind spots changes this table on purpose
+    f = (ba / 1e-3) ** 2 * AIR_20C.nu0 / (2.0 * math.pi)
+    argv = ["validate", "--a", "1e-3", "--f", repr(f)]
+    codes = tuple(main(argv + (["--mutate", m] if m else []))
+                  for m in (None, "B:1.001", "C:1.001", "fa:1.001", "beta:1.001"))
+    capsys.readouterr()
+    assert codes == DETECTION_MATRIX[ba]
+
+
 def test_validate_fails_on_nan_field(monkeypatch, capsys):
     for module in (oscylinder.flow, oscylinder.residuals):
         monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 3)
