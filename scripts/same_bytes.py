@@ -7,11 +7,12 @@ checkout's `src/`).  Every run of a fixed argv list is made in a fresh
 interpreter, once per tree, with that tree first on PYTHONPATH.  The
 list covers the four default commands, bench-style `force` sweeps and
 `field` maps, mutated `force` and `profile` runs, clean and mutated
-`validate` runs at one beta*a every other decade from 1e-8 to 1e4,
-`field` runs where a row's mirror row can and cannot reuse its values,
-and runs at the edges of the domain.  Every run whose exit code, stdout
-or stderr differs is reported; the script exits 1 if any does, 0
-otherwise.
+`validate` runs at one beta*a every other decade from 1e-8 to 1e4, with
+a one-sided stencil (--h-rel 0.095), another step and t != 0, bench-style
+`validate` units, `field` runs where a row's mirror row can and cannot
+reuse its values, and runs at the edges of the domain.  Every run whose
+exit code, stdout or stderr differs is reported; the script exits 1 if
+any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ def _argv_list() -> list[list[str]]:
         argv = ["validate", "--a", repr(10.0 ** decade / beta), "--f", "1000"]
         runs.append(argv)
         runs += [[*argv, "--mutate", mutate] for mutate in MUTATIONS]
+    # --h-rel 0.095 puts rho = 1.1's stencil on one side, into the fluid
+    runs.append(["validate", "--h-rel", "0.095"])
+    runs += [["validate", "--h-rel", "0.095", "--mutate", mutate] for mutate in MUTATIONS]
+    runs += [["validate", "--h-rel", "1e-3"], ["validate", "--t", "0.00037"]]
+    # bench/run.py's verify units for seeds 1..2
+    for seed in range(1, 3):
+        rng = random.Random(f"verify-{seed}")
+        points = [(10.0 ** (decade + rng.random()),
+                   10.0 ** rng.uniform(math.log10(1.0), math.log10(1e4)))
+                  for decade in range(-8, 4)] + [(1e3, 1000.0)]
+        for ba, f in points:
+            argv = ["validate", "--a", repr(ba / math.sqrt(2.0 * math.pi * f / NU0_AIR)),
+                    "--f", repr(f)]
+            runs += [argv] + [[*argv, "--mutate", mutate] for mutate in MUTATIONS]
     edge = "-1.77e303:1.77e303:3"
     runs += [
         ["validate", "--a", "1e-20", "--f", "1e-270"],  # beta a ~ 6e-153

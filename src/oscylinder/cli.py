@@ -30,9 +30,9 @@ exact force_analytic column; --jobs (>= 1) is accepted but starts no
 threads.
 
 profile and field form each point as angle x flow._radial x phase, the
-products flow._fields forms for flow_state and the residual checks, in the
-same order (forces._stress builds the stress the same way); tests pin
-every row to flow_state bit for bit.  field measures point k of n on each
+products flow_state and the residual checks form, in the same order
+(forces._stress builds the stress the same way); tests pin every row to
+flow_state bit for bit.  field measures point k of n on each
 axis from the nearer bound (_axis): both bounds are printed exactly, and a
 range symmetric about 0 gives an exactly symmetric grid, whose mirror
 points share one r/a.  A row y < 0 whose mirror -y is on the axis is
@@ -305,7 +305,7 @@ def cmd_profile(cfg: RunConfig, mode: str, nr: int, rmax_factor: float) -> int:
     for f in cfg.frequencies:
         s = cfg.scenario(f)
         # v_r at theta = 0 and v_theta at pi/2, where cos 0 == sin(pi/2) == 1.0
-        # makes flow._fields' v0 * c * ph exactly s.v0 * ph, with s.v0 = 1.0
+        # makes flow_state's v0 * c * ph exactly s.v0 * ph, with s.v0 = 1.0
         vph = s.v0 * _phase(s, cfg.t)
         row = f"{f:.16e},%.16e,%.16e,%.16e,%.16e\n"
         for j in range(nr):
@@ -378,7 +378,7 @@ def cmd_field(cfg: RunConfig, grid, v0: float) -> int:
                 if not rho < inf:  # NaN, or r or r/a overflowed
                     raise ValueError(f"field point ({x!r}, {y!r}): radius r = {r!r} m, "
                                      f"r/a = {rho!r} is out of range (not finite)")
-                # flow._fields' products, angle x _radial x phase, as in forces._stress
+                # flow_state's products, angle x _radial x phase, as in forces._stress
                 br, bth, pb = radial(s, rho)
                 vr = v0 * c * ph * br
                 p = pv * c * ph * pb

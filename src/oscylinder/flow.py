@@ -27,21 +27,18 @@ _radial(s, rho) returns B_r, B_theta and P, the brackets every field
 sampler reads, memoised per rho; _slopes(s, rho) forms the
 rho-derivatives B_r' and B_theta' that only the stress in forces reads.
 A rho whose Bessel argument ba rho is not finite is refused in both,
-naming rho and ba.  _fields, the block sampler, is angle x _radial x
-phase for v_r, v_theta and p over one rho, one phase and a sequence of
-angles, with one _radial lookup per block; it serves flow_state (a
-single angle) and the residual stencils in residuals.
-residuals.boundary_suite, the field and profile commands in cli and
-forces._stress form the same products from _radial themselves, each only
-the columns it reads; tests pin the boundary checks to a flow_state
-reference and the cli rows to flow_state, bit for bit.  Stress, traction
-and force are angle x (_radial, _slopes) x phase products too, so a
-Perturbation reaches every field the same way.  Every field is linear in
-v0, so what is relative to v0 (the residual and boundary checks, the
-profile and force columns) is formed at unit amplitude, v0 = 1.  The
-phase e^{-i omega t} (_phase) refuses an omega t that is not finite,
-naming t, f and omega t; one phase serves each block, stress point or
-force row.
+naming rho and ba.  flow_state forms v_r, v_theta and p at one point as
+angle x _radial x phase.  The residual and boundary checks in residuals,
+the field and profile commands in cli and forces._stress form the same
+products from _radial themselves, each only the columns it reads; tests
+pin the checks to flow_state references and the cli rows to flow_state,
+bit for bit.  Stress, traction and force are angle x (_radial, _slopes)
+x phase products too, so a Perturbation reaches every field the same
+way.  Every field is linear in v0, so what is relative to v0 (the
+residual and boundary checks, the profile and force columns) is formed
+at unit amplitude, v0 = 1.  The phase e^{-i omega t} (_phase) refuses an
+omega t that is not finite, naming t, f and omega t; one phase serves
+each block, stress point or force row.
 
 Two evaluation branches keep the brackets well-conditioned:
 
@@ -359,25 +356,19 @@ def _phase(s: Scenario, t: float) -> complex:
     return cmath.exp(complex(0.0, -wt))
 
 
-def _fields(s: Scenario, rho: float, angles,
-            ph: complex) -> list[tuple[complex, complex, complex]]:
-    """(v_r, v_theta, p) at rho = r/a and phase ph, one per (cos theta, sin
-    theta) pair in angles: one _radial lookup for the whole block."""
-    br, bth, pb = _radial(s, rho)
-    v0 = s.v0
-    pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
-    return [(v0 * c * ph * br, v0 * sn * ph * bth, pv * c * ph * pb)
-            for c, sn in angles]
-
-
 # ----------------------------------------------------------------------
 # public field evaluation
 # ----------------------------------------------------------------------
 
 def flow_state(s: Scenario, pt: PolarPoint, t: float) -> FlowState:
     """Velocity [m/s] and pressure [Pa] phasors at a point, time t [s]."""
-    angle = ((math.cos(pt.theta), math.sin(pt.theta)),)
-    return FlowState(*_fields(s, _check_radius(s, pt.r), angle, _phase(s, t))[0])
+    c, sn = math.cos(pt.theta), math.sin(pt.theta)
+    rho = _check_radius(s, pt.r)
+    ph = _phase(s, t)
+    br, bth, pb = _radial(s, rho)
+    v0 = s.v0
+    pv = 1j * v0 * s.fluid.rho0 * s.omega * s.a
+    return FlowState(v0 * c * ph * br, v0 * sn * ph * bth, pv * c * ph * pb)
 
 
 def velocity(s: Scenario, pt: PolarPoint, t: float) -> tuple[complex, complex]:

@@ -2,21 +2,18 @@
 equations, plus boundary-condition spot checks.
 
 The closed-form fields are treated as a black box: residuals are formed
-by differencing samples of flow._fields, the block sampler that
-flow_state, velocity() and pressure() call one point at a time (a test
-pins the two together bitwise; the field and profile commands form the
-same products per point from flow._radial, and a test pins their rows to
-flow_state), on small stencils and substituting into
+by differencing field samples on small stencils and substituting into
 the continuity equation, both linearized momentum equations, and the
-pressure Laplace equation.  Samples are taken by block, one kernel call
-per (radius, time): _reports samples the points sharing a radius with one
-call at r for all their angles plus one per off radius, and forms each
-difference formula once, for v_r, v_theta and p alike.  boundary_suite makes
-one flow._radial call at each of its four radii and forms only the
-columns each check reads, with _fields' products in _fields' order (no
-slip and far field v_r, v_theta; pressure form and symmetry p); tests pin
-it bit for bit to a reference built on velocity() and pressure().  Every
-residual is reported dimensionless:
+pressure Laplace equation.  Each sample is angle x flow._radial x phase,
+with flow_state's products in flow_state's order.  _residual_block takes
+one radius at a time: one _radial call at r and one per off radius, one
+phase, then one loop over the block's angles that forms every sample,
+each field's differences and the four residuals inline, and returns the
+four residual columns.  boundary_suite makes one _radial call at each
+of its four radii and forms only the columns each check reads (no slip
+and far field v_r, v_theta; pressure form and symmetry p).  Tests pin
+both bit for bit to references built on flow_state(), velocity() and
+pressure().  Every residual is reported dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -42,7 +39,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .flow import PolarPoint, Scenario, _check_radius, _fields, _phase, _radial
+from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
 from .forces import force_analytic, force_quadrature
 
 #: boundary_suite thresholds, then its four rows in the order validate prints them
@@ -89,8 +86,7 @@ class Check(namedtuple("Check", "name value tol ok")):
     ok: bool
 
 
-_RESIDUALS = slice(4, 8)  # the residual columns of a ResidualReport
-_QUANTITIES = ResidualReport._fields[_RESIDUALS]
+_QUANTITIES = ResidualReport._fields[4:]  # the residual columns
 
 
 def _length_unit(r: float) -> float:
@@ -101,9 +97,7 @@ def _length_unit(r: float) -> float:
     return math.ldexp(1.0, math.frexp(r)[1] - 1)
 
 
-def _resolve_step(r: float, thetas, h: float | None) -> float:
-    if h is None:
-        h = 1e-4 * r
+def _resolve_step(r: float, thetas, h: float) -> float:
     if isinstance(h, bool) or not (isinstance(h, (int, float))
                                    and 0 < h <= sys.float_info.max):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
@@ -121,30 +115,28 @@ def _resolve_step(r: float, thetas, h: float | None) -> float:
     return h
 
 
-def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport]:
-    """residual_report at each of pts, which share one radius r, formed on
-    the unit-amplitude scenario: every residual is relative to v0 and the
-    fields are linear in it, so v0 can be 0, subnormal or near overflow.
+def _residual_block(s: Scenario, r: float, thetas, t: float,
+                    h: float) -> list[tuple[float, ...]]:
+    """The four residual columns (continuity, momentum_r, momentum_theta,
+    pressure_laplacian) at radius r, one value per angle in thetas, step h.
 
-    One _fields call at r samples (v_r, v_theta, p) at theta, theta -+ ht of
-    each point in turn, then one call per off radius samples every point at
-    r -+ h, or at r + h, 2h, 3h when the wall forces one-sided stencils.
-    diffs forms the second-order differences of one field at one point, in
-    lengths of L = _length_unit(r) (grad p returns to metres to meet rho0)."""
-    if s.v0 != 1.0:
-        s = s._replace(v0=1.0)
-    r = pts[0].r
+    One _radial call at r, then one per off radius: r -+ h, or r + h, 2h,
+    3h when the wall forces one-sided stencils.  Each sample is angle x
+    bracket x phase, flow_state's products in its order at v0 = 1: every
+    residual is relative to v0 and the fields are linear in it, so s.v0 is
+    not read.  One loop over the angles forms, field by field, the samples
+    at theta, theta -+ ht and the off radii and their differences, in
+    lengths of L = _length_unit(r) (grad p returns to metres to meet rho0),
+    then the four residuals."""
     rho = _check_radius(s, r)
-    h = _resolve_step(r, [pt.theta for pt in pts], h)
-    ht = h / r
-    one_sided = (r - h) < s.a
+    h = _resolve_step(r, thetas, h)
     ph = _phase(s, t)
-    angles = [(math.cos(th), math.sin(th)) for pt in pts
-              for th in (pt.theta, pt.theta - ht, pt.theta + ht)]
-    ring = _fields(s, rho, angles, ph)
+    one_sided = (r - h) < s.a
     radii = (r + h, r + 2.0 * h, r + 3.0 * h) if one_sided else (r - h, r + h)
-    off = list(zip(*[_fields(s, _check_radius(s, rr), angles[::3], ph)
-                     for rr in radii]))
+    # per field (v_r, v_theta, p): its brackets at r, then at each off radius
+    b_vr, b_vt, b_p = zip(_radial(s, rho),
+                          *[_radial(s, _check_radius(s, rr)) for rr in radii])
+    ht = h / r
     L = _length_unit(r)
     hl = h / L
     inv_r = L / r
@@ -152,24 +144,26 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
     h2, hh, ht2, htht = 2.0 * hl, hl * hl, 2.0 * ht, ht * ht
     a, nu0, rho0, iw = s.a / L, s.fluid.nu0 / L / L, s.fluid.rho0, -1j * s.omega
     omega, pnorm = s.omega, rho0 * s.omega * L
-
-    def diffs(f0, f_w, f_e, radial):
-        """d/dr, d2/dr2, d/dtheta and d2/dtheta2 of one field at one point."""
-        if one_sided:  # samples at r + h, r + 2h, r + 3h
-            f1, f2, f3 = radial
-            d1r = (-3.0 * f0 + 4.0 * f1 - f2) / h2
-            d2r = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / hh
-        else:  # samples at r - h, r + h
-            f1, f2 = radial
-            d1r = (f2 - f1) / h2
-            d2r = (f2 - 2.0 * f0 + f1) / hh
-        return d1r, d2r, (f_e - f_w) / ht2, (f_e - 2.0 * f0 + f_w) / htht
-
-    reports = []
-    for pt, center, west, east, radial in zip(pts, ring[::3], ring[1::3], ring[2::3], off):
-        vr0, vt0, _ = center
-        ((d1r_vr, d2r_vr, d1t_vr, d2t_vr), (d1r_vt, d2r_vt, d1t_vt, d2t_vt),
-         (d1r_p, d2r_p, d1t_p, d2t_p)) = map(diffs, center, west, east, zip(*radial))
+    pv = 1j * rho0 * s.omega * s.a
+    cos, sin = math.cos, math.sin
+    rows = []
+    for theta in thetas:
+        c, cw, ce = cos(theta), cos(theta - ht), cos(theta + ht)
+        sn, sw, se = sin(theta), sin(theta - ht), sin(theta + ht)
+        d = []  # per field: its value, d/dr, d2/dr2, d/dtheta, d2/dtheta2
+        # per field: angle x phase at theta, theta - ht, theta + ht; brackets
+        for f, w, e, b in ((c * ph, cw * ph, ce * ph, b_vr), (sn * ph, sw * ph, se * ph, b_vt),
+                           (pv * c * ph, pv * cw * ph, pv * ce * ph, b_p)):
+            b0 = b[0]
+            f0, f1, f2, fw, fe = f * b0, f * b[1], f * b[2], w * b0, e * b0
+            d1t, d2t = (fe - fw) / ht2, (fe - 2.0 * f0 + fw) / htht
+            if one_sided:  # samples at r + h, r + 2h, r + 3h
+                d += (f0, (-3.0 * f0 + 4.0 * f1 - f2) / h2,
+                      (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f * b[3]) / hh, d1t, d2t)
+            else:  # samples at r - h, r + h
+                d += f0, (f2 - f1) / h2, (f2 - 2.0 * f0 + f1) / hh, d1t, d2t
+        (vr0, d1r_vr, d2r_vr, d1t_vr, d2t_vr, vt0, d1r_vt, d2r_vt, d1t_vt, d2t_vt,
+         _, d1r_p, d2r_p, d1t_p, d2t_p) = d
         cont = d1r_vr + vr0 * inv_r + d1t_vt * inv_r
         lap_vr = (d2r_vr + d2t_vr * inv_r2 + d1r_vr * inv_r
                   - 2.0 * d1t_vt * inv_r2 - vr0 * inv_r2)
@@ -178,16 +172,19 @@ def _reports(s: Scenario, pts, t: float, h: float | None) -> list[ResidualReport
         mom_r = iw * vr0 + d1r_p / L / rho0 - nu0 * lap_vr
         mom_t = iw * vt0 + d1t_p * inv_r / L / rho0 - nu0 * lap_vt
         lap_p = d2r_p + d1r_p * inv_r + d2t_p * inv_r2
-        reports.append(ResidualReport(pt, t, h, one_sided, abs(cont) * a,
-                                      abs(mom_r) / omega, abs(mom_t) / omega,
-                                      abs(lap_p) * a / pnorm))
-    return reports
+        rows.append((abs(cont) * a, abs(mom_r) / omega, abs(mom_t) / omega,
+                     abs(lap_p) * a / pnorm))
+    return list(zip(*rows))
 
 
 def residual_report(s: Scenario, pt: PolarPoint, t: float = 0.0,
                     h: float | None = None) -> ResidualReport:
-    """All four equation residuals at one point (default step 1e-4 r)."""
-    return _reports(s, [pt], t, h)[0]
+    """All four equation residuals at one point (default step 1e-4 r): a
+    one-angle _residual_block, wrapped in its ResidualReport."""
+    if h is None:
+        h = 1e-4 * pt.r
+    columns = _residual_block(s, pt.r, (pt.theta,), t, h)
+    return ResidualReport(pt, t, h, (pt.r - h) < s.a, *[v for v, in columns])
 
 
 def convergence_order(s: Scenario, pt: PolarPoint, t: float = 0.0,
@@ -268,7 +265,7 @@ def boundary_suite(s: Scenario) -> list[Check]:
     period = 2.0 * math.pi / s.omega
     if not period < math.inf:
         raise ValueError(f"the period 2 pi/omega overflows at f = {s.frequency:g} Hz")
-    # flow._fields' products in its order, at v0 = 1
+    # flow_state's products in its order, at v0 = 1
     no_slip = []
     br, bth, _ = _radial(s, _check_radius(s, s.a))  # rho exactly 1.0
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
@@ -316,6 +313,7 @@ def validate_checks(s: Scenario, t: float = 0.0,
                     h_rel: float = 1e-4) -> list[Check]:
     """The ten rows `oscylinder validate` prints, in order: each equation's
     largest residual (step h_rel r) on 5 radii in [1.1a, 100a] x 5 angles,
+    one _residual_block per radius, whose columns are read directly,
     passing only if each meets the residual_tolerance of its own radius; the
     boundary_suite rows; the force_quadrature-vs-analytic and |Fy/Fx| ratios.
     A (beta a)^2 that overflows would turn the quadrature force into NaN
@@ -334,8 +332,8 @@ def validate_checks(s: Scenario, t: float = 0.0,
     found = [[(0.0, 1.0)] for _ in _QUANTITIES]
     for rho in (1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)):
         tol = residual_tolerance(s, rho, h_rel)
-        pts = [PolarPoint(rho * s.a, theta) for theta in (0.35, 1.05, 1.85, 2.65, 3.45)]
-        columns = list(zip(*_reports(s, pts, t, h_rel * rho * s.a)))[_RESIDUALS]
+        columns = _residual_block(s, rho * s.a, (0.35, 1.05, 1.85, 2.65, 3.45), t,
+                                  h_rel * rho * s.a)
         for pairs, column in zip(found, columns):
             pairs.append((_nan_max(column), tol))
     checks = []

@@ -178,7 +178,7 @@ def test_field_grid_bounds_are_exact_and_symmetric_ranges_mirror(grid, tmp_path)
 
 # field and profile form angle x _radial x phase per point themselves; every
 # row must print, bit for bit, the values formatted from flow_state (whose
-# kernel, flow._fields, the residual and boundary checks sample) at its point;
+# products the residual and boundary checks form too) at its point;
 # v0 is field's: profile and force print values relative to v0, formed at
 # unit amplitude
 PINNED_RUNS = [  # a, f, v0, t, perturbation
@@ -880,7 +880,7 @@ def test_validate_at_huge_a_forms_pressure_laplacian(a, f, capsys):
     # in metres 1/r^2 underflows from r ~ 6.7e153 and h*h overflows from
     # r ~ 1.3e158, which dropped terms of the pressure Laplacian: a false
     # max=2.562e-01 FAIL at a = 1e172 and a vacuous max=0 at a = 1e305;
-    # residuals._reports measures lengths in a power of two near r instead
+    # residuals._residual_block measures lengths in a power of two near r instead
     assert main(["validate", "--a", a, "--f", f]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11 and lines[-1] == "RESULT PASS"
@@ -893,7 +893,7 @@ def test_validate_at_huge_a_forms_pressure_laplacian(a, f, capsys):
 @pytest.mark.parametrize("f", ["1e-6", "1", "1e9"])
 def test_validate_at_tiny_a_prints_no_nan(f, capsys):
     # in metres the pressure's second differences overflowed at a = 1e-148,
-    # printing a NaN pressure_laplacian row; residuals._reports measures
+    # printing a NaN pressure_laplacian row; residuals._residual_block measures
     # lengths in a power of two near r instead.  The tolerance there is
     # still the vacuous small beta a envelope (~1e284), so PASS is not
     # asserted, only that the rows are finite and every mutation still fails

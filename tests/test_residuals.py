@@ -392,8 +392,8 @@ def test_momentum_detects_beta_mutation():
 # the checks against a public-API reference
 # ----------------------------------------------------------------------
 #
-# residual_report samples flow._fields, one phase per stencil; boundary_suite
-# forms angle x flow._radial x phase itself, one _radial call per radius, and
+# residual_report and boundary_suite form angle x flow._radial x phase
+# themselves, one phase per block and one _radial call per radius, and
 # only the columns each check reads.  The references below sample every
 # point through velocity(), pressure() and flow_state() alone, with the
 # same arithmetic, so the checks still treat the fields as a black box.
@@ -570,7 +570,7 @@ def test_residual_report_matches_reference_over_beta_a(log_ba, pert, rho, theta,
 @pytest.mark.parametrize("a", [1e-40, 1e-12, 0.7, 3.7, 1e10, 1e100, 1e150])
 @pytest.mark.parametrize("rho, theta", [(1.0, 4.0), (1.5, 0.7), (30.0, 2.9)])
 def test_residual_report_in_length_units_matches_metres(a, rho, theta):
-    # _reports measures lengths in the largest power of two L <= r; scaling by
+    # _residual_block measures lengths in the largest power of two L <= r; scaling by
     # it is exact, so wherever the stencil in metres stays inside double range
     # (here from r = 1e-40 up to r = 4.5e151) and no sample is subnormal, the
     # metre reference's bits are kept
@@ -639,11 +639,10 @@ def test_validate_checks_nan_row_reports_tol_of_first_nan(monkeypatch):
     # NaN only beyond rho = 10: each residual row prints NaN with the tol of
     # the first radius that produced it, not of the last or the largest value
     s = Scenario.from_frequency(AIR_20C, 1e-6, 1.0, 10.0)  # tol varies by rho
-    fields = oscylinder.residuals._fields
+    radial = oscylinder.residuals._radial
     monkeypatch.setattr(
-        oscylinder.residuals, "_fields",
-        lambda s, rho, angles, ph: ([(complex("nan"),) * 3] * len(angles)
-                                    if rho > 10.0 else fields(s, rho, angles, ph)))
+        oscylinder.residuals, "_radial",
+        lambda s, rho: (complex("nan"),) * 3 if rho > 10.0 else radial(s, rho))
     rhos = [1.1 * (100.0 / 1.1) ** (k / 4.0) for k in range(5)]
     tols = [residual_tolerance(s, rho) for rho in rhos]
     assert len(set(tols[2:])) == 3
@@ -674,12 +673,11 @@ def test_every_mutation_fails_a_validate_row(ba):
 def test_validate_residual_row_fails_on_any_radius(monkeypatch):
     # the printed (max, tol) pair can pass while a smaller residual fails
     # the tighter tolerance of its own radius: the row must still fail
-    def reports(s, pts, t, h):
-        inner = pts[0].r < 2.0 * s.a
-        return [ResidualReport(pt, t, h, False, *(4 * [1.0 if inner else 1e-3]))
-                for pt in pts]
+    def block(s, r, thetas, t, h):
+        inner = r < 2.0 * s.a
+        return [[1.0 if inner else 1e-3] * len(thetas) for _ in range(4)]
 
-    monkeypatch.setattr(oscylinder.residuals, "_reports", reports)
+    monkeypatch.setattr(oscylinder.residuals, "_residual_block", block)
     monkeypatch.setattr(oscylinder.residuals, "residual_tolerance",
                         lambda s, rho, h_rel: 2.0 if rho < 2.0 else 1e-6)
     for c in validate_checks(S3)[:4]:
@@ -691,18 +689,19 @@ def test_validate_residual_row_fails_on_any_radius(monkeypatch):
                                   (scenario(1e-4, 1000.0, perturbation=
                                             Perturbation("beta", 1.001)), 0.0)])
 def test_validate_grid_reports_match_residual_report(monkeypatch, s, t, h_rel):
-    # the grid samples a radius at a time; each of its 25 reports equals
+    # the grid samples a radius at a time; each of its 25 values equals
     # residual_report at that point and step.  At h_rel = 0.095 the
     # innermost radius rho = 1.1 takes the one-sided stencil.
     grid = []
-    reports = oscylinder.residuals._reports
+    block = oscylinder.residuals._residual_block
 
-    def recording(*args):
-        got = reports(*args)
-        grid.extend(got)
+    def recording(s, r, thetas, t, h):
+        got = block(s, r, thetas, t, h)
+        grid.extend(ResidualReport(PolarPoint(r, theta), t, h, (r - h) < s.a, *values)
+                    for theta, values in zip(thetas, zip(*got)))
         return got
 
-    monkeypatch.setattr(oscylinder.residuals, "_reports", recording)
+    monkeypatch.setattr(oscylinder.residuals, "_residual_block", recording)
     validate_checks(s, t, h_rel)
     monkeypatch.undo()
     assert len(grid) == 25
@@ -714,29 +713,29 @@ def test_validate_grid_reports_match_residual_report(monkeypatch, s, t, h_rel):
 @pytest.mark.parametrize("h_rel", [1e-4, 0.095])
 def test_checks_sample_by_block(monkeypatch, h_rel):
     # boundary_suite makes exactly one _radial call at each of its radii
-    # (wall, far field, 1.5a, 3a), and the residual grid one kernel call at
+    # (wall, far field, 1.5a, 3a), and the residual grid one _radial call at
     # each radius plus one per off-radius stencil point
     # (the far radius is 1e3 a here, test_far_radius_rule)
     assert boundary_rhos(S3) == [r / S3.a for r in (S3.a, 1e3 * S3.a, 1.5 * S3.a,
                                                      3.0 * S3.a)]
     calls = []
-    fields = oscylinder.residuals._fields
+    radial = oscylinder.residuals._radial
 
     def counted(*args):
         calls.append(args[1])
-        return fields(*args)
+        return radial(*args)
 
-    monkeypatch.setattr(oscylinder.residuals, "_fields", counted)
+    monkeypatch.setattr(oscylinder.residuals, "_radial", counted)
     per_radius = []
-    reports = oscylinder.residuals._reports
+    block = oscylinder.residuals._residual_block
 
     def recording(*args):
         before = len(calls)
-        got = reports(*args)
+        got = block(*args)
         per_radius.append(len(calls) - before)
         return got
 
-    monkeypatch.setattr(oscylinder.residuals, "_reports", recording)
+    monkeypatch.setattr(oscylinder.residuals, "_residual_block", recording)
     validate_checks(S3, h_rel=h_rel)
     assert len(per_radius) == 5
     assert all(n <= 4 for n in per_radius)
