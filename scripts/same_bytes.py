@@ -9,8 +9,10 @@ list covers the four default commands, bench-style `force` sweeps and
 `field` maps, mutated `force` and `profile` runs, clean and mutated
 `validate` runs at one beta*a every other decade from 1e-8 to 1e4, with
 a one-sided stencil (--h-rel 0.095), another step and t != 0, bench-style
-`validate` units, `field` runs where a row's mirror row can and cannot
-reuse its values, and runs at the edges of the domain.  Every run whose
+`validate` units, the `validate --a 1e-3` runs of the detection matrix in
+tests/test_cli.py (beta*a from 1e-150 to 1e16), `field` runs where a
+row's mirror row can and cannot reuse its values, and runs at the edges
+of the domain.  Every run whose
 exit code, stdout or stderr differs is reported; the script exits 1 if
 any does, 0 otherwise.
 """
@@ -78,6 +80,11 @@ def _argv_list() -> list[list[str]]:
             argv = ["validate", "--a", repr(ba / math.sqrt(2.0 * math.pi * f / NU0_AIR)),
                     "--f", repr(f)]
             runs += [argv] + [[*argv, "--mutate", mutate] for mutate in MUTATIONS]
+    # tests/test_cli.py's DETECTION_MATRIX: validate --a 1e-3 at each beta*a
+    for ba in [10.0 ** e for e in range(-150, 1, 10)] + [1e3, 1e7, 5e9, 1e10, 1e11, 1e16]:
+        f = (ba / 1e-3) ** 2 * NU0_AIR / (2.0 * math.pi)
+        argv = ["validate", "--a", "1e-3", "--f", repr(f)]
+        runs += [argv] + [[*argv, "--mutate", mutate] for mutate in MUTATIONS]
     edge = "-1.77e303:1.77e303:3"
     runs += [
         ["validate", "--a", "1e-20", "--f", "1e-270"],  # beta a ~ 6e-153

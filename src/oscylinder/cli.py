@@ -309,7 +309,7 @@ def cmd_profile(cfg: RunConfig, mode: str, nr: int, rmax_factor: float) -> int:
         vph = s.v0 * _phase(s, cfg.t)
         row = f"{f:.16e},%.16e,%.16e,%.16e,%.16e\n"
         for j in range(nr):
-            # j = 0 gives exactly r = a, where the columns are exactly zero;
+            # j = 0 gives exactly r = a, where unperturbed columns are exactly zero;
             # a <= r <= a * rmax_factor, so r and rho are finite
             r = a * rmax_factor ** (j / (nr - 1))
             rho = r / a

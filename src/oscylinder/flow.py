@@ -53,8 +53,9 @@ Two evaluation branches keep the brackets well-conditioned:
 
 The pole-subtracted form develops its own cancellation once ba is
 large, hence the branch switch at ba = 1 where both forms are healthy.
-At rho = 1 the no-slip zeros come out bitwise: the rho-dependent and
-a-dependent terms share the same floats and cancel exactly.
+At rho = 1 the no-slip zeros come out bitwise at every ba: the
+rho-dependent and a-dependent terms share the same floats and cancel
+exactly, and the K0 ratio K0(j- ba rho)/K0(j- ba) is 1.0 there.
 """
 
 from __future__ import annotations
@@ -166,19 +167,19 @@ class _Coefficients:
     ba is the Bessel-argument scale (beta factor applied), b and c the B-
     and C-mode weights, g1 = f(a)/ba (f_a factor applied).  k0_za is
     K0(za) at za = j- ba, scaled by e^za on the ba >= 1 branch.  G(rho)
-    splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r and
-    k0r1 are the regular part and the K0 ratio at rho = 1, which _radial
-    and _slopes reuse there; pole = i ba^2 q is the pole part of
-    i ba^2 G(rho) rho, kept exact as -2/K0(za).  `excess` is the wall term
-    beyond c (1 + g1r): c (f_a - 1) g1 + (c - b) q, zero unperturbed.
-    The surface pair is fetched once and passed to _ratios at rho = 1 for
-    g1r and k0r1.  `memo` maps rho to its _radial brackets, so _radial
-    runs terms() once per distinct rho; it is emptied when it reaches 4096
-    entries.
+    splits into q/rho plus a regular part (q = 0 for ba >= 1); g1r is the
+    regular part at rho = 1, which _radial and _slopes reuse there with a K0
+    ratio of exactly 1.0 (K0(za)/K0(za) by complex division can leave
+    ~1e-17j); pole = i ba^2 q is the pole part of i ba^2 G(rho) rho, kept
+    exact as -2/K0(za).  `excess` is the wall term beyond c (1 + g1r):
+    c (f_a - 1) g1 + (c - b) q, zero unperturbed.  The surface pair is
+    fetched once and passed to _ratios at rho = 1 for g1r.  `memo` maps rho
+    to its _radial brackets, so _radial runs terms() once per distinct rho;
+    it is emptied when it reaches 4096 entries.
     """
 
     __slots__ = ("ba", "small", "za", "k0_za", "b", "c", "q", "pole", "g1r",
-                 "k0r1", "g1", "excess", "memo")
+                 "g1", "excess", "memo")
 
     def __init__(self, s: Scenario):
         p = s.perturbation
@@ -196,7 +197,7 @@ class _Coefficients:
                 self.pole = -(2.0 / k0)
             else:
                 self.q = self.pole = 0j
-            self.g1r, self.k0r1 = self._ratios(1.0, k0, k1)
+            self.g1r = self._ratios(1.0, k0, k1)[0]
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"the solution cannot be evaluated at "
                              f"beta a = {ba:g}: {exc}") from None
@@ -293,7 +294,7 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex]:
     """(B_r, B_theta, P) at rho = r/a, the brackets every field sampler reads.
 
     At rho = 1 the velocity brackets vanish bitwise when unperturbed: every
-    term evaluated there reuses the floats cached in the coefficient set.
+    term there reuses the coefficient set's floats, and the K0 ratio is 1.0.
     Results are kept in the set's memo by rho and returned on later calls;
     each dict get or set is atomic, so threads sharing a Scenario agree.
     """
@@ -302,7 +303,7 @@ def _radial(s: Scenario, rho: float) -> tuple[complex, complex, complex]:
     if hit is not None:
         return hit
     b, c = k.b, k.c
-    gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
+    gr, k0r = (k.g1r, 1.0) if rho == 1.0 else k.terms(rho)
     inv2 = 1.0 / (rho * rho)
     tail = b * gr / rho - (c * k.g1r) * inv2
     wall = k.excess * inv2
@@ -321,12 +322,12 @@ def _slopes(s: Scenario, rho: float) -> tuple[complex, complex]:
 
     dK0/dz = -K1 and dK1/dz = -K0 - K1/z give G'(rho) = -2 k0r(rho) -
     G(rho)/rho for the K0 ratio k0r, and B_theta - B_r = 2 b k0r - 2, so
-    B_theta' = B_r' + i b ba^2 G(rho).  At rho = 1, B_r' vanishes bitwise
-    when unperturbed, as the brackets do in _radial.
+    B_theta' = B_r' + i b ba^2 G(rho).  At rho = 1 (k0r = 1.0), B_r'
+    vanishes bitwise when unperturbed, as the brackets do in _radial.
     """
     k = s._coefficients
     b, c2, ba = k.b, 2.0 * k.c, k.ba
-    gr, k0r = (k.g1r, k.k0r1) if rho == 1.0 else k.terms(rho)
+    gr, k0r = (k.g1r, 1.0) if rho == 1.0 else k.terms(rho)
     inv = 1.0 / rho
     inv2 = 1.0 / (rho * rho)
     inv3 = inv2 * inv

@@ -11,9 +11,11 @@ phase, then one loop over the block's angles that forms every sample,
 each field's differences and the four residuals inline, and returns the
 four residual columns.  boundary_suite makes one _radial call at each
 of its four radii and forms only the columns each check reads (no slip
-and far field v_r, v_theta; pressure form and symmetry p).  Tests pin
-both bit for bit to references built on flow_state(), velocity() and
-pressure().  Every residual is reported dimensionless:
+and far field v_r, v_theta; pressure form and symmetry p) on angle
+tables built at import, and skips the no-slip ring when both wall
+brackets are exactly 0.  Tests pin both bit for bit to references built
+on flow_state(), velocity() and pressure().  Every residual is reported
+dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -50,15 +52,16 @@ SYMMETRY_TOL = 1e-13
 _BOUNDARY_CHECKS = (("no_slip", NO_SLIP_TOL), ("far_field", FAR_FIELD_TOL),
                     ("pressure_form", PRESSURE_FORM_TOL), ("symmetry", SYMMETRY_TOL))
 
-#: boundary_suite's (cos theta, sin theta) tables: the wall and far-field
-#: rings, then theta = 0 and theta, -theta, pi - theta for each pressure-form
-#: angle (those keep |cos| >= 0.25 so dividing by it is well-conditioned)
-_RING64, _RING32 = ([(math.cos(th), math.sin(th))
-                     for th in (2.0 * math.pi * k / n for k in range(n))]
-                    for n in (64, 32))
-_FORM_ANGLES = [(1.0, 0.0)] + [(math.cos(th), math.sin(th))
-                               for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1)
-                               for th in (theta, -theta, math.pi - theta)]
+#: boundary_suite's tables: (cos, sin) on the wall ring, (cos, sin, -sin) on
+#: the far ring, cos at 0 and at theta, -theta, pi - theta per pressure-form
+#: angle, and each theta's cos as divisor (|cos| >= 0.25, well-conditioned)
+_WALL_RING = [(math.cos(th), math.sin(th))
+              for th in (2.0 * math.pi * k / 64 for k in range(64))]
+_FAR_RING = [(math.cos(th), math.sin(th), -math.sin(th))
+             for th in (2.0 * math.pi * k / 32 for k in range(32))]
+_FORM_COS = [1.0] + [math.cos(th) for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1)
+                     for th in (theta, -theta, math.pi - theta)]
+_FORM_DIVISORS = _FORM_COS[1::3]
 
 
 class ResidualReport(namedtuple("ResidualReport", "location t h one_sided continuity "
@@ -258,8 +261,12 @@ def boundary_suite(s: Scenario) -> list[Check]:
 
     The fields are sampled at unit amplitude, so s.v0 is not read.  One
     _radial call per radius (rho = 1, far, 1.5, 3) and one phase per
-    (radius, time) block.  The pressure maxima are taken over the undivided
-    values and divided once, by their block's reference pressure.
+    (radius, time) block, on module tables of angles, signs and divisors.
+    When B_r(1) == 0 and B_theta(1) == 0, each no-slip sample is finite
+    angle x finite phase x 0, exactly 0.0, so the ring is not formed (NaN
+    != 0, so a NaN wall is sampled and fails); every refusal still runs, in
+    order.  The pressure maxima are taken over the undivided values and
+    divided once, by their block's reference pressure.
     """
     hypot = math.hypot
     period = 2.0 * math.pi / s.omega
@@ -268,9 +275,11 @@ def boundary_suite(s: Scenario) -> list[Check]:
     # flow_state's products in its order, at v0 = 1
     no_slip = []
     br, bth, _ = _radial(s, _check_radius(s, s.a))  # rho exactly 1.0
+    zero_wall = br == 0 and bth == 0  # then every sample is exactly 0.0
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
         ph = _phase(s, t)
-        no_slip += [hypot(abs(c * ph * br), abs(sn * ph * bth)) for c, sn in _RING64]
+        no_slip.append(0.0 if zero_wall else _nan_max(
+            [hypot(abs(c * ph * br), abs(sn * ph * bth)) for c, sn in _WALL_RING]))
 
     far_radius = max(1e3 * s.a, 20.0 * s.delta)
     if not far_radius < math.inf:
@@ -278,17 +287,16 @@ def boundary_suite(s: Scenario) -> list[Check]:
                          f"at a = {s.a:g} m, delta = {s.delta:g} m")
     far = []
     br, bth, _ = _radial(s, _check_radius(s, far_radius))
-    ring = [(c, sn, -sn) for c, sn in _RING32]
     for t in (0.0, period / 5.0):
         ph = _phase(s, t)
         ph_inf = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
         far += [hypot(abs(c * ph * br - c * ph_inf), abs(sn * ph * bth - nsn * ph_inf))
-                for c, sn, nsn in ring]
+                for c, sn, nsn in _FAR_RING]
 
     form = []
     sym = []
     pv = 1j * s.fluid.rho0 * s.omega * s.a
-    ring = [pv * c for c, _ in _FORM_ANGLES]
+    ring = [pv * c for c in _FORM_COS]
     for rr in (1.5 * s.a, 3.0 * s.a):
         pb = _radial(s, _check_radius(s, rr))[2]
         for t in (0.0, period / 5.0):
@@ -296,9 +304,9 @@ def boundary_suite(s: Scenario) -> list[Check]:
             p0, *ps = [pc * ph * pb for pc in ring]
             pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
             block_form, block_sym = [], []
-            for k in range(0, len(ps), 3):
-                p, p_neg, p_sup = ps[k:k + 3]
-                block_form.append(abs(p / _FORM_ANGLES[k + 1][0] - p0))
+            for p, p_neg, p_sup, cos_theta in zip(ps[0::3], ps[1::3], ps[2::3],
+                                                  _FORM_DIVISORS):
+                block_form.append(abs(p / cos_theta - p0))
                 block_sym += [abs(p_neg - p), abs(p_sup + p)]
             # correctly rounded division by a positive float is monotone and
             # keeps NaN, so the max of the quotients is the quotient of the max

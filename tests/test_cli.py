@@ -469,6 +469,20 @@ def test_validate_detection_matrix(ba, capsys):
     assert codes == DETECTION_MATRIX[ba]
 
 
+@pytest.mark.parametrize("pert", [None, Perturbation("beta", 1.001)], ids=["clean", "beta"])
+@pytest.mark.parametrize("ba", sorted(DETECTION_MATRIX), ids="{:g}".format)
+def test_boundary_suite_at_the_detection_matrix(ba, pert):
+    # bit for bit with the velocity()/pressure() reference from beta a =
+    # 1e-150 to 1e16; a wall whose brackets are both zero, which the clean
+    # and the beta-mutated flow have, reads exactly 0.0 without its ring
+    f = (ba / 1e-3) ** 2 * AIR_20C.nu0 / (2.0 * math.pi)
+    s = Scenario.from_frequency(AIR_20C, 1e-3, 1.0, f, pert)
+    rows = oscylinder.residuals.boundary_suite(s)
+    assert repr(rows) == repr(reference_boundary_suite(s))
+    assert oscylinder.flow._radial(s, 1.0)[:2] == (0j, 0j)
+    assert repr(rows[0].value) == "0.0"
+
+
 def test_validate_fails_on_nan_field(monkeypatch, capsys):
     for module in (oscylinder.flow, oscylinder.residuals):
         monkeypatch.setattr(module, "_radial", lambda s, rho: (complex("nan"),) * 3)

@@ -13,6 +13,7 @@ import cmath
 import importlib.util
 import math
 import pathlib
+import random
 import re
 import sys
 import threading
@@ -177,9 +178,16 @@ def test_no_slip_is_exact(s):
 
 
 def test_bracket_zero_bitwise():
-    for s in (S1, S2, S3):
-        br, bth = _radial(s, 1.0)[:2]
-        assert br == 0j and bth == 0j
+    # B_r(1), B_theta(1) and B_r'(1) are exactly zero at S1-S3 and at 2,000
+    # seeded clean scenarios, beta a from 1e-9 to 1e4 (a K0 ratio formed as
+    # K0(za)/K0(za) leaves ~1e-17 in about 9% of them)
+    rng = random.Random(34)
+    draws = [(10.0 ** rng.uniform(-9.0, 4.0), 10.0 ** rng.uniform(0.0, 5.0))
+             for _ in range(2000)]
+    for s in [S1, S2, S3] + [scenario(ba / math.sqrt(2.0 * math.pi * f / AIR_20C.nu0), f)
+                             for ba, f in draws]:
+        assert _radial(s, 1.0)[:2] == (0j, 0j), s
+        assert _slopes(s, 1.0)[0] == 0, s
 
 
 @given(st.floats(min_value=1e-7, max_value=1e-3),
@@ -425,8 +433,8 @@ def test_radial_memo_is_per_scenario(a, f, name):
 
 def test_field_evaluates_each_radius_once(monkeypatch, capsys):
     # the default 41 x 41 map runs terms() once per distinct rho != 1 it
-    # samples, and never at rho = 1, where the coefficient set forms g1r and
-    # k0r1 from the surface pair it fetched; the grid is exactly symmetric,
+    # samples, and never at rho = 1, where the coefficient set forms g1r
+    # from the surface pair it fetched; the grid is exactly symmetric,
     # so mirror points share their rho and the map samples at most 200; row
     # -y reuses row y's brackets, so _radial runs for at most 21 rows of 41
     sampled, evaluated = [], []
@@ -452,8 +460,8 @@ def test_field_evaluates_each_radius_once(monkeypatch, capsys):
 
 
 def _coefficients_the_old_way(s):
-    """A _Coefficients built with a weight dict and g1r, k0r1 = terms(1.0),
-    a second lookup of the surface Bessel pair."""
+    """A _Coefficients built with a weight dict and g1r = terms(1.0)[0], a
+    second lookup of the surface Bessel pair."""
     k = object.__new__(oscylinder.flow._Coefficients)
     weight = dict.fromkeys(oscylinder.flow.PERTURBABLE, 1.0)
     if s.perturbation is not None:
@@ -469,7 +477,7 @@ def _coefficients_the_old_way(s):
         k.pole = -(2.0 / k.k0_za)
     else:
         k.q = k.pole = 0j
-    k.g1r, k.k0r1 = k.terms(1.0)
+    k.g1r = k.terms(1.0)[0]
     g1 = k.q + k.g1r
     fa = weight["f_a"]
     k.g1 = g1 * fa
@@ -491,7 +499,7 @@ def test_coefficient_set_is_built_bit_for_bit(ba, pert):
     # SMALL_BA under the beta perturbations
     s = Scenario.from_frequency(AIR_20C, ba / _BETA_1KHZ, 1.0, 1000.0, pert)
     new, old = s._coefficients, _coefficients_the_old_way(s)
-    assert len(oscylinder.flow._Coefficients.__slots__) == 13
+    assert len(oscylinder.flow._Coefficients.__slots__) == 12
     for slot in oscylinder.flow._Coefficients.__slots__:
         if slot != "memo":
             assert repr(getattr(new, slot)) == repr(getattr(old, slot)), slot
@@ -505,8 +513,8 @@ def _hoisted_radial_and_slopes(k, rho):
     ba_k0, c2, iba2 = ba * k.k0_za, 2.0 * c, 1j * (ba * ba)
     c_g1r, c2_g1r, c_g1, excess2 = c * k.g1r, c2 * k.g1r, c * k.g1, 2.0 * k.excess
     j2 = 2.0 * J_PLUS
-    if rho == 1.0:
-        gr, k0r = k.g1r, k.k0r1
+    if rho == 1.0:  # K0(za)/K0(za) is exactly 1
+        gr, k0r = k.g1r, 1.0
     elif k.small:
         k0, k1m = bessel_k_pair(J_MINUS * (ba * rho))
         gr, k0r = j2 * k1m / ba_k0, k0 / k.k0_za
@@ -699,6 +707,8 @@ def _radial_inline(s, weight, rho):
     b, c, fa, ba, q = weight["B"], weight["C"], weight["f_a"], k.ba, k.q
     g1r = _terms_public(k, 1.0)[0]
     gr, k0r = _terms_public(k, rho)
+    if rho == 1.0:  # K0(za)/K0(za) is exactly 1
+        k0r = 1.0
     pole = -(2.0 / k.k0_za) if k.small else 0j
     g1 = (q + g1r) * fa
     excess = c * ((fa - 1.0) * (q + g1r)) + (c - b) * q
@@ -722,7 +732,8 @@ def _bits(values):
 
 
 # the same range as the mpmath property above; rho = 1 (log_rho = 0) is
-# where _radial and _slopes reuse the coefficient set's g1r and k0r1
+# where _radial and _slopes reuse the coefficient set's g1r and a K0 ratio
+# of exactly 1
 @given(st.floats(min_value=-9.0, max_value=4.0),
        st.floats(min_value=0.0, max_value=6.0),
        st.sampled_from([None, *oscylinder.flow.PERTURBABLE]))

@@ -10,6 +10,7 @@ percent of the reference; the rest carry visible roundoff and are held
 to the documented tolerance envelope instead.
 """
 
+import cmath
 import math
 
 import pytest
@@ -525,6 +526,32 @@ def test_boundary_suite_matches_reference_over_beta_a(log_ba, v0, pert):
     assert repr(boundary_suite(s)) == repr(reference_boundary_suite(s._replace(v0=1.0)))
 
 
+@pytest.mark.parametrize("wall", [
+    (0j, complex("nan")), (complex("nan"), 0j),  # NaN != 0: the ring is sampled
+    (0j, 5e-324j), (5e-324 + 0j, 0j),            # one bracket is not zero
+    (-0j, -0j), (complex(-0.0, 0.0), complex(0.0, -0.0)),  # signed zeros read 0.0
+], ids=repr)
+def test_boundary_suite_no_slip_at_a_patched_wall(monkeypatch, wall):
+    # only a wall whose brackets both equal 0 skips its ring; either bracket
+    # NaN or nonzero gives the reference's row, NaN or the subnormal product
+    radial = oscylinder.flow._radial
+
+    def patched(s, rho):
+        return (*wall, radial(s, rho)[2]) if rho == 1.0 else radial(s, rho)
+
+    for module in (oscylinder.flow, oscylinder.residuals):
+        monkeypatch.setattr(module, "_radial", patched)
+    got, want = boundary_suite(S3), reference_boundary_suite(S3)
+    assert repr(got) == repr(want)
+    no_slip = got[0].value
+    if any(map(cmath.isnan, wall)):
+        assert math.isnan(no_slip) and not got[0].ok
+    elif wall == (0j, 0j):
+        assert repr(no_slip) == "0.0"
+    else:
+        assert no_slip > 0.0
+
+
 @pytest.mark.parametrize("s", REFERENCE_SCENARIOS, ids=REFERENCE_IDS)
 @pytest.mark.parametrize("rho, theta, t", [
     (1.5, 0.7, 0.0),         # central stencil
@@ -737,5 +764,6 @@ def test_checks_sample_by_block(monkeypatch, h_rel):
 
     monkeypatch.setattr(oscylinder.residuals, "_residual_block", recording)
     validate_checks(S3, h_rel=h_rel)
-    assert len(per_radius) == 5
-    assert all(n <= 4 for n in per_radius)
+    # 1 + 2 off radii (r -+ h) per central block, 1 + 3 (r + h, 2h, 3h) per
+    # one-sided block; h_rel = 0.095 puts only rho = 1.1's stencil on one side
+    assert per_radius == ([4, 3, 3, 3, 3] if h_rel == 0.095 else [3] * 5)
