@@ -5,20 +5,21 @@ Run:  python scripts/same_bytes.py PARENT_SRC CHANGE_SRC
 Each argument is a directory holding the `oscylinder` package (a
 checkout's `src/`).  Every run of a fixed argv list is made in a fresh
 interpreter, once per tree, with that tree first on PYTHONPATH.  The
-list covers the four default commands, bench-style `force` sweeps and
-`field` maps, mutated `force` and `profile` runs, clean and mutated
-`validate` runs at one beta*a every other decade from 1e-8 to 1e4, with
-a one-sided stencil (--h-rel 0.095), another step and t != 0, bench-style
-`validate` units, the `validate --a 1e-3` runs of the detection matrix in
-tests/test_cli.py (beta*a from 1e-150 to 1e16), `field` runs where a
-row's mirror row can and cannot reuse its values, and runs at the edges
-of the domain.  Every run whose
-exit code, stdout or stderr differs is reported; the script exits 1 if
-any does, 0 otherwise.
+list covers the four default commands, the command-line units of
+bench/run.py's workloads (its GENERATORS, loaded read-only: force_sweep
+seeds 1..10, field_map seeds 1..5, verify seeds 1..2), mutated `force`
+and `profile` runs, clean and mutated `validate` runs at one beta*a every
+other decade from 1e-8 to 1e4, with a one-sided stencil (--h-rel 0.095),
+another step and t != 0, the `validate --a 1e-3` runs of the detection
+matrix in tests/test_cli.py (beta*a from 1e-150 to 1e16), `field` runs
+where a row's mirror row can and cannot reuse its values, and runs at the
+edges of the domain.  Every run whose exit code, stdout or stderr differs
+is reported; the script exits 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
@@ -27,23 +28,32 @@ import sys
 
 NU0_AIR = 15.11e-6  # kinematic viscosity of the default fluid
 MUTATIONS = ("B:1.001", "C:1.001", "fa:1.001", "beta:1.001")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+BENCH_SEEDS = {"force_sweep": range(1, 11), "field_map": range(1, 6), "verify": range(1, 3)}
+
+
+def _bench_generators() -> dict:
+    """bench/run.py's GENERATORS, loaded without writing bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  os.path.join(BENCH_DIR, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, BENCH_DIR)  # run.py imports its siblings checks and calib
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+    return module.GENERATORS
 
 
 def _argv_list() -> list[list[str]]:
     runs = [["force"], ["field"], ["profile"], ["validate"]]
-    # bench/run.py's force_sweep units for seeds 1..10
-    for seed in range(1, 11):
-        rng = random.Random(f"force_sweep-{seed}")
-        a = 10.0 ** rng.uniform(math.log10(1e-6), math.log10(1e-4))
-        runs.append(["force", "--a", repr(a), "--f-range", "1:1e4:200",
-                     "--nodes", "512", "--jobs", "1"])
-    # bench/run.py's field_map field units for seeds 1..5
-    for seed in range(1, 6):
-        rng = random.Random(f"field_map-{seed}")
-        a = 10.0 ** rng.uniform(math.log10(5e-7), math.log10(2e-6))
-        f = 10.0 ** rng.uniform(math.log10(10.0), math.log10(1000.0))
-        span = f"{-4 * a!r}:{4 * a!r}:101"
-        runs.append(["field", "--a", repr(a), "--f", repr(f), f"--grid={span},{span}"])
+    # the command-line units of bench/run.py's workloads, seeded as it seeds them
+    generators = _bench_generators()
+    runs += [unit["argv"] for name, seeds in BENCH_SEEDS.items() for seed in seeds
+             for unit in generators[name](random.Random(f"{name}-{seed}"))
+             if unit["kind"] == "cli"]
     # field grids with points on r = a, where exact zeros print "0.0" and
     # "-0.0" apart; v0 = 0 and subnormal; no y = 0 row; t != 0; beta a >= 1;
     # a y-range that is not symmetric
@@ -70,16 +80,6 @@ def _argv_list() -> list[list[str]]:
     runs.append(["validate", "--h-rel", "0.095"])
     runs += [["validate", "--h-rel", "0.095", "--mutate", mutate] for mutate in MUTATIONS]
     runs += [["validate", "--h-rel", "1e-3"], ["validate", "--t", "0.00037"]]
-    # bench/run.py's verify units for seeds 1..2
-    for seed in range(1, 3):
-        rng = random.Random(f"verify-{seed}")
-        points = [(10.0 ** (decade + rng.random()),
-                   10.0 ** rng.uniform(math.log10(1.0), math.log10(1e4)))
-                  for decade in range(-8, 4)] + [(1e3, 1000.0)]
-        for ba, f in points:
-            argv = ["validate", "--a", repr(ba / math.sqrt(2.0 * math.pi * f / NU0_AIR)),
-                    "--f", repr(f)]
-            runs += [argv] + [[*argv, "--mutate", mutate] for mutate in MUTATIONS]
     # tests/test_cli.py's DETECTION_MATRIX: validate --a 1e-3 at each beta*a
     for ba in [10.0 ** e for e in range(-150, 1, 10)] + [1e3, 1e7, 5e9, 1e10, 1e11, 1e16]:
         f = (ba / 1e-3) ** 2 * NU0_AIR / (2.0 * math.pi)
@@ -92,6 +92,12 @@ def _argv_list() -> list[list[str]]:
         ["validate", "--a", "1e-150", "--f", "1e300"],
         ["force", "--a", "1e-158", "--f", "1"],
         ["force", "--a", "1e-160"],
+        # (beta a)^2 overflows, refused by force and validate alike; at nu0 =
+        # 1e300 it is finite and the force scale rho0 omega a^2 overflows instead
+        ["force", "--a", "1e154", "--f", "1"],
+        ["force", "--a", "1e305", "--f", "1e-305"],
+        ["force", "--a", "1e154", "--f", "1", "--nu0", "1e300", "--rho0", "1"],
+        ["validate", "--a", "1e305", "--f", "1e-305"],
         ["field", "--a", "1", "--f", "1e4", f"--grid={edge},{edge}"],  # |w| ~ 1.6e308
         ["field", "--a", "1e-300"],
     ]

@@ -23,11 +23,11 @@ by _command_parser(name) alone; build_parser(), whose subparsers declare
 no options, serves the rest: none, -h or an unknown command.  Only the
 --nu0/--rho0 pairing is checked after parsing; --nr, --rmax-factor,
 --nodes, --jobs and --h-rel are checked where they are used.  force
-computes each row in one pass, serially:
-forces._force_row takes one phase, one common factor and one wall stress
-for the buoyancy, viscous and quadrature columns, and |F_b + F_v| is the
-exact force_analytic column; --jobs (>= 1) is accepted but starts no
-threads.
+computes each row in one pass, serially: it reads F_b, F_v and F_x of
+forces._force_row, the row validate's force checks read, which takes one
+phase, one closed form and one wall stress and refuses an overflowing
+(beta a)^2 by name; |F_b + F_v| is the exact force_analytic column;
+--jobs (>= 1) is accepted but starts no threads.
 
 profile and field form each point as angle x flow._radial x phase, the
 products flow_state and the residual checks form, in the same order
@@ -440,7 +440,7 @@ def cmd_force(cfg: RunConfig, nodes: int, jobs: int) -> int:
     rows = []
     for f in cfg.frequencies:
         s = cfg.scenario(f)
-        fb, fv, fq = _force_row(s, cfg.t, nodes)
+        fb, fv, fq, _ = _force_row(s, cfg.t, nodes)
         row = (abs(fb + fv), abs(fb), abs(fv), abs(fq))
         if not sum(row) < math.inf:  # inf or NaN in some column: name the first
             for name, v in zip(header[1:], row):

@@ -146,6 +146,10 @@ class PolarPoint(namedtuple("PolarPoint", "r theta")):
     theta: float   # azimuth [rad]; any real value, used through cos/sin
 
     def __new__(cls, r, theta):
+        for name, value in (("r", r), ("theta", theta)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"PolarPoint {name} must be an int or float, "
+                                 f"got {value!r}")
         fmax = sys.float_info.max
         if not (-fmax <= r <= fmax and -fmax <= theta <= fmax):
             raise ValueError("PolarPoint components must be finite")

@@ -21,9 +21,10 @@ sums that depend on n alone.  The wall constants come from the stress
 tensor, so the quadrature-vs-analytic comparison tests the algebra
 connecting stress to force.
 
-Every force is built from one phase, the common factor and, for the
+Every force is built from one phase, the closed form and, for the
 quadrature, the wall stress; _force_row takes each once for a row of
-`oscylinder force`, bit for bit the public functions' values.
+`oscylinder force` and validate's force rows, bit for bit the public
+functions' values, and refuses an overflowing (beta a)^2 by name.
 """
 
 from __future__ import annotations
@@ -149,11 +150,6 @@ def _angular_sums(n: int) -> tuple[float, float, float]:
             math.fsum(sn * c for c, sn in nodes))
 
 
-def _common_factor(s: Scenario, ph: complex) -> complex:
-    """-i 2 pi rho0 v0 omega a^2 times the phase ph: the buoyancy force."""
-    return -1j * 2.0 * math.pi * s.fluid.rho0 * s.v0 * s.omega * s.a * s.a * ph
-
-
 def _quadrature(s: Scenario, ph: complex, n_nodes: int) -> tuple[complex, complex]:
     """(F_x, F_y) of the n_nodes-point trapezoidal rule at phase ph."""
     if not isinstance(n_nodes, int) or n_nodes < 8:
@@ -165,25 +161,33 @@ def _quadrature(s: Scenario, ph: complex, n_nodes: int) -> tuple[complex, comple
 
 
 def _closed_form(s: Scenario, ph: complex) -> tuple[complex, complex]:
-    """(F_b, F_v) at phase ph: the buoyancy force and F_b f(a)/(beta a)."""
-    fb = _common_factor(s, ph)
+    """(F_b, F_v) at phase ph: -i 2 pi rho0 v0 omega a^2 ph and F_b f(a)/(beta a)."""
+    fb = -1j * 2.0 * math.pi * s.fluid.rho0 * s.v0 * s.omega * s.a * s.a * ph
     return fb, fb * s._coefficients.g1
 
 
-def _force_row(s: Scenario, t: float, n_nodes: int) -> tuple[complex, complex, complex]:
-    """F_x of force_buoyancy, force_viscous_approx and force_quadrature(s, t,
-    n_nodes), from one phase, one common factor and one wall stress."""
+def _force_row(s: Scenario, t: float, n_nodes: int) -> tuple[complex, ...]:
+    """(F_b, F_v, F_x, F_y): fx of force_buoyancy and force_viscous_approx,
+    and fx, fy of force_quadrature(s, t, n_nodes), from one phase, one
+    closed form and one wall stress.  A (beta a)^2 that overflows is refused
+    first: B_theta' = B_r' + i b ba^2 G in the wall stress would be NaN."""
+    ba = s._coefficients.ba
+    if not ba * ba < math.inf:
+        raise ValueError(f"force at f = {s.frequency:g} Hz, a = {s.a:g} m: the "
+                         f"shear stress scale (beta a)^2 = {ba * ba!r} overflows "
+                         f"at beta a = {ba:g}")
     ph = _phase(s, t)
-    return (*_closed_form(s, ph), _quadrature(s, ph, n_nodes)[0])
+    return (*_closed_form(s, ph), *_quadrature(s, ph, n_nodes))
 
 
 def force_buoyancy(s: Scenario, t: float) -> ForceResult:
     """Pressure part of the force: the inertial/buoyancy-like term.
 
     F_p = -i 2 pi rho0 v0 omega a^2 e^{-i omega t}; its magnitude is the
-    displaced fluid mass per unit length times the flow acceleration.
+    displaced fluid mass per unit length times the flow acceleration.  It is
+    F_b of _closed_form, so an unusable coefficient set is refused by name.
     """
-    return ForceResult(fx=_common_factor(s, _phase(s, t)), fy=0j, method="buoyancy")
+    return ForceResult(fx=_closed_form(s, _phase(s, t))[0], fy=0j, method="buoyancy")
 
 
 def force_viscous_approx(s: Scenario, t: float) -> ForceResult:

@@ -32,7 +32,8 @@ in range at every r.
 
 validate_checks is the self-check as one table of Check rows (name,
 value, tol, ok), the rows `oscylinder validate` prints, boundary_suite's
-four among them; NaN fails a row.
+four among them and two force rows formed from forces._force_row, the
+row `oscylinder force` prints; NaN fails a row.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import sys
 from collections import namedtuple
 
 from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
-from .forces import force_analytic, force_quadrature
+from .forces import _force_row
 
 #: boundary_suite thresholds, then its four rows in the order validate prints them
 NO_SLIP_TOL = 1e-12
@@ -100,24 +101,6 @@ def _length_unit(r: float) -> float:
     return math.ldexp(1.0, math.frexp(r)[1] - 1)
 
 
-def _resolve_step(r: float, thetas, h: float) -> float:
-    if isinstance(h, bool) or not (isinstance(h, (int, float))
-                                   and 0 < h <= sys.float_info.max):
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
-    if h * h < sys.float_info.min:
-        raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
-                         f"so second differences cannot be formed")
-    ht, hl = h / r, h / _length_unit(r)
-    if not (ht * ht < math.inf and hl * hl < math.inf):
-        raise ValueError(f"step h = {h!r} m is too large at r = {r!r} m: its "
-                         f"square overflows, so second differences cannot be formed")
-    for theta in thetas:
-        if r + h == r or theta + ht == theta or theta - ht == theta:
-            raise ValueError(f"step h = {h!r} m is too small: the stencil points "
-                             f"round onto r = {r!r} m or theta = {theta!r}")
-    return h
-
-
 def _residual_block(s: Scenario, r: float, thetas, t: float,
                     h: float) -> list[tuple[float, ...]]:
     """The four residual columns (continuity, momentum_r, momentum_theta,
@@ -132,16 +115,27 @@ def _residual_block(s: Scenario, r: float, thetas, t: float,
     lengths of L = _length_unit(r) (grad p returns to metres to meet rho0),
     then the four residuals."""
     rho = _check_radius(s, r)
-    h = _resolve_step(r, thetas, h)
+    if isinstance(h, bool) or not (isinstance(h, (int, float))
+                                   and 0 < h <= sys.float_info.max):
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if h * h < sys.float_info.min:
+        raise ValueError(f"step h = {h!r} m is too small: h*h underflows, "
+                         f"so second differences cannot be formed")
+    ht, L = h / r, _length_unit(r)
+    hl = h / L
+    if not (ht * ht < math.inf and hl * hl < math.inf):
+        raise ValueError(f"step h = {h!r} m is too large at r = {r!r} m: its "
+                         f"square overflows, so second differences cannot be formed")
+    for theta in thetas:
+        if r + h == r or theta + ht == theta or theta - ht == theta:
+            raise ValueError(f"step h = {h!r} m is too small: the stencil points "
+                             f"round onto r = {r!r} m or theta = {theta!r}")
     ph = _phase(s, t)
     one_sided = (r - h) < s.a
     radii = (r + h, r + 2.0 * h, r + 3.0 * h) if one_sided else (r - h, r + h)
     # per field (v_r, v_theta, p): its brackets at r, then at each off radius
     b_vr, b_vt, b_p = zip(_radial(s, rho),
                           *[_radial(s, _check_radius(s, rr)) for rr in radii])
-    ht = h / r
-    L = _length_unit(r)
-    hl = h / L
     inv_r = L / r
     inv_r2 = inv_r * inv_r
     h2, hh, ht2, htht = 2.0 * hl, hl * hl, 2.0 * ht, ht * ht
@@ -323,9 +317,9 @@ def validate_checks(s: Scenario, t: float = 0.0,
     largest residual (step h_rel r) on 5 radii in [1.1a, 100a] x 5 angles,
     one _residual_block per radius, whose columns are read directly,
     passing only if each meets the residual_tolerance of its own radius; the
-    boundary_suite rows; the force_quadrature-vs-analytic and |Fy/Fx| ratios.
-    A (beta a)^2 that overflows would turn the quadrature force into NaN
-    through the wall stress, so it is refused by name before the force rows.
+    boundary_suite rows; the quadrature-vs-analytic and |Fy/Fx| ratios of
+    one forces._force_row at 512 nodes, with analytic = F_b + F_v, which
+    refuses by name a (beta a)^2 that overflows.
 
     Every row is relative to v0 and the fields are linear in it, so the
     checks run on the unit-amplitude scenario: the verdict and the printed
@@ -353,15 +347,11 @@ def validate_checks(s: Scenario, t: float = 0.0,
 
     checks += boundary_suite(s)
 
-    ba = s._coefficients.ba
-    if not ba * ba < math.inf:  # B_theta' = B_r' + i b ba^2 G in the wall stress
-        raise ValueError(f"force at f = {s.frequency:g} Hz, a = {s.a:g} m: the "
-                         f"shear stress scale (beta a)^2 = {ba * ba!r} overflows "
-                         f"at beta a = {ba:g}")
-    fq, fa = force_quadrature(s, t, 512), force_analytic(s, t)
+    fb, fv, fx, fy = _force_row(s, t, 512)
+    fa = fb + fv
     # != 0 rather than abs() > 0, so that NaN reaches the <= checks below
-    rel = abs(fq.fx - fa.fx) / abs(fa.fx) if fa.fx != 0 else 0.0
-    transverse = abs(fq.fy) / abs(fq.fx) if fq.fx != 0 else 0.0
+    rel = abs(fx - fa) / abs(fa) if fa != 0 else 0.0
+    transverse = abs(fy) / abs(fx) if fx != 0 else 0.0
     for name, value, tol in (("force quadrature_vs_analytic rel", rel, 1e-9),
                              ("force transverse rel", transverse, 1e-12)):
         checks.append(Check(name, value, tol, value <= tol))

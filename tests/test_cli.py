@@ -920,12 +920,29 @@ def test_validate_at_tiny_a_prints_no_nan(f, capsys):
 
 
 def test_force_refuses_overflowing_force(capsys):
-    # the force scale 2 pi rho0 v0 omega a^2 overflows at a = 1e154
-    assert main(["force", "--a", "1e154", "--f", "1"]) == 2
+    # (beta a)^2 ~ 6e8 is finite at nu0 = 1e300, but the force scale
+    # 2 pi rho0 v0 omega a^2 overflows at a = 1e154: the first column is named
+    assert main(["force", "--a", "1e154", "--f", "1", "--nu0", "1e300", "--rho0", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert ("force at f = 1.0 Hz, a = 1e+154 m: the column abs_F_analytic_over_v0 "
             "[N s/m^2] = nan is not finite") in captured.err
+
+
+@pytest.mark.parametrize("a, f, ba", [("1e154", "1", "6.44849e+156"),
+                                      ("1e305", "1e-305", "2.03919e+155")])
+def test_force_refuses_overflowing_shear_scale(a, f, ba, capsys):
+    # force and validate share forces._force_row, and with it validate's
+    # refusal, before a NaN quadrature column could be formed
+    assert main(["force", "--a", a, "--f", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"oscylinder: error: force at f = {float(f):g} Hz, a = "
+                            f"{float(a):g} m: the shear stress scale (beta a)^2 = inf "
+                            f"overflows at beta a = {ba}\n")
+    if a == "1e305":  # validate reaches its force rows here and prints the same
+        assert main(["validate", "--a", a, "--f", f]) == 2
+        assert capsys.readouterr().err == captured.err
 
 
 def test_force_inside_overflow_edge_is_finite(capsys):

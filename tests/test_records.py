@@ -149,6 +149,10 @@ BAD = [
     (Perturbation, ("B", HUGE), f"factor must be a positive finite number, got {HUGE!r}"),
     (PolarPoint, (HUGE, 0.0), "PolarPoint components must be finite"),
     (PolarPoint, (1.0, HUGE), "PolarPoint components must be finite"),
+    # a str or bool component is refused by name, as Scenario refuses them
+    (PolarPoint, ("1e-6", 0.5), "PolarPoint r must be an int or float, got '1e-6'"),
+    (PolarPoint, (True, 0.5), "PolarPoint r must be an int or float, got True"),
+    (PolarPoint, (1e-6, None), "PolarPoint theta must be an int or float, got None"),
 ]
 
 
