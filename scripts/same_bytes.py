@@ -98,6 +98,7 @@ def _argv_list() -> list[list[str]]:
         ["force", "--a", "1e305", "--f", "1e-305"],
         ["force", "--a", "1e154", "--f", "1", "--nu0", "1e300", "--rho0", "1"],
         ["validate", "--a", "1e305", "--f", "1e-305"],
+        ["validate", "--a", "1e154", "--f", "1", "--nu0", "1e300", "--rho0", "1"],
         ["field", "--a", "1", "--f", "1e4", f"--grid={edge},{edge}"],  # |w| ~ 1.6e308
         ["field", "--a", "1e-300"],
     ]

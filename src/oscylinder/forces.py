@@ -24,7 +24,8 @@ connecting stress to force.
 Every force is built from one phase, the closed form and, for the
 quadrature, the wall stress; _force_row takes each once for a row of
 `oscylinder force` and validate's force rows, bit for bit the public
-functions' values, and refuses an overflowing (beta a)^2 by name.
+functions' values, and refuses an overflowing (beta a)^2 or force scale
+by name.
 """
 
 from __future__ import annotations
@@ -170,12 +171,18 @@ def _force_row(s: Scenario, t: float, n_nodes: int) -> tuple[complex, ...]:
     """(F_b, F_v, F_x, F_y): fx of force_buoyancy and force_viscous_approx,
     and fx, fy of force_quadrature(s, t, n_nodes), from one phase, one
     closed form and one wall stress.  A (beta a)^2 that overflows is refused
-    first: B_theta' = B_r' + i b ba^2 G in the wall stress would be NaN."""
+    first: B_theta' = B_r' + i b ba^2 G in the wall stress would be NaN.  So
+    is a force scale 2 pi rho0 omega a^2 that overflows, since F_b would be
+    NaN at unit amplitude, the amplitude both callers use."""
     ba = s._coefficients.ba
+    where = f"force at f = {s.frequency:g} Hz, a = {s.a:g} m: the"
     if not ba * ba < math.inf:
-        raise ValueError(f"force at f = {s.frequency:g} Hz, a = {s.a:g} m: the "
-                         f"shear stress scale (beta a)^2 = {ba * ba!r} overflows "
-                         f"at beta a = {ba:g}")
+        raise ValueError(f"{where} shear stress scale (beta a)^2 = {ba * ba!r} "
+                         f"overflows at beta a = {ba:g}")
+    scale = 2.0 * math.pi * s.fluid.rho0 * s.omega * s.a * s.a
+    if not scale < math.inf:
+        raise ValueError(f"{where} force scale 2 pi rho0 omega a^2 = {scale!r} "
+                         f"overflows at rho0 = {s.fluid.rho0:g} kg/m^3")
     ph = _phase(s, t)
     return (*_closed_form(s, ph), *_quadrature(s, ph, n_nodes))
 

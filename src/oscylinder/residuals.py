@@ -10,12 +10,11 @@ one radius at a time: one _radial call at r and one per off radius, one
 phase, then one loop over the block's angles that forms every sample,
 each field's differences and the four residuals inline, and returns the
 four residual columns.  boundary_suite makes one _radial call at each
-of its four radii and forms only the columns each check reads (no slip
-and far field v_r, v_theta; pressure form and symmetry p) on angle
-tables built at import, and skips the no-slip ring when both wall
-brackets are exactly 0.  Tests pin both bit for bit to references built
-on flow_state(), velocity() and pressure().  Every residual is reported
-dimensionless:
+of its two radii, the wall and the far radius, forms only v_r and
+v_theta there on angle tables built at import, and skips the no-slip
+ring when both wall brackets are exactly 0.  Tests pin both bit for bit
+to references built on flow_state() and velocity().  Every residual is
+reported dimensionless:
 
     continuity          |div v|            / (v0/a)
     momentum            |dv/dt + grad p/rho0 - nu0 lap v| / (v0 omega)
@@ -32,7 +31,7 @@ in range at every r.
 
 validate_checks is the self-check as one table of Check rows (name,
 value, tol, ok), the rows `oscylinder validate` prints, boundary_suite's
-four among them and two force rows formed from forces._force_row, the
+two among them and two force rows formed from forces._force_row, the
 row `oscylinder force` prints; NaN fails a row.
 """
 
@@ -45,24 +44,17 @@ from collections import namedtuple
 from .flow import PolarPoint, Scenario, _check_radius, _phase, _radial
 from .forces import _force_row
 
-#: boundary_suite thresholds, then its four rows in the order validate prints them
+#: boundary_suite thresholds, then its two rows in the order validate prints them
 NO_SLIP_TOL = 1e-12
 FAR_FIELD_TOL = 1e-3
-PRESSURE_FORM_TOL = 1e-13
-SYMMETRY_TOL = 1e-13
-_BOUNDARY_CHECKS = (("no_slip", NO_SLIP_TOL), ("far_field", FAR_FIELD_TOL),
-                    ("pressure_form", PRESSURE_FORM_TOL), ("symmetry", SYMMETRY_TOL))
+_BOUNDARY_CHECKS = (("no_slip", NO_SLIP_TOL), ("far_field", FAR_FIELD_TOL))
 
 #: boundary_suite's tables: (cos, sin) on the wall ring, (cos, sin, -sin) on
-#: the far ring, cos at 0 and at theta, -theta, pi - theta per pressure-form
-#: angle, and each theta's cos as divisor (|cos| >= 0.25, well-conditioned)
+#: the far ring
 _WALL_RING = [(math.cos(th), math.sin(th))
               for th in (2.0 * math.pi * k / 64 for k in range(64))]
 _FAR_RING = [(math.cos(th), math.sin(th), -math.sin(th))
              for th in (2.0 * math.pi * k / 32 for k in range(32))]
-_FORM_COS = [1.0] + [math.cos(th) for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1)
-                     for th in (theta, -theta, math.pi - theta)]
-_FORM_DIVISORS = _FORM_COS[1::3]
 
 
 class ResidualReport(namedtuple("ResidualReport", "location t h one_sided continuity "
@@ -240,27 +232,20 @@ def _nan_max(values: list[float] | tuple[float, ...]) -> float:
 
 
 def boundary_suite(s: Scenario) -> list[Check]:
-    """validate_checks' four boundary rows: no slip, far-field recovery and
-    the pressure ansatz shape, each the largest deviation against its tol.
-    Velocities are relative to v0, pressures to p at theta = 0 of the same
-    radius and time.
+    """validate_checks' two boundary rows, no slip and far-field recovery,
+    each the largest deviation, relative to v0, against its tol.
 
     * no slip: |v| <= 1e-12 v0 on 64 angles x 4 phases at r = a;
     * far field: |v - v_inf| <= 1e-3 v0 at R = max(1e3 a, 20 delta),
       where delta is the boundary-layer thickness (the max keeps R
-      outside both the algebraic 1/r^2 tails and the Bessel skin);
-    * pressure form: p/cos(theta) is theta-independent to 1e-13;
-    * pressure symmetry: p even under theta -> -theta and odd under
-      theta -> pi - theta, to 1e-13.
+      outside both the algebraic 1/r^2 tails and the Bessel skin).
 
     The fields are sampled at unit amplitude, so s.v0 is not read.  One
-    _radial call per radius (rho = 1, far, 1.5, 3) and one phase per
-    (radius, time) block, on module tables of angles, signs and divisors.
-    When B_r(1) == 0 and B_theta(1) == 0, each no-slip sample is finite
-    angle x finite phase x 0, exactly 0.0, so the ring is not formed (NaN
-    != 0, so a NaN wall is sampled and fails); every refusal still runs, in
-    order.  The pressure maxima are taken over the undivided values and
-    divided once, by their block's reference pressure.
+    _radial call per radius (rho = 1, then far) and one phase per (radius,
+    time) block, on module tables of angles and signs.  When B_r(1) == 0
+    and B_theta(1) == 0, each no-slip sample is finite angle x finite phase
+    x 0, exactly 0.0, so the ring is not formed (NaN != 0, so a NaN wall is
+    sampled and fails); every refusal still runs, in order.
     """
     hypot = math.hypot
     period = 2.0 * math.pi / s.omega
@@ -286,34 +271,14 @@ def boundary_suite(s: Scenario) -> list[Check]:
         ph_inf = complex(math.cos(s.omega * t), -math.sin(s.omega * t))
         far += [hypot(abs(c * ph * br - c * ph_inf), abs(sn * ph * bth - nsn * ph_inf))
                 for c, sn, nsn in _FAR_RING]
-
-    form = []
-    sym = []
-    pv = 1j * s.fluid.rho0 * s.omega * s.a
-    ring = [pv * c for c in _FORM_COS]
-    for rr in (1.5 * s.a, 3.0 * s.a):
-        pb = _radial(s, _check_radius(s, rr))[2]
-        for t in (0.0, period / 5.0):
-            ph = _phase(s, t)
-            p0, *ps = [pc * ph * pb for pc in ring]
-            pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
-            block_form, block_sym = [], []
-            for p, p_neg, p_sup, cos_theta in zip(ps[0::3], ps[1::3], ps[2::3],
-                                                  _FORM_DIVISORS):
-                block_form.append(abs(p / cos_theta - p0))
-                block_sym += [abs(p_neg - p), abs(p_sup + p)]
-            # correctly rounded division by a positive float is monotone and
-            # keeps NaN, so the max of the quotients is the quotient of the max
-            form.append(_nan_max(block_form) / pnorm)
-            sym.append(_nan_max(block_sym) / pnorm)
-    maxima = [_nan_max(no_slip), _nan_max(far), _nan_max(form), _nan_max(sym)]
+    maxima = [_nan_max(no_slip), _nan_max(far)]
     return [Check(f"boundary {q} max", m, tol, m <= tol)
             for m, (q, tol) in zip(maxima, _BOUNDARY_CHECKS)]
 
 
 def validate_checks(s: Scenario, t: float = 0.0,
                     h_rel: float = 1e-4) -> list[Check]:
-    """The ten rows `oscylinder validate` prints, in order: each equation's
+    """The eight rows `oscylinder validate` prints, in order: each equation's
     largest residual (step h_rel r) on 5 radii in [1.1a, 100a] x 5 angles,
     one _residual_block per radius, whose columns are read directly,
     passing only if each meets the residual_tolerance of its own radius; the

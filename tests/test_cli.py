@@ -403,7 +403,7 @@ def test_validate_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "RESULT PASS"
     assert sum(1 for ln in lines if ln.startswith("residual ")) == 4
-    assert sum(1 for ln in lines if ln.startswith("boundary ")) == 4
+    assert sum(1 for ln in lines if ln.startswith("boundary ")) == 2
     assert sum(1 for ln in lines if ln.startswith("force ")) == 2
     assert all(ln.endswith(" PASS") for ln in lines[:-1])
 
@@ -472,7 +472,7 @@ def test_validate_detection_matrix(ba, capsys):
 @pytest.mark.parametrize("pert", [None, Perturbation("beta", 1.001)], ids=["clean", "beta"])
 @pytest.mark.parametrize("ba", sorted(DETECTION_MATRIX), ids="{:g}".format)
 def test_boundary_suite_at_the_detection_matrix(ba, pert):
-    # bit for bit with the velocity()/pressure() reference from beta a =
+    # bit for bit with the velocity() reference from beta a =
     # 1e-150 to 1e16; a wall whose brackets are both zero, which the clean
     # and the beta-mutated flow have, reads exactly 0.0 without its ring
     f = (ba / 1e-3) ** 2 * AIR_20C.nu0 / (2.0 * math.pi)
@@ -518,8 +518,8 @@ def test_radial_memo_leaves_output_unchanged(argv, monkeypatch, capsys):
 
 
 def reference_validate_report(s, t=0.0, h_rel=1e-4):
-    """validate's 11 report lines and exit code, computed here row by row
-    from residual_report, the velocity()/pressure() boundary reference and the
+    """validate's 9 report lines and exit code, computed here row by row
+    from residual_report, the velocity() boundary reference and the
     public forces, independently of residuals.validate_checks."""
     lines = []
     ok_all = True
@@ -884,7 +884,7 @@ def test_validate_inside_shear_scale_edge_passes(capsys):
     # a decade inside the edge: (beta a)^2 ~ 1.7e307 at f = 4e-308
     assert main(["validate", "--a", "1e305", "--f", "4e-308"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and lines[-1] == "RESULT PASS"
+    assert len(lines) == 9 and lines[-1] == "RESULT PASS"
     assert all(ln.endswith("PASS") for ln in lines)
 
 
@@ -897,7 +897,7 @@ def test_validate_at_huge_a_forms_pressure_laplacian(a, f, capsys):
     # residuals._residual_block measures lengths in a power of two near r instead
     assert main(["validate", "--a", a, "--f", f]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and lines[-1] == "RESULT PASS"
+    assert len(lines) == 9 and lines[-1] == "RESULT PASS"
     row, name, value, tol, verdict = lines[3].split()
     assert (row, name, verdict) == ("residual", "pressure_laplacian", "PASS")
     assert tol == "tol=1.000e-06"
@@ -921,12 +921,17 @@ def test_validate_at_tiny_a_prints_no_nan(f, capsys):
 
 def test_force_refuses_overflowing_force(capsys):
     # (beta a)^2 ~ 6e8 is finite at nu0 = 1e300, but the force scale
-    # 2 pi rho0 v0 omega a^2 overflows at a = 1e154: the first column is named
-    assert main(["force", "--a", "1e154", "--f", "1", "--nu0", "1e300", "--rho0", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("force at f = 1.0 Hz, a = 1e+154 m: the column abs_F_analytic_over_v0 "
-            "[N s/m^2] = nan is not finite") in captured.err
+    # 2 pi rho0 omega a^2 overflows at a = 1e154: forces._force_row names it
+    # for both commands, where force named a NaN column and validate
+    # printed a NaN quadrature row
+    argv = ["--a", "1e154", "--f", "1", "--nu0", "1e300", "--rho0", "1"]
+    for command in ("force", "validate"):
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("oscylinder: error: force at f = 1 Hz, a = 1e+154 m: the "
+                                "force scale 2 pi rho0 omega a^2 = inf overflows at "
+                                "rho0 = 1 kg/m^3\n")
 
 
 @pytest.mark.parametrize("a, f, ba", [("1e154", "1", "6.44849e+156"),

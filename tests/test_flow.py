@@ -216,12 +216,20 @@ def test_linearity_in_v0(lam, rho):
 
 
 def test_angular_separability():
+    # v_r/cos(theta), v_theta/sin(theta) and p/cos(theta) do not depend on
+    # theta, read through velocity() and pressure(), the public routes
     for s in (S1, S3):
-        pt0 = PolarPoint(3.0 * s.a, 0.0)
-        vr0 = velocity(s, pt0, 0.0)[0]
-        for theta in (0.4, 1.0, 2.2, -0.9, 3.0):
-            vr = velocity(s, PolarPoint(3.0 * s.a, theta), 0.0)[0]
-            assert abs(vr / math.cos(theta) - vr0) <= 1e-14 * abs(vr0)
+        for rho in (1.5, 3.0):
+            r = rho * s.a
+            vr0 = velocity(s, PolarPoint(r, 0.0), 0.0)[0]
+            vt0 = velocity(s, PolarPoint(r, 0.5 * math.pi), 0.0)[1]
+            p0 = pressure(s, PolarPoint(r, 0.0), 0.0)
+            for theta in (0.4, 1.0, 2.2, -0.9, 3.0):
+                vr, vt = velocity(s, PolarPoint(r, theta), 0.0)
+                p = pressure(s, PolarPoint(r, theta), 0.0)
+                assert abs(vr / math.cos(theta) - vr0) <= 1e-14 * abs(vr0)
+                assert abs(vt / math.sin(theta) - vt0) <= 1e-14 * abs(vt0)
+                assert abs(p / math.cos(theta) - p0) <= 1e-14 * abs(p0)
 
 
 def test_phasor_separability():

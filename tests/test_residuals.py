@@ -30,14 +30,12 @@ from oscylinder import (
     boundary_suite,
     convergence_order,
     flow_state,
-    pressure,
     residual_report,
     residual_tolerance,
     validate_checks,
     velocity,
 )
-from oscylinder.residuals import (FAR_FIELD_TOL, NO_SLIP_TOL, PRESSURE_FORM_TOL,
-                                  SYMMETRY_TOL)
+from oscylinder.residuals import FAR_FIELD_TOL, NO_SLIP_TOL
 
 
 def nan_rank(value):
@@ -52,7 +50,7 @@ def scenario(a, f, v0=1.0, perturbation=None):
 
 def boundary_rhos(s):
     """The r/a of each _radial call boundary_suite(s) makes, in order: the
-    wall, the far radius, 1.5 and 3."""
+    wall, then the far radius."""
     rhos = []
     radial = oscylinder.residuals._radial
 
@@ -343,13 +341,13 @@ def test_reports_do_not_depend_on_v0(v0, a, f, pt):
 @pytest.mark.parametrize("s", [S1, S2, S3])
 def test_boundary_suite_passes(s):
     rows = boundary_suite(s)
-    assert len(rows) == 4 and all(isinstance(c, Check) and c.ok for c in rows)
+    assert len(rows) == 2 and all(isinstance(c, Check) and c.ok for c in rows)
 
 
 @pytest.mark.parametrize("s", [S1, S3, scenario(1e-4, 1000.0, perturbation=
                                                 Perturbation("B", 1.001))])
 def test_boundary_suite_is_the_boundary_rows_of_validate_checks(s):
-    assert boundary_suite(s) == validate_checks(s)[4:8]
+    assert boundary_suite(s) == validate_checks(s)[4:6]
 
 
 def test_far_radius_rule():
@@ -396,8 +394,8 @@ def test_momentum_detects_beta_mutation():
 # residual_report and boundary_suite form angle x flow._radial x phase
 # themselves, one phase per block and one _radial call per radius, and
 # only the columns each check reads.  The references below sample every
-# point through velocity(), pressure() and flow_state() alone, with the
-# same arithmetic, so the checks still treat the fields as a black box.
+# point through velocity() and flow_state() alone, with the same
+# arithmetic, so the checks still treat the fields as a black box.
 
 #: S1 and S3, clean and under each 0.1% coefficient perturbation
 REFERENCE_SCENARIOS = [scenario(a, f, perturbation=pert)
@@ -468,8 +466,7 @@ def reference_residual_report(s, pt, t, h, L=1.0):
 
 
 def reference_boundary_suite(s):
-    """boundary_suite's four Check rows from velocity() and pressure() of the
-    unit-amplitude s."""
+    """boundary_suite's two Check rows from velocity() of the unit-amplitude s."""
     period = 2.0 * math.pi / s.omega
     no_slip = []
     for t in (0.0, period / 6.0, period / 4.0, period / 2.0):
@@ -486,22 +483,9 @@ def reference_boundary_suite(s):
             vinf_r = s.v0 * math.cos(theta) * ph
             vinf_t = -s.v0 * math.sin(theta) * ph
             far.append(math.hypot(abs(vr - vinf_r), abs(vt - vinf_t)))
-    form, sym = [], []
-    for rr in (1.5 * s.a, 3.0 * s.a):
-        for t in (0.0, period / 5.0):
-            p0 = pressure(s, PolarPoint(rr, 0.0), t)
-            pnorm = abs(p0) if abs(p0) > 0.0 else 1.0
-            for theta in (0.3, 0.8, 1.2, 2.1, 2.8, 3.6, 4.2, 5.1):
-                p = pressure(s, PolarPoint(rr, theta), t)
-                form.append(abs(p / math.cos(theta) - p0) / pnorm)
-                p_neg = pressure(s, PolarPoint(rr, -theta), t)
-                p_sup = pressure(s, PolarPoint(rr, math.pi - theta), t)
-                sym += [abs(p_neg - p) / pnorm, abs(p_sup + p) / pnorm]
     rows = []
     for name, values, tol in (("no_slip", no_slip, NO_SLIP_TOL),
-                              ("far_field", far, FAR_FIELD_TOL),
-                              ("pressure_form", form, PRESSURE_FORM_TOL),
-                              ("symmetry", sym, SYMMETRY_TOL)):
+                              ("far_field", far, FAR_FIELD_TOL)):
         value = max(values, key=nan_rank)
         rows.append(Check(f"boundary {name} max", value, tol, value <= tol))
     return rows
@@ -621,7 +605,7 @@ def test_residual_report_matches_reference_at_subnormal_angle(a, rho):
 
 
 def test_checks_sample_once_per_block(monkeypatch):
-    # boundary_suite takes one phase per (radius, time) block, 10 in all,
+    # boundary_suite takes one phase per (radius, time) block, 6 in all,
     # and a stencil one; neither samples a point through the public API
     phases = []
     phase = oscylinder.flow._phase
@@ -638,7 +622,7 @@ def test_checks_sample_once_per_block(monkeypatch):
         for name in ("flow_state", "velocity", "pressure"):
             monkeypatch.setattr(module, name, refused, raising=False)
     assert all(c.ok for c in boundary_suite(S3))
-    assert 0 < len(phases) <= 10
+    assert 0 < len(phases) <= 6
     phases.clear()
     residual_report(S3, PolarPoint(1.5 * S3.a, 0.7))
     residual_report(S3, PolarPoint(S3.a, 0.7))
@@ -650,7 +634,7 @@ def test_checks_sample_once_per_block(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_validate_checks_nan_fails_every_row(monkeypatch):
-    # NaN fields reach all ten rows: residual and boundary maxima keep the
+    # NaN fields reach all eight rows: residual and boundary maxima keep the
     # NaN, and the force ratios' != 0 guards let it through to <=
     for module in (oscylinder.flow, oscylinder.forces, oscylinder.residuals):
         monkeypatch.setattr(module, "_radial",
@@ -658,8 +642,8 @@ def test_validate_checks_nan_fails_every_row(monkeypatch):
     monkeypatch.setattr(oscylinder.forces, "_slopes",
                         lambda s, rho: (complex("nan"),) * 2)
     checks = validate_checks(S3)
-    assert len(checks) == 10
-    assert [c.ok for c in checks] == [False] * 10
+    assert len(checks) == 8
+    assert [c.ok for c in checks] == [False] * 8
 
 
 def test_validate_checks_nan_row_reports_tol_of_first_nan(monkeypatch):
@@ -740,11 +724,10 @@ def test_validate_grid_reports_match_residual_report(monkeypatch, s, t, h_rel):
 @pytest.mark.parametrize("h_rel", [1e-4, 0.095])
 def test_checks_sample_by_block(monkeypatch, h_rel):
     # boundary_suite makes exactly one _radial call at each of its radii
-    # (wall, far field, 1.5a, 3a), and the residual grid one _radial call at
+    # (wall, far field), and the residual grid one _radial call at
     # each radius plus one per off-radius stencil point
     # (the far radius is 1e3 a here, test_far_radius_rule)
-    assert boundary_rhos(S3) == [r / S3.a for r in (S3.a, 1e3 * S3.a, 1.5 * S3.a,
-                                                     3.0 * S3.a)]
+    assert boundary_rhos(S3) == [r / S3.a for r in (S3.a, 1e3 * S3.a)]
     calls = []
     radial = oscylinder.residuals._radial
 
